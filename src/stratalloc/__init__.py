@@ -35,6 +35,7 @@ from .popgen import (
     StratumSummary,
     geometric_strata,
     lognormal_population,
+    power_population,
     power_problem,
     stratum_sd,
     table1_problem,
@@ -66,6 +67,7 @@ __all__ = [
     "kkt_verify",
     "lognormal_population",
     "objective",
+    "power_population",
     "power_problem",
     "rna",
     "round_allocation",

@@ -8,16 +8,10 @@ import time
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
-from .algorithms import coma, rna, sga
+from .algorithms import SOLVERS
 from .model import AllocationProblem, AllocationResult
 
 __all__ = ["BenchResult", "time_solver", "run_bench", "write_bench_csv", "SOLVERS"]
-
-SOLVERS: dict[str, Callable[[AllocationProblem], AllocationResult]] = {
-    "rna": rna,
-    "sga": sga,
-    "coma": coma,
-}
 
 BENCH_CSV_HEADER = (
     "algorithm",

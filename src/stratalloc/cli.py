@@ -15,20 +15,19 @@ from typing import IO, Iterator
 
 from . import bench as bench_mod
 from . import formats
-from .algorithms import coma, rna, sga
+from .algorithms import SOLVERS
 from .model import AllocationProblem, InfeasibleProblemError, is_optimal_takeall
 from .oracles import bisection_multiplier, kkt_verify
 from .popgen import (
     PopulationSpec,
+    StratifiedPopulation,
     lognormal_population,
-    power_problem,
+    power_population,
     table1_problem,
 )
 from .rounding import variance_table, write_variance_csv
 
 SEED_ENV_VAR = "STRATALLOC_SEED"
-
-_SOLVERS = {"rna": rna, "sga": sga, "coma": coma}
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -73,7 +72,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.algorithm == "bisection":
         result = bisection_multiplier(problem, tol=args.tol)
     else:
-        result = _SOLVERS[args.algorithm](problem)
+        result = SOLVERS[args.algorithm](problem)
     with _open_out(args.output) as fp:
         formats.write_allocation_json(result, problem.n, fp)
     return 0
@@ -108,6 +107,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _population(args: argparse.Namespace) -> tuple[str, StratifiedPopulation]:
+    """The power or lognormal population named by --kind, with its id stem."""
+    if args.kind == "power":
+        return "power", power_population()
+    seed = _resolve_seed(args.seed)
+    spec = PopulationSpec(kind="lognormal_blocks", seed=seed, block_count=args.blocks)
+    return f"lognormal{args.blocks}s{seed}", lognormal_population(spec)
+
+
 def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProblem]]:
     fractions = _check_fractions(args.fraction or [0.1, 0.2, 0.3, 0.4, 0.5])
     out: list[tuple[str, AllocationProblem]] = []
@@ -119,28 +127,18 @@ def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProbl
             n = round(f * total_b)
             out.append((f"{stem}@{f:g}", formats.problem_from_rows(rows, float(n))))
         return out
-    kind = args.kind
-    if kind == "table1":
+    if args.kind == "table1":
         base = table1_problem()
         total_b = base.sum_b
         for f in fractions:
             n = round(f * total_b)
             out.append((f"table1@{f:g}", AllocationProblem(strata=base.strata, n=float(n))))
-    elif kind == "power":
-        total_b = 20000.0
-        for f in fractions:
-            n = round(f * total_b)
-            out.append((f"power@{f:g}", power_problem(float(n))))
-    elif kind == "lognormal":
-        seed = _resolve_seed(args.seed)
-        spec = PopulationSpec(kind="lognormal_blocks", seed=seed, block_count=args.blocks)
-        pop = lognormal_population(spec)
-        total = pop.total_units
-        for f in fractions:
-            n = round(f * total)
-            out.append((f"lognormal{args.blocks}s{seed}@{f:g}", pop.problem(float(n))))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+        return out
+    stem, pop = _population(args)
+    total = pop.total_units
+    for f in fractions:
+        n = round(f * total)
+        out.append((f"{stem}@{f:g}", pop.problem(float(n))))
     return out
 
 
@@ -157,30 +155,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_genpop(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "table1":
+    if args.kind == "table1":
         problem = table1_problem()
         with _open_out(args.output) as fp:
             formats.write_ab_csv(
                 ((str(st.label), st.a, st.b) for st in problem.strata), fp
             )
         return 0
-    if kind == "power":
-        with _open_out(args.output) as fp:
-            formats.write_ns_csv(
-                ((str(w), 1000, 10.0**w) for w in range(1, 21)), fp
-            )
-        return 0
-    if kind == "lognormal":
-        seed = _resolve_seed(args.seed)
-        spec = PopulationSpec(kind="lognormal_blocks", seed=seed, block_count=args.blocks)
-        pop = lognormal_population(spec)
-        with _open_out(args.output) as fp:
-            formats.write_ns_csv(
-                ((str(st.label), st.N, st.S) for st in pop.strata), fp
-            )
-        return 0
-    raise ValueError(f"unknown kind {kind!r}")
+    _, pop = _population(args)
+    with _open_out(args.output) as fp:
+        formats.write_ns_csv(((str(st.label), st.N, st.S) for st in pop.strata), fp)
+    return 0
 
 
 def cmd_roundcmp(args: argparse.Namespace) -> int:
@@ -208,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--n", required=True, type=float, help="total sample size")
     p_alloc.add_argument(
         "--algorithm",
-        choices=["rna", "sga", "coma", "bisection"],
+        choices=[*SOLVERS, "bisection"],
         default="rna",
     )
     p_alloc.add_argument("--tol", type=float, default=1e-12, help="bisection sum tolerance")

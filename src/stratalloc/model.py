@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Label = Hashable
 
@@ -30,7 +31,6 @@ ALGORITHM_IDS = (
     "sga",
     "coma",
     "bisection",
-    "brute_force",
     "greedy_integer",
     "v_allocation",
 )
@@ -159,10 +159,18 @@ class AllocationResult:
 
 def _subset_labels(problem: AllocationProblem, v: Iterable[Label]) -> frozenset:
     vset = frozenset(v)
-    unknown = vset - set(problem.labels)
+    unknown = vset.difference(problem.by_label)
     if unknown:
         raise ValueError(f"labels not in problem: {sorted(map(repr, unknown))}")
     return vset
+
+
+def _scale(problem: AllocationProblem, vset: frozenset) -> float:
+    # s(V) from two correctly rounded sums; vset is a validated proper subset
+    by_label = problem.by_label
+    budget = math.fsum([problem.n, *(-by_label[lb].b for lb in vset)])
+    denom = math.fsum(st.a for st in problem.strata if st.label not in vset)
+    return budget / denom
 
 
 def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
@@ -175,9 +183,47 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
     vset = _subset_labels(problem, v)
     if len(vset) == problem.size:
         return 0.0
-    budget = problem.n - math.fsum(st.b for st in problem.strata if st.label in vset)
-    denom = math.fsum(st.a for st in problem.strata if st.label not in vset)
-    return budget / denom
+    return _scale(problem, vset)
+
+
+# The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
+# belongs to the optimal V exactly when a_w * B >= b_w * A, i.e. when
+# c_w * s(V) >= 1. If B and A are each known to a relative error below
+# 2**-44 and s lies in [S_MIN, S_MAX] (so that c_w, s and c_w * s are normal
+# wherever c_w * s is near 1), the rounded product t = c_w * s is within a
+# relative 2**-42 of the exact ratio: t >= TAKE_HI or t <= TAKE_LO decides.
+# Only a t inside the band is settled in rationals.
+TAKE_LO = 1.0 - 2.0**-40
+TAKE_HI = 1.0 + 2.0**-40
+S_MIN = 2.0**-1000
+S_MAX = 2.0**1000
+
+
+def take_all_members(
+    problem: AllocationProblem,
+    c: Sequence[float],
+    v_idx: Sequence[int],
+    s: float,
+    candidates: Iterable[int],
+) -> list[int]:
+    """The candidate strata w with c_w * s(V) >= 1, decided exactly.
+
+    Strata are positions in ``problem.strata``; ``c`` holds their priorities
+    a/b, ``v_idx`` the current V, and ``s`` approximates s(V) from a budget
+    and denominator each accurate to a relative 2**-44. The result keeps the
+    order of ``candidates``.
+    """
+    if S_MIN <= s <= S_MAX:
+        picked = [i for i in candidates if c[i] * s > TAKE_LO]
+        # rounding is monotone, so the smallest c_w gives the smallest t
+        if not picked or min(map(c.__getitem__, picked)) * s >= TAKE_HI:
+            return picked
+    else:
+        picked = list(candidates)
+    strata = problem.strata
+    budget = Fraction(problem.n) - sum(Fraction(strata[i].b) for i in v_idx)
+    denom = sum(Fraction(st.a) for st in strata) - sum(Fraction(strata[i].a) for i in v_idx)
+    return [i for i in picked if Fraction(strata[i].a) * budget >= Fraction(strata[i].b) * denom]
 
 
 def v_allocation(
@@ -201,7 +247,7 @@ def v_allocation(
             raise InfeasibleSubsetError("full take-all set is only feasible when n equals sum(b)")
         s = 0.0
     else:
-        s = s_of(problem, vset)
+        s = _scale(problem, vset)
         if s <= 0:
             raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
     x = {
@@ -224,18 +270,22 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     """Fixed-point test for the optimal take-all set.
 
     V is optimal iff membership matches the threshold test everywhere:
-    w in V exactly when c_w * s(V) >= 1, with the comparison taken exactly
-    (no tolerance). For the census problem (n == sum(b)) only V = W passes.
+    w in V exactly when c_w * s(V) >= 1, decided exactly by
+    :func:`take_all_members` (no tolerance). For the census problem
+    (n == sum(b)) only V = W passes.
     """
     vset = _subset_labels(problem, v)
     if problem.is_census:
         return len(vset) == problem.size
     if len(vset) == problem.size:
         return False
-    s = s_of(problem, vset)
+    s = _scale(problem, vset)
     if s <= 0:
         return False
-    return all((st.label in vset) == (st.c * s >= 1.0) for st in problem.strata)
+    strata = problem.strata
+    v_idx = [i for i, st in enumerate(strata) if st.label in vset]
+    c = [st.a / st.b for st in strata]
+    return take_all_members(problem, c, v_idx, s, range(len(strata))) == v_idx
 
 
 def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:

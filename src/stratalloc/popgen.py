@@ -34,6 +34,7 @@ __all__ = [
     "StratumSummary",
     "StratifiedPopulation",
     "table1_problem",
+    "power_population",
     "power_problem",
     "lognormal_population",
     "geometric_strata",
@@ -52,18 +53,13 @@ _TABLE1_C = (
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Parameters of a synthetic population.
-
-    target_cv is recorded for provenance only; the splitter used here is the
-    plain geometric rule, which takes no precision target.
-    """
+    """Parameters of a synthetic population."""
 
     kind: str
     seed: int = 0
     block_count: int = 100
     block_size: int = 10000
     strata_per_block: int = 10
-    target_cv: float = 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in POPULATION_KINDS:
@@ -121,12 +117,16 @@ def table1_problem() -> AllocationProblem:
     return AllocationProblem(strata=strata, n=8000.0)
 
 
-def power_problem(n: float) -> AllocationProblem:
-    """The power-spread problem: 20 strata, N_w = 1000, S_w = 10**w."""
-    strata = tuple(
-        Stratum(label=w, a=1000.0 * 10.0**w, b=1000.0) for w in range(1, 21)
+def power_population() -> StratifiedPopulation:
+    """The power-spread population: strata w = 1..20 with N_w = 1000, S_w = 10**w."""
+    return StratifiedPopulation(
+        strata=tuple(StratumSummary(label=w, N=1000, S=10.0**w) for w in range(1, 21))
     )
-    return AllocationProblem(strata=strata, n=n)
+
+
+def power_problem(n: float) -> AllocationProblem:
+    """The power-spread problem: a_w = 1000 * 10**w, b_w = 1000."""
+    return power_population().problem(n)
 
 
 def geometric_strata(values: Sequence[float], num_strata: int) -> list[float]:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,69 @@ def make_random_problem(rng: np.random.Generator, K: int, frac: float) -> Alloca
 @pytest.fixture
 def problem_factory():
     return make_random_problem
+
+
+@pytest.fixture(scope="session")
+def near_ties():
+    return near_tie_problems(seed=7, count=150)
+
+
+def exact_fixed_point(problem: AllocationProblem, v) -> bool:
+    """The fixed-point test in rationals: B > 0, and w in V exactly when
+    a_w * B >= b_w * A, with B = n - sum_V b and A = sum_{W minus V} a."""
+    vset = frozenset(v)
+    a = [Fraction(st.a) for st in problem.strata]
+    b = [Fraction(st.b) for st in problem.strata]
+    inside = [st.label in vset for st in problem.strata]
+    budget = Fraction(problem.n) - sum(bw for bw, t in zip(b, inside) if t)
+    denom = sum(aw for aw, t in zip(a, inside) if not t)
+    if budget <= 0 or denom == 0:
+        return False
+    return all(t == (aw * budget >= bw * denom) for aw, bw, t in zip(a, b, inside))
+
+
+def exact_takeall(problem: AllocationProblem) -> frozenset:
+    """The one take-all set that passes exact_fixed_point, found by trying
+    every subset (small K only)."""
+    labels = problem.labels
+    found = [
+        v
+        for mask in range(1 << len(labels))
+        if exact_fixed_point(problem, v := frozenset(lb for i, lb in enumerate(labels) if mask >> i & 1))
+    ]
+    assert len(found) == 1, found
+    return found[0]
+
+
+def near_tie_problems(seed: int, count: int):
+    """Random (problem, exact V) pairs with one stratum within 2 ulps of its
+    take-all threshold.
+
+    Starts from a ~ U(0.1, 10), b ~ U(1, 100), K in 2..6, n = f * sum(b)
+    and its exact V. One stratum w then gets the bound b_w at which
+    c_w * s(V) = 1 holds in rationals (with V kept fixed), moved by -2..2
+    ulps. The exact V of the changed problem is found again by search.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        K = int(rng.integers(2, 7))
+        a = [float(x) for x in rng.uniform(0.1, 10.0, K)]
+        b = [float(x) for x in rng.uniform(1.0, 100.0, K)]
+        n = float(rng.uniform(0.05, 0.95) * sum(b))
+        base = AllocationProblem(tuple(map(Stratum, range(K), a, b)), n)
+        v = exact_takeall(base)
+        w = int(rng.integers(K))
+        rest = Fraction(n) - sum(Fraction(b[i]) for i in v if i != w)
+        denom = sum(Fraction(a[i]) for i in range(K) if i not in v)
+        # off V: a_w * rest = b_w * denom; on V: a_w * (rest - b_w) = b_w * denom
+        tie = Fraction(a[w]) * rest / (denom if w not in v else denom + Fraction(a[w]))
+        bw = float(tie)
+        for _ in range(abs(step := int(rng.integers(-2, 3)))):
+            bw = math.nextafter(bw, math.copysign(math.inf, step))
+        b[w] = bw
+        if not (bw > 0 and n < math.fsum(b)):
+            continue
+        problem = AllocationProblem(tuple(map(Stratum, range(K), a, b)), n)
+        out.append((problem, exact_takeall(problem)))
+    return out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exact_fixed_point, exact_takeall
 from stratalloc import (
     AllocationProblem,
     Stratum,
@@ -193,3 +194,67 @@ class TestRandomEquivalence:
                 scale = p.n / total
             if abs(math.fsum(x.values()) - p.n) < 1e-9 * p.n:
                 assert opt <= objective(p, x) * (1 + 1e-12)
+
+
+# Pinned reproducers. In the first, a rounded c_w * s(V) >= 1 decided the
+# take-all test the wrong way and rna and sga raised; in the second, coma's
+# s(V_{r+1}) divided by zero. In the third, s(V) overflows to inf once
+# stratum 1 is in V.
+PINNED = {
+    "k6_rounded_threshold": (
+        [1.087729242891976, 17332490899.032524, 6509726358.374473, 3.2817742329849777e-12,
+         8328.004862510666, 6.958557331037807e-05],
+        [0.0005850640852304769, 0.0006497076428643487, 216022.39396657038, 29454904.807017025,
+         57.96008765662333, 0.9677543080393372],
+        29670986.129767798,
+        {0, 1, 2, 4, 5},
+    ),
+    "k4_coma_zero_division": (
+        [1073885290.9066164, 125506191886.97058, 1.8041080913652054e-09, 5.875709349693181e-10],
+        [4190676.4923184835, 1.6391934067475318, 0.03271075618004013, 0.9306590389706386],
+        4190679.0785263074,
+        {0, 1, 2},
+    ),
+    "k2_scale_overflows": ([1e-300, 1e10], [1e10, 1.0], 1e10 + 0.5, {1}),
+}
+
+
+def result_key(res):
+    return sorted((lb, v.hex()) for lb, v in res.x.items()), res.take_all, res.s_final.hex()
+
+
+class TestExactTakeAll:
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_reproducers(self, case):
+        a, b, n, expected = PINNED[case]
+        p = small(a, b, n)
+        assert exact_takeall(p) == frozenset(expected)
+        assert is_optimal_takeall(p, expected)
+        for solver in ALL_SOLVERS:
+            assert solver(p).take_all == frozenset(expected), solver.__name__
+
+    @pytest.mark.parametrize("solver", ALL_SOLVERS)
+    def test_near_ties_match_exhaustive_rationals(self, solver, near_ties):
+        wrong = [p for p, v in near_ties if solver(p).take_all != v]
+        assert not wrong, f"{len(wrong)} of {len(near_ties)} near-tie problems"
+
+    @pytest.mark.parametrize("a_exp", [12, 150])
+    def test_near_census_fuzz(self, a_exp):
+        # a = 10^U(-a_exp, a_exp), b = 10^U(-5, 8), n = sum(b) - gap with the
+        # gap log-uniform on [sum(b) * 1e-15, min(b) / 2]. kkt_verify is not
+        # asserted: its mu = s**-2 underflows for s above about 1e154.
+        rng = np.random.default_rng(2000 + a_exp)
+        for trial in range(150):
+            K = int(rng.integers(2, 11))
+            a = 10.0 ** rng.uniform(-a_exp, a_exp, K)
+            b = 10.0 ** rng.uniform(-5, 8, K)
+            total = math.fsum(b)
+            lo, hi = sorted((math.log(total * 1e-15), math.log(b.min() / 2)))
+            p = small(a, b, total - math.exp(rng.uniform(lo, hi)))
+            perm = rng.permutation(K)
+            shuffled = AllocationProblem(strata=tuple(p.strata[int(i)] for i in perm), n=p.n)
+            base = result_key(rna(p))
+            for solver in ALL_SOLVERS:
+                assert result_key(solver(p)) == base, trial
+                assert result_key(solver(shuffled)) == base, trial
+            assert exact_fixed_point(p, base[1]), trial

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from stratalloc import algorithms, bench, formats, power_problem
 from stratalloc.cli import main
 
 TABLE1_CSV = "\n".join(
@@ -133,6 +134,12 @@ class TestVerify:
         assert code == 2
 
 
+def test_one_solver_registry(table1_csv):
+    assert bench.SOLVERS is algorithms.SOLVERS
+    for name in [*algorithms.SOLVERS, "bisection"]:
+        assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--algorithm", name]) == 0
+
+
 class TestGenpop:
     def test_reference_population(self, tmp_path):
         out = tmp_path / "pop.csv"
@@ -150,6 +157,16 @@ class TestGenpop:
         assert len(rows) == 21
         assert float(rows[1][2]) == 10.0
         assert float(rows[20][2]) == 1e20
+
+    def test_power_csv_reads_back_as_power_problem(self, tmp_path):
+        out = tmp_path / "pop.csv"
+        assert main(["genpop", "--kind", "power", "--output", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fp:
+            read = formats.problem_from_rows(formats.read_strata_csv(fp), 5000.0)
+        expected = power_problem(5000.0)
+        assert [(st.label, st.a.hex(), st.b.hex()) for st in read.strata] == [
+            (str(st.label), st.a.hex(), st.b.hex()) for st in expected.strata
+        ]
 
     def test_lognormal_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -91,6 +91,19 @@ class TestSOf:
         with pytest.raises(ValueError, match="not in problem"):
             s_of(two_stratum(), {"zzz"})
 
+    def test_budget_is_one_rounding(self):
+        # sum_V b = 1e16 + 1 is a tie that rounds to 1e16; subtracting that
+        # rounded sum from n would give a budget of 4 instead of 3
+        p = AllocationProblem(
+            strata=(
+                Stratum(label="big", a=1.0, b=1e16),
+                Stratum(label="one", a=1.0, b=1.0),
+                Stratum(label="free", a=1.0, b=10.0),
+            ),
+            n=1e16 + 4,
+        )
+        assert s_of(p, {"big", "one"}) == 3.0
+
 
 class TestVAllocation:
     def test_two_regimes(self):
@@ -136,6 +149,27 @@ class TestFixedPoint:
     def test_two_stratum(self):
         p = two_stratum()
         assert is_optimal_takeall(p, {"x"})
+        assert not is_optimal_takeall(p, set())
+
+    def test_near_ties_decided_exactly(self, near_ties):
+        # the exact V passes and every set one stratum away from it fails
+        wrong = [
+            (p, v)
+            for p, v in near_ties
+            if not is_optimal_takeall(p, v)
+            or any(is_optimal_takeall(p, v ^ {w}) for w in p.labels)
+        ]
+        assert not wrong, f"{len(wrong)} of {len(near_ties)} near-tie problems"
+
+    def test_overflowing_scale(self):
+        # s({1}) = (1e10 - 0.5) / 1e-300 overflows to inf; stratum 0 sits
+        # just below its threshold: 1e-300 * (1e10 - 0.5) < 1e10 * 1e-300
+        p = AllocationProblem(
+            strata=(Stratum(label=0, a=1e-300, b=1e10), Stratum(label=1, a=1e10, b=1.0)),
+            n=1e10 + 0.5,
+        )
+        assert is_optimal_takeall(p, {1})
+        assert not is_optimal_takeall(p, {0, 1})
         assert not is_optimal_takeall(p, set())
 
 
