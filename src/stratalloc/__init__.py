@@ -16,6 +16,7 @@ from .model import (
     InfeasibleSubsetError,
     IterationRecord,
     Stratum,
+    SurveyStratum,
     is_optimal_takeall,
     objective,
     s_of,
@@ -32,7 +33,6 @@ from .oracles import (
 from .popgen import (
     PopulationSpec,
     StratifiedPopulation,
-    StratumSummary,
     geometric_strata,
     lognormal_population,
     power_population,
@@ -56,7 +56,7 @@ __all__ = [
     "PopulationSpec",
     "StratifiedPopulation",
     "Stratum",
-    "StratumSummary",
+    "SurveyStratum",
     "VarianceReport",
     "bisection_multiplier",
     "brute_force_subset",

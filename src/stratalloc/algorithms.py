@@ -86,7 +86,8 @@ def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> Allocatio
     order = list(range(K)) if batch else sorted(range(K), key=c.__getitem__, reverse=True)
     shrink = (K + 2) ** 2 * 2.0**-61
     budget, budget_c = problem.n, 0.0
-    denom, denom_c = _exact_pair(a)
+    denom = problem.sum_a
+    denom_c = math.fsum([*a, -denom])
     budget_min, denom_min = shrink * budget, shrink * denom
     taken: list[int] = []
     trace: list[IterationRecord] = []

@@ -8,6 +8,7 @@ problems (n exceeding the total bound).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -16,15 +17,9 @@ from typing import IO, Iterator
 from . import bench as bench_mod
 from . import formats
 from .algorithms import SOLVERS
-from .model import AllocationProblem, InfeasibleProblemError, is_optimal_takeall
+from .model import AllocationProblem, InfeasibleProblemError, Stratum, is_optimal_takeall
 from .oracles import bisection_multiplier, kkt_verify
-from .popgen import (
-    PopulationSpec,
-    StratifiedPopulation,
-    lognormal_population,
-    power_population,
-    table1_problem,
-)
+from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
 
 SEED_ENV_VAR = "STRATALLOC_SEED"
@@ -52,7 +47,7 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield fp
 
 
-def _read_rows(path: str) -> list[formats.StrataRow]:
+def _read_rows(path: str) -> tuple[Stratum, ...]:
     with open(path, encoding="utf-8", newline="") as fp:
         return formats.read_strata_csv(fp, name=path)
 
@@ -107,39 +102,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _population(args: argparse.Namespace) -> tuple[str, StratifiedPopulation]:
-    """The power or lognormal population named by --kind, with its id stem."""
+def _population(args: argparse.Namespace) -> tuple[str, tuple[Stratum, ...]]:
+    """The strata of the population named by --kind, with its id stem."""
+    if args.kind == "table1":
+        return "table1", table1_problem().strata
     if args.kind == "power":
-        return "power", power_population()
+        return "power", power_population().strata
     seed = _resolve_seed(args.seed)
     spec = PopulationSpec(kind="lognormal_blocks", seed=seed, block_count=args.blocks)
-    return f"lognormal{args.blocks}s{seed}", lognormal_population(spec)
+    return f"lognormal{args.blocks}s{seed}", lognormal_population(spec).strata
 
 
 def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProblem]]:
     fractions = _check_fractions(args.fraction or [0.1, 0.2, 0.3, 0.4, 0.5])
-    out: list[tuple[str, AllocationProblem]] = []
     if args.input is not None:
-        rows = _read_rows(args.input)
-        total_b = sum(row.b for row in rows)
         stem = os.path.splitext(os.path.basename(args.input))[0]
-        for f in fractions:
-            n = round(f * total_b)
-            out.append((f"{stem}@{f:g}", formats.problem_from_rows(rows, float(n))))
-        return out
-    if args.kind == "table1":
-        base = table1_problem()
-        total_b = base.sum_b
-        for f in fractions:
-            n = round(f * total_b)
-            out.append((f"table1@{f:g}", AllocationProblem(strata=base.strata, n=float(n))))
-        return out
-    stem, pop = _population(args)
-    total = pop.total_units
-    for f in fractions:
-        n = round(f * total)
-        out.append((f"{stem}@{f:g}", pop.problem(float(n))))
-    return out
+        strata = _read_rows(args.input)
+    else:
+        stem, strata = _population(args)
+    total_b = math.fsum(st.b for st in strata)
+    return [
+        (f"{stem}@{f:g}", AllocationProblem(strata=strata, n=float(round(f * total_b))))
+        for f in fractions
+    ]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -155,16 +140,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_genpop(args: argparse.Namespace) -> int:
-    if args.kind == "table1":
-        problem = table1_problem()
-        with _open_out(args.output) as fp:
-            formats.write_ab_csv(
-                ((str(st.label), st.a, st.b) for st in problem.strata), fp
-            )
-        return 0
-    _, pop = _population(args)
+    _, strata = _population(args)
     with _open_out(args.output) as fp:
-        formats.write_ns_csv(((str(st.label), st.N, st.S) for st in pop.strata), fp)
+        if args.kind == "table1":
+            formats.write_ab_csv(((str(st.label), st.a, st.b) for st in strata), fp)
+        else:
+            formats.write_ns_csv(((str(st.label), st.N, st.S) for st in strata), fp)
     return 0
 
 

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from .model import AllocationProblem, AllocationResult, Label, Stratum
+from .model import AllocationProblem, AllocationResult, Stratum
 
 __all__ = [
     "StrataCsvError",
-    "StrataRow",
     "read_strata_csv",
     "problem_from_rows",
     "population_maps_from_rows",
@@ -27,24 +24,14 @@ class StrataCsvError(ValueError):
     """Malformed strata CSV; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class StrataRow:
-    """One parsed CSV row. N and S are set when the file used the N,S form."""
-
-    label: str
-    a: float
-    b: float
-    N: int | None = None
-    S: float | None = None
-
-
-def read_strata_csv(fp: IO[str], name: str = "strata csv") -> list[StrataRow]:
+def read_strata_csv(fp: IO[str], name: str = "strata csv") -> tuple[Stratum, ...]:
     """Parse a strata CSV in either accepted header form.
 
-    ``label,a,b`` gives the weights and bounds directly; ``label,N,S`` is the
-    survey form and maps to a = N * S, b = N. Header matching is
+    ``label,a,b`` gives the weights and bounds directly as :class:`Stratum`
+    records; ``label,N,S`` is the survey form and reads as
+    :class:`SurveyStratum` records (a = N * S, b = N). Header matching is
     case-insensitive. Raises :class:`StrataCsvError` naming the line on any
-    malformed content.
+    malformed content, including values the record constructors reject.
     """
     reader = csv.reader(fp)
     try:
@@ -53,14 +40,14 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> list[StrataRow]:
         raise StrataCsvError(f"{name}: line 1: empty file") from None
     cols = [h.strip().lower() for h in header]
     if cols == ["label", "a", "b"]:
-        survey = False
+        make = Stratum
     elif cols == ["label", "n", "s"]:
-        survey = True
+        make = Stratum.survey
     else:
         raise StrataCsvError(
             f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
         )
-    rows: list[StrataRow] = []
+    rows: list[Stratum] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(reader, start=2):
         if not raw or (len(raw) == 1 and not raw[0].strip()):
@@ -80,35 +67,25 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> list[StrataRow]:
             raise StrataCsvError(
                 f"{name}: line {lineno}: non-numeric value in {raw[1]!r}, {raw[2]!r}"
             ) from None
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            raise StrataCsvError(f"{name}: line {lineno}: values must be finite")
-        if survey:
-            N, S = v1, v2
-            if N != int(N) or N <= 0:
-                raise StrataCsvError(f"{name}: line {lineno}: N must be a positive integer, got {raw[1]!r}")
-            if S <= 0:
-                raise StrataCsvError(f"{name}: line {lineno}: S must be positive, got {raw[2]!r}")
-            rows.append(StrataRow(label=label, a=N * S, b=N, N=int(N), S=S))
-        else:
-            if v1 <= 0 or v2 <= 0:
-                raise StrataCsvError(f"{name}: line {lineno}: a and b must be positive")
-            rows.append(StrataRow(label=label, a=v1, b=v2))
+        try:
+            rows.append(make(label, v1, v2))
+        except ValueError as exc:
+            raise StrataCsvError(f"{name}: line {lineno}: {exc}") from None
     if not rows:
         raise StrataCsvError(f"{name}: line 2: no data rows")
-    return rows
+    return tuple(rows)
 
 
-def problem_from_rows(rows: Sequence[StrataRow], n: float) -> AllocationProblem:
-    strata = tuple(Stratum(label=row.label, a=row.a, b=row.b) for row in rows)
-    return AllocationProblem(strata=strata, n=n)
+def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
+    return AllocationProblem(strata=rows, n=n)
 
 
-def population_maps_from_rows(rows: Sequence[StrataRow]) -> tuple[dict, dict]:
+def population_maps_from_rows(rows: Sequence[Stratum]) -> tuple[dict, dict]:
     """(N, S) maps for variance work; a,b rows must then have integer b."""
     N: dict[str, int] = {}
     S: dict[str, float] = {}
     for row in rows:
-        if row.N is not None and row.S is not None:
+        if row.N is not None:
             N[row.label] = row.N
             S[row.label] = row.S
         else:

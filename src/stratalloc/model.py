@@ -19,7 +19,7 @@ V is characterized by a fixed-point condition checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -48,12 +48,19 @@ class InfeasibleSubsetError(ValueError):
 class Stratum:
     """One stratum: a label, a variability weight a, and an upper bound b.
 
-    For SRSWOR populations, a = N * S and b = N.
+    SRSWOR strata are built with :meth:`survey` and also carry N and S; on a
+    plain stratum both read None.
     """
 
     label: Label
     a: float
     b: float
+    N = S = None
+
+    @staticmethod
+    def survey(label: Label, N: float, S: float) -> SurveyStratum:
+        """The SRSWOR stratum of N units with standard deviation S: a = N * S, b = N."""
+        return SurveyStratum(label, N * S, float(N), S)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a > 0):
@@ -70,13 +77,46 @@ class Stratum:
 
 
 @dataclass(frozen=True)
+class SurveyStratum(Stratum):
+    """A stratum of an SRSWOR design: b = N units with standard deviation S.
+
+    Built by :meth:`Stratum.survey`; a record whose b is not an integer or
+    whose a is not b * S is rejected.
+    """
+
+    # field() keeps S required; a bare annotation would take the inherited
+    # class attribute S = None as its default
+    S: float = field()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.b != int(self.b):
+            raise ValueError(f"stratum {self.label!r}: N must be an integer, got {self.b!r}")
+        if self.a != self.b * self.S:
+            raise ValueError(f"stratum {self.label!r}: a = {self.a!r} is not N * S for S = {self.S!r}")
+
+    @property
+    def N(self) -> int:
+        """The population size, b as an integer."""
+        return int(self.b)
+
+
+def _total(values: Iterable[float], name: str) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError(f"the sum of the {name} values overflows") from None
+
+
+@dataclass(frozen=True)
 class AllocationProblem:
     """An allocation instance: strata in a fixed order plus the total sample size n.
 
-    Validation on construction: labels are distinct, 0 < n <= sum(b). The
-    boundary case n == sum(b) is accepted; it is the trivial census where the
-    only feasible (hence optimal) allocation is x = b (see :attr:`is_census`).
-    n > sum(b) raises :class:`InfeasibleProblemError`.
+    Validation on construction: labels are distinct, sum(a) and sum(b) do not
+    overflow, 0 < n <= sum(b). The boundary case n == sum(b) is accepted; it
+    is the trivial census where the only feasible (hence optimal) allocation
+    is x = b (see :attr:`is_census`). n > sum(b) raises
+    :class:`InfeasibleProblemError`.
     """
 
     strata: tuple[Stratum, ...]
@@ -91,6 +131,7 @@ class AllocationProblem:
             raise ValueError("stratum labels must be distinct")
         if not (math.isfinite(self.n) and self.n > 0):
             raise ValueError(f"n must be positive and finite, got {self.n!r}")
+        self.sum_a  # raises ValueError when sum(a) overflows
         if self.n > self.sum_b:
             raise InfeasibleProblemError(
                 f"n = {self.n} exceeds the total upper bound {self.sum_b}"
@@ -106,11 +147,11 @@ class AllocationProblem:
 
     @cached_property
     def sum_a(self) -> float:
-        return math.fsum(st.a for st in self.strata)
+        return _total((st.a for st in self.strata), "a")
 
     @cached_property
     def sum_b(self) -> float:
-        return math.fsum(st.b for st in self.strata)
+        return _total((st.b for st in self.strata), "b")
 
     @property
     def size(self) -> int:

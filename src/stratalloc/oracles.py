@@ -41,8 +41,10 @@ class KktCertificate:
     take-all set, 0 elsewhere. residuals holds the worst relative violation of
     each condition ("stationarity", "primal", "complementary"); each is scaled
     by the magnitude of the terms it compares, so the certificate reads the
-    same whether mu is 1e-3 or 1e39. valid is True when all residuals are
-    within tol and lam is nonnegative up to tol times the scale of mu.
+    same whether mu is 1e-3 or 1e39. Where s**2 or c_w**2 leaves the float
+    range, mu, lam and the residuals read 0, inf or nan; a nan residual is
+    reported, not dropped. valid is decided by :func:`kkt_verify` from the
+    conditions divided by mu, which stay finite at any scale.
     """
 
     mu: float
@@ -114,42 +116,49 @@ def kkt_verify(
     (sum x = n, 0 < x_w <= b_w), complementary slackness lam_w (x_w - b_w) = 0,
     and dual feasibility lam_w >= 0.
 
-    Residuals are relative. mu scales with a**2 and ranges over dozens of
-    orders of magnitude across realistic inputs, so an allocation exact to
-    machine precision still carries an absolute stationarity gap of a few
-    ulps of its own terms; a fixed absolute tol would reject it whenever
-    those terms are large. Each stratum's stationarity gap is measured
+    Validity is decided from these conditions divided by mu = s**-2, whose
+    terms stay finite for any finite positive x. Off V, stationarity reads
+    g_w * s = 1 with g_w = a_w/x_w, tested as |a_w * s / x_w - 1| <= tol. On
+    V, stationarity with lam_w = c_w**2 - mu reads x_w = b_w, tested as
+    |x_w - b_w| <= tol * b_w, and dual feasibility reads c_w * s >= 1, tested
+    as c_w * s >= 1 - tol (every s >= 1/min c_w serves the census). The
+    primal residual must be within tol. A nan fails every test.
+
+    The reported residuals are relative. mu scales with a**2 and ranges over
+    dozens of orders of magnitude across realistic inputs, so an allocation
+    exact to machine precision still carries an absolute stationarity gap of
+    a few ulps of its own terms. Each stratum's stationarity gap is measured
     against the largest term in its equation, max(1, mu, (a_w/x_w)**2,
-    |lam_w|); the dual margin against max(1, mu); the sum constraint
-    against max(1, n); bound overshoot against max(1, b_w); complementary
-    slackness against 1 + |lam_w| b_w.
+    |lam_w|); the sum constraint against max(1, n); bound overshoot against
+    max(1, b_w); complementary slackness against 1 + |lam_w| b_w.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if set(result.x) != set(problem.labels):
         raise ValueError("result labels do not match the problem")
     v = result.take_all
-    cs = [st.c for st in problem.strata]
     if len(v) == problem.size:
-        mu = min(c * c for c in cs)
+        mu = min(st.c * st.c for st in problem.strata)
+        s = math.inf
     else:
         s = s_of(problem, v)
         if s <= 0:
             lam = {lb: 0.0 for lb in problem.labels}
             residuals = {"stationarity": math.inf, "primal": math.inf, "complementary": math.inf}
             return KktCertificate(mu=math.inf, lam=lam, residuals=residuals, tol=tol, valid=False)
-        mu = 1.0 / (s * s)
+        ss = s * s
+        mu = 1.0 / ss if ss else math.inf
     lam = {
         st.label: (st.c * st.c - mu if st.label in v else 0.0)
         for st in problem.strata
     }
-    mu_scale = max(1.0, mu)
     stat = 0.0
     comp = 0.0
     bound = 0.0
+    scaled_ok = True
     for st in problem.strata:
         xw = result.x[st.label]
-        if not (xw > 0):
+        if not (0 < xw < math.inf):
             lam_min_bad = {lb: 0.0 for lb in problem.labels}
             residuals = {"stationarity": math.inf, "primal": math.inf, "complementary": math.inf}
             return KktCertificate(mu=mu, lam=lam_min_bad, residuals=residuals, tol=tol, valid=False)
@@ -158,20 +167,24 @@ def kkt_verify(
         # scale by the largest term in this stratum's equation: take-all
         # strata have g**2 = c_w**2 far above mu, and their lam is formed
         # by cancellation at that magnitude
-        stat_scale = max(1.0, mu, g * g, abs(lw))
-        stat = max(stat, abs(-(g * g) + lw + mu) / stat_scale)
-        comp = max(comp, abs(lw * (xw - st.b)) / (1.0 + abs(lw) * st.b))
+        r = abs(-(g * g) + lw + mu) / max(1.0, mu, g * g, abs(lw))
+        if r > stat or r != r:  # a nan stays
+            stat = r
+        r = abs(lw * (xw - st.b)) / (1.0 + abs(lw) * st.b)
+        if r > comp or r != r:
+            comp = r
         bound = max(bound, (xw - st.b) / max(1.0, st.b))
-    primal = max(abs(math.fsum(result.x.values()) - problem.n) / max(1.0, problem.n), bound)
+        if st.label in v:
+            scaled_ok = scaled_ok and abs(xw - st.b) <= tol * st.b and st.c * s >= 1.0 - tol
+        else:
+            scaled_ok = scaled_ok and abs(st.a * s / xw - 1.0) <= tol
+    try:
+        total = math.fsum(result.x.values())
+    except OverflowError:
+        total = math.inf
+    primal = max(abs(total - problem.n) / max(1.0, problem.n), bound)
     residuals = {"stationarity": stat, "primal": primal, "complementary": comp}
-    lam_min = min(lam.values())
-    valid = (
-        stat <= tol
-        and primal <= tol
-        and comp <= tol
-        and lam_min >= -tol * mu_scale
-        and mu > 0
-    )
+    valid = scaled_ok and primal <= tol
     return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol, valid=valid)
 
 

@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import AllocationProblem, Stratum
+from .model import AllocationProblem, Stratum, SurveyStratum
 
 __all__ = [
     "PopulationSpec",
-    "StratumSummary",
     "StratifiedPopulation",
     "table1_problem",
     "power_population",
@@ -71,19 +70,10 @@ class PopulationSpec:
 
 
 @dataclass(frozen=True)
-class StratumSummary:
-    """Summary statistics of one population stratum."""
-
-    label: Hashable
-    N: int
-    S: float
-
-
-@dataclass(frozen=True)
 class StratifiedPopulation:
-    """A stratified population reduced to per-stratum (N, S) summaries."""
+    """A stratified population reduced to survey strata, (N, S) per stratum."""
 
-    strata: tuple[StratumSummary, ...]
+    strata: tuple[SurveyStratum, ...]
 
     @cached_property
     def N(self) -> dict:
@@ -102,11 +92,8 @@ class StratifiedPopulation:
         return sum(st.N for st in self.strata)
 
     def problem(self, n: float) -> AllocationProblem:
-        """The allocation problem with a = N * S and b = N."""
-        strata = tuple(
-            Stratum(label=st.label, a=st.N * st.S, b=float(st.N)) for st in self.strata
-        )
-        return AllocationProblem(strata=strata, n=n)
+        """The allocation problem over these strata (a = N * S, b = N)."""
+        return AllocationProblem(strata=self.strata, n=n)
 
 
 def table1_problem() -> AllocationProblem:
@@ -120,7 +107,7 @@ def table1_problem() -> AllocationProblem:
 def power_population() -> StratifiedPopulation:
     """The power-spread population: strata w = 1..20 with N_w = 1000, S_w = 10**w."""
     return StratifiedPopulation(
-        strata=tuple(StratumSummary(label=w, N=1000, S=10.0**w) for w in range(1, 21))
+        strata=tuple(Stratum.survey(w, 1000, 10.0**w) for w in range(1, 21))
     )
 
 
@@ -210,14 +197,12 @@ def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
         raise ValueError(f"expected kind 'lognormal_blocks', got {spec.kind!r}")
     seq = np.random.SeedSequence(spec.seed)
     children = seq.spawn(spec.block_count + 1)
-    summaries: list[StratumSummary] = []
+    summaries: list[SurveyStratum] = []
     for i in range(1, spec.block_count + 1):
         rng = np.random.default_rng(children[i - 1])
         values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=spec.block_size))
         for k, part in enumerate(_split_block(values, spec.strata_per_block)):
-            summaries.append(
-                StratumSummary(label=f"b{i:03d}s{k}", N=len(part), S=float(part.std(ddof=1)))
-            )
+            summaries.append(Stratum.survey(f"b{i:03d}s{k}", len(part), float(part.std(ddof=1))))
     perm_rng = np.random.default_rng(children[-1])
     order = perm_rng.permutation(len(summaries))
     return StratifiedPopulation(strata=tuple(summaries[int(k)] for k in order))

@@ -106,7 +106,7 @@ def variance_table(
     """
     if set(N) != set(S):
         raise ValueError("N and S must cover the same labels")
-    strata = tuple(Stratum(label=w, a=N[w] * S[w], b=float(N[w])) for w in N)
+    strata = tuple(Stratum.survey(w, N[w], S[w]) for w in N)
     total_N = math.fsum(N.values())
     K = len(strata)
     reports = []

@@ -9,6 +9,7 @@ from stratalloc import (
     Stratum,
     coma,
     is_optimal_takeall,
+    kkt_verify,
     objective,
     power_problem,
     rna,
@@ -241,8 +242,7 @@ class TestExactTakeAll:
     @pytest.mark.parametrize("a_exp", [12, 150])
     def test_near_census_fuzz(self, a_exp):
         # a = 10^U(-a_exp, a_exp), b = 10^U(-5, 8), n = sum(b) - gap with the
-        # gap log-uniform on [sum(b) * 1e-15, min(b) / 2]. kkt_verify is not
-        # asserted: its mu = s**-2 underflows for s above about 1e154.
+        # gap log-uniform on [sum(b) * 1e-15, min(b) / 2].
         rng = np.random.default_rng(2000 + a_exp)
         for trial in range(150):
             K = int(rng.integers(2, 11))
@@ -258,3 +258,4 @@ class TestExactTakeAll:
                 assert result_key(solver(p)) == base, trial
                 assert result_key(solver(shuffled)) == base, trial
             assert exact_fixed_point(p, base[1]), trial
+            assert kkt_verify(p, rna(p)).valid, trial

@@ -85,6 +85,17 @@ class TestAllocate:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows,name",
+        [("u,1e308,1\nv,1e308,1\nw,1,10\n", "a"), ("u,1,1e308\nv,1,1e308\n", "b")],
+    )
+    def test_overflowing_sum_exit_2(self, tmp_path, capsys, rows, name):
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\n" + rows)
+        code = main(["allocate", "--input", str(pop), "--n", "5"])
+        assert code == 2
+        assert f"sum of the {name} values overflows" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["allocate", "--input", str(tmp_path / "nope.csv"), "--n", "1"])
         assert code == 2
@@ -124,6 +135,17 @@ class TestVerify:
         code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(out)])
         assert code == 1
         assert "verification failed" in capsys.readouterr().out
+
+    def test_extreme_scale_exit_0(self, tmp_path, capsys):
+        # s = 5e-201, so s**2 underflows to 0
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,1e200,1e10\nv,1e200,1e10\n")
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--input", str(pop), "--n", "1", "--output", str(out)]) == 0
+        code = main(["verify", "--input", str(pop), "--n", "1", "--allocation", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0, printed
+        assert "certificate: valid" in printed
 
     def test_label_mismatch_exit_2(self, table1_csv, tmp_path):
         out = tmp_path / "alloc.json"

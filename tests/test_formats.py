@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stratalloc import rna, table1_problem
+from stratalloc import Stratum, SurveyStratum, rna, table1_problem
 from stratalloc.formats import (
     StrataCsvError,
     population_maps_from_rows,
@@ -80,6 +80,27 @@ class TestReadStrataCsv:
         p = problem_from_rows(rows, 7.0)
         assert p.labels == ("u", "v")
         assert p.n == 7.0
+
+    def test_rows_are_strata(self):
+        rows = parse("label,a,b\nu,2.5,10\n")
+        assert type(rows[0]) is Stratum
+        rows = parse("label,N,S\nu,100,0.30000000000000004\nv,7,1e-300\n")
+        assert all(type(r) is SurveyStratum for r in rows)
+        assert rows[0].S.hex() == (0.1 + 0.2).hex()
+        assert rows[1].S == 1e-300
+        assert [r.a for r in rows] == [100.0 * (0.1 + 0.2), 7.0 * 1e-300]
+
+    def test_problem_shares_the_rows(self):
+        rows = parse("label,N,S\nu,100,2.5\nv,50,1.5\n")
+        p = problem_from_rows(rows, 30.0)
+        assert all(p.strata[i] is rows[i] for i in range(len(rows)))
+
+    def test_rejected_record_names_line(self):
+        # a/b overflows: the Stratum constructor rejects the row
+        with pytest.raises(StrataCsvError, match="line 2.*a/b overflows"):
+            parse("label,a,b\nu,1e300,1e-300\n")
+        with pytest.raises(StrataCsvError, match="line 3"):
+            parse("label,N,S\nu,10,2\nv,nan,1\n")
 
 
 class TestPopulationMaps:

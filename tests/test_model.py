@@ -8,6 +8,7 @@ from stratalloc import (
     InfeasibleProblemError,
     InfeasibleSubsetError,
     Stratum,
+    SurveyStratum,
     is_optimal_takeall,
     objective,
     s_of,
@@ -33,6 +34,29 @@ class TestStratum:
     def test_rejects_nonpositive_or_nonfinite(self, a, b):
         with pytest.raises(ValueError):
             Stratum(label="u", a=a, b=b)
+
+    def test_plain_stratum_has_no_survey_fields(self):
+        st = Stratum("u", 2.0, 4.0)
+        assert st.N is None and st.S is None
+
+    def test_survey_constructor(self):
+        st = Stratum.survey("u", 100, 0.1 + 0.2)
+        assert type(st) is SurveyStratum
+        assert st.a == 100 * (0.1 + 0.2)
+        assert st.b == 100.0 and type(st.b) is float
+        assert st.N == 100 and type(st.N) is int
+        assert st.S.hex() == (0.1 + 0.2).hex()
+        assert st.c == st.a / st.b
+
+    def test_survey_rejects_inconsistent_records(self):
+        with pytest.raises(ValueError, match="N \\* S"):
+            SurveyStratum("u", 250.0, 100.0, 2.4)
+        with pytest.raises(ValueError, match="integer"):
+            SurveyStratum("u", 26.25, 10.5, 2.5)
+        with pytest.raises(ValueError, match="integer"):
+            Stratum.survey("u", 10.5, 2.5)
+        with pytest.raises(ValueError, match="positive"):
+            Stratum.survey("u", 10, 0.0)
 
 
 class TestAllocationProblem:
@@ -66,6 +90,14 @@ class TestAllocationProblem:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AllocationProblem(strata=(), n=1.0)
+
+    def test_overflowing_sums_rejected(self):
+        a_over = (Stratum(0, 1e308, 1.0), Stratum(1, 1e308, 1.0), Stratum(2, 1.0, 10.0))
+        with pytest.raises(ValueError, match="sum of the a values overflows"):
+            AllocationProblem(strata=a_over, n=5.0)
+        b_over = (Stratum(0, 1.0, 1e308), Stratum(1, 1.0, 1e308))
+        with pytest.raises(ValueError, match="sum of the b values overflows"):
+            AllocationProblem(strata=b_over, n=5.0)
 
 
 class TestSOf:

@@ -115,6 +115,35 @@ class TestKktVerify:
         with pytest.raises(ValueError):
             kkt_verify(p, rna(p), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [
+            ((1e200, 1e200), (1e10, 1e10), 1),  # s = 5e-201: s**2 underflows
+            ((1e-160, 1e-160), (1e10, 1e10), 1),  # s = 5e159: 1/s**2 underflows
+            ((1e160, 1.0), (1.0, 10.0), 5),  # c**2 overflows on the take-all set
+        ],
+    )
+    def test_valid_at_extreme_scales(self, a, b, n):
+        p = small(a, b, n)
+        res = rna(p)
+        assert kkt_verify(p, res).valid
+        for label in p.labels:
+            for factor in (1 + 1e-6, 1 - 1e-6):
+                x = dict(res.x)
+                x[label] *= factor
+                bad = AllocationResult(
+                    x=x, take_all=res.take_all, s_final=res.s_final, iterations=1, trace=(), algorithm="x"
+                )
+                assert not kkt_verify(p, bad).valid, (label, factor)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, 1e308])
+    def test_bad_values_invalid_without_raising(self, value):
+        p = small([1, 1], [1, 100], 3)
+        res = rna(p)
+        x = {0: value, 1: 1e308}  # value = 1e308 makes sum(x) overflow
+        bad = AllocationResult(x=x, take_all=res.take_all, s_final=res.s_final, iterations=1, trace=(), algorithm="x")
+        assert not kkt_verify(p, bad).valid
+
 
 class TestBisection:
     def test_simple_pair(self):

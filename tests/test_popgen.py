@@ -5,8 +5,10 @@ import pytest
 
 from stratalloc import (
     PopulationSpec,
+    SurveyStratum,
     geometric_strata,
     lognormal_population,
+    power_population,
     power_problem,
     stratum_sd,
     table1_problem,
@@ -36,6 +38,12 @@ class TestFixedProblems:
             assert st.b == 1000.0
             assert st.a == 1000.0 * 10.0**w
         assert p.n == 5000.0
+
+    def test_power_population_strata(self):
+        pop = power_population()
+        assert all(type(st) is SurveyStratum for st in pop.strata)
+        assert [(st.N, st.S) for st in pop.strata] == [(1000, 10.0**w) for w in range(1, 21)]
+        assert pop.problem(5000.0).strata is pop.strata
 
     def test_power_problem_infeasible_n(self):
         from stratalloc import InfeasibleProblemError
@@ -160,3 +168,4 @@ class TestLognormalPopulation:
         assert problem.sum_b == float(pop.total_units)
         st = problem.by_label[pop.strata[0].label]
         assert st.a == pytest.approx(pop.strata[0].N * pop.strata[0].S, rel=1e-15)
+        assert problem.strata is pop.strata
