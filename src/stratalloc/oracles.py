@@ -2,13 +2,22 @@
 
 Four ways to cross-examine an allocation that share no code with the solvers:
 exhaustive subset search, a KKT certificate, a Lagrange-multiplier bisection,
-and an exact greedy solver for the integer-valued variant of the problem.
+and an exact solver for the integer-valued variant of the problem.
+
+The integer optimum has the same threshold shape as the continuous one: every
+stratum receives exactly the units whose marginal gain a_w**2/(k (k + 1)) lies
+above one threshold t. The gains of a stratum do not increase with k, so the
+n - K largest gains are the optimum, the allocation a greedy that grants one
+unit at a time to the largest gain would reach. :func:`greedy_integer_optimal`
+finds t, the (n - K)-th largest gain, by bisection over the bit patterns of
+the non-negative floats, each step one O(K) vector pass, and hands the units
+whose gain equals t to the earliest strata first.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,15 +198,17 @@ def kkt_verify(
 
 
 def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> AllocationResult:
-    """Solve by bisecting the multiplier mu of the sum constraint.
+    """Solve by bisecting the scale s = mu**(-1/2), mu the sum multiplier.
 
-    The optimum has x_w(mu) = min(a_w / sqrt(mu), b_w) with total n;
-    the total is continuous and nonincreasing in mu, so mu is bracketed
-    and bisected. Start: mu_hi = 2 (sum a / n)**2 guarantees the low side
-    (sum of x <= n there); the high side is found by geometric expansion
-    downward, which is necessary when take-all strata carry most of n.
-    Returns an allocation whose total is within tol * n of n; the trace
-    is empty (the probe sequence has no monotone scale).
+    The optimum has x_w(s) = min(a_w * s, b_w) with total n; the total is
+    continuous and nondecreasing in s, so s is bracketed and bisected. Every
+    x_w(s) is at most a_w * s, so the total is at most n at s = n / sum(a):
+    the bracket starts there and doubles upward, which is necessary when
+    take-all strata carry most of n. Working in s rather than mu keeps every
+    probe in range wherever s itself is; a ValueError naming s is raised when
+    it is not (n / sum(a) below the normal floats, or the bracket passing the
+    largest float). Returns an allocation whose total is within tol * n of n;
+    the trace is empty (the probe sequence has no monotone scale).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -213,31 +224,32 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
         )
     strata = problem.strata
 
-    def total(mu: float) -> float:
-        root = math.sqrt(mu)
-        return math.fsum(min(st.a / root, st.b) for st in strata)
+    def total(s: float) -> float:
+        return math.fsum(min(st.a * s, st.b) for st in strata)
 
-    hi = 2.0 * (problem.sum_a / problem.n) ** 2
-    lo = hi / 4.0
+    hi = problem.n / problem.sum_a
+    if not (sys.float_info.min <= hi < math.inf):
+        raise ValueError(
+            f"the scale s = n / sum(a) = {problem.n!r} / {problem.sum_a!r} is outside the normal float range"
+        )
+    lo = hi / 2.0
     probes = 1
-    while total(lo) < problem.n:
-        hi = lo
-        lo /= 4.0
+    while total(hi) < problem.n:
+        lo, hi = hi, 2.0 * hi
         probes += 1
-        if probes > 2000:
-            raise RuntimeError("failed to bracket the multiplier")
-    # invariant: total(lo) >= n >= total(hi)
+        if hi == math.inf:
+            raise ValueError(f"the scale s exceeds the float range (above {lo!r})")
+    # invariant: total(lo) < n <= total(hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)
         if mid <= lo or mid >= hi:  # interval exhausted in floating point
             break
         probes += 1
-        if total(mid) >= problem.n:
+        if total(mid) < problem.n:
             lo = mid
         else:
             hi = mid
-    mu = 0.5 * (lo + hi)
-    s = 1.0 / math.sqrt(mu)
+    s = hi
     x: dict[Label, float] = {}
     take_all = []
     for st in strata:
@@ -262,17 +274,61 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     )
 
 
-def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
-    """Exact integer-valued optimum by marginal-gain greedy.
+def _units_above(A: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
+    """Per stratum, how many of its units 1..u_w have a gain above t.
 
-    Requires integer n and bounds with n >= K (every stratum must receive at
-    least one unit for the objective to be finite). Seeds x_w = 1, then grants
-    the remaining n - K units one at a time to the stratum with the largest
-    objective decrease a_w**2/x_w - a_w**2/(x_w + 1), skipping strata at
-    their bounds. Exchange-optimal because the per-stratum gains are strictly
-    decreasing in x_w. Ties resolve to the earliest stratum, so the result
-    is deterministic. s_final is reported as 0.0: an integer allocation has
-    no continuous scale.
+    The gain of a stratum's (k+1)-th unit is A_w / (k * (k + 1.0)), the float
+    expression the integer optimum ranks by; it does not increase with k, so
+    the count is the largest k in [0, u_w] whose gain exceeds t (k = 0 always
+    qualifies). The root of k * (k + 1) = A_w / t gives an estimate; a window
+    of one unit around it is confirmed with the float expression itself and
+    widened to the whole range [0, u_w] where it fails, then the window is
+    bisected. Counts are whole float64 values.
+    """
+
+    def above(k: np.ndarray) -> np.ndarray:
+        return (k == 0.0) | ((k <= u) & (A / (k * (k + 1.0)) > t))
+
+    est = np.floor(np.sqrt(A / t + 0.25) - 0.5)
+    est = np.minimum(np.fmax(est, 0.0), u)  # fmax sends the nan of 0/0 or inf/inf to 0
+    lo = np.maximum(est - 1.0, 0.0)
+    hi = np.minimum(est + 1.0, u)
+    lo = np.where(above(lo), lo, 0.0)
+    hi = np.where(above(hi + 1.0), u, hi)
+    # invariant: above(lo) and not above(hi + 1)
+    while (lo < hi).any():
+        mid = lo + np.floor((hi - lo + 1.0) * 0.5)
+        ok = above(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1.0)
+    return lo
+
+
+_INF_BITS = 0x7FF0000000000000  # bit pattern of +inf; non-negative floats order as their bits
+
+
+def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
+    """Exact integer-valued optimum by threshold selection on marginal gains.
+
+    Requires integer n and bounds with K <= n <= 2**53 (every stratum must
+    receive at least one unit for the objective to be finite, and every count
+    must be exact in a float). Each stratum starts at x_w = 1; its (k+1)-th
+    unit lowers the objective by the gain a_w**2/k - a_w**2/(k + 1), ranked as
+    the float (a_w * a_w) / (k * (k + 1.0)). The gains do not increase with k,
+    so granting the n - K largest gains is exchange-optimal, and it is what a
+    greedy that grants one unit at a time to the largest gain would do.
+
+    The threshold t is the (n - K)-th largest gain among the units 2..b_w of
+    all strata. It is found by bisection over the bit patterns of the
+    non-negative floats, whose order is the order of the values: at most 63
+    steps, each one O(K) vector pass that counts the units with gain above a
+    probe, stopping early once exactly n - K units lie above the lower end.
+    Every stratum receives all its units with gain above t. The units with
+    gain exactly t are ties; they go to the earliest stratum first, and each
+    stratum takes all of its tied units before the next one gets any, which
+    is the order of a greedy that breaks ties by stratum index, so the result
+    is deterministic. take_all holds the strata at their bounds. s_final is
+    reported as 0.0: an integer allocation has no continuous scale.
     """
     K = problem.size
     n = problem.n
@@ -284,22 +340,42 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     n = int(n)
     if n < K:
         raise ValueError(f"integer allocation needs n >= K, got n={n}, K={K}")
+    if n > 2**53:
+        raise ValueError(f"integer allocation needs n <= 2**53, got n={n}")
     strata = problem.strata
-    counts = [1] * K
-    heap: list[tuple[float, int]] = []
-    for i, st in enumerate(strata):
-        if counts[i] < st.b:
-            heapq.heappush(heap, (-(st.a * st.a) / (counts[i] * (counts[i] + 1.0)), i))
-    for _ in range(n - K):
-        if not heap:
-            raise RuntimeError("ran out of capacity with units left to grant")
-        _, i = heapq.heappop(heap)
-        counts[i] += 1
-        st = strata[i]
-        if counts[i] < st.b:
-            heapq.heappush(heap, (-(st.a * st.a) / (counts[i] * (counts[i] + 1.0)), i))
-    x = {st.label: float(counts[i]) for i, st in enumerate(strata)}
-    take_all = frozenset(st.label for i, st in enumerate(strata) if counts[i] == int(st.b))
+    m = n - K  # units to grant beyond the first of each stratum
+    a = np.array([st.a for st in strata])
+    b = np.array([st.b for st in strata])
+    # units each stratum can take, capped at m <= 2**53: counts are exact
+    # floats, and a float sum of counts compares with m exactly (it is exact
+    # below 2**53, and a partial sum that reaches 2**53 >= m stays there)
+    u = np.minimum(b - 1.0, m)
+    # The counts of units with gain above the floats with bit patterns lo and
+    # hi; lo = -1 stands below 0, where every unit counts. Invariant: the
+    # count at lo is >= m > the count at hi. The search ends when exactly m
+    # units lie above lo, or when lo and hi are adjacent floats, so that the
+    # units between them are the ties at the m-th largest gain.
+    lo, hi = -1, _INF_BITS
+    above_lo, above_hi = u, np.zeros(K)
+    total_lo = u.sum()
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        A = a * a
+        while total_lo > m and hi - lo > 1:
+            mid = (lo + hi) // 2
+            count = _units_above(A, u, float(np.int64(mid).view(np.float64)))
+            total = count.sum()
+            if total < m:
+                hi, above_hi = mid, count
+            else:
+                lo, above_lo, total_lo = mid, count, total
+    rest = m - above_hi.sum()
+    # the units with gain in (lo, hi]: the ties at the m-th largest gain, or,
+    # after an early stop, exactly the rest; earlier strata take theirs first
+    ties = np.minimum(above_lo - above_hi, rest)
+    before = np.concatenate(([0.0], np.cumsum(ties)[:-1]))
+    counts = 1.0 + above_hi + np.clip(rest - before, 0.0, ties)
+    x = dict(zip(problem.labels, counts.tolist()))
+    take_all = frozenset(st.label for st, full in zip(strata, counts == b) if full)
     return AllocationResult(
         x=x,
         take_all=take_all,

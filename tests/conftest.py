@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 
@@ -97,3 +98,25 @@ def near_tie_problems(seed: int, count: int):
         problem = AllocationProblem(tuple(map(Stratum, range(K), a, b)), n)
         out.append((problem, exact_takeall(problem)))
     return out
+
+
+def heap_greedy_counts(problem: AllocationProblem) -> list[int]:
+    """Reference integer optimum: seed every stratum with one unit, then grant
+    the other n - K units one heap operation at a time to the largest gain
+    (a_w * a_w) / (k * (k + 1.0)), the earlier stratum first on ties.
+
+    Slow (one heap push and pop per unit); kept as the test oracle for
+    greedy_integer_optimal, which must return these counts exactly."""
+    strata = problem.strata
+    counts = [1] * len(strata)
+    heap: list[tuple[float, int]] = []
+    for i, st in enumerate(strata):
+        if counts[i] < st.b:
+            heapq.heappush(heap, (-(st.a * st.a) / (counts[i] * (counts[i] + 1.0)), i))
+    for _ in range(int(problem.n) - len(strata)):
+        _, i = heapq.heappop(heap)
+        counts[i] += 1
+        st = strata[i]
+        if counts[i] < st.b:
+            heapq.heappush(heap, (-(st.a * st.a) / (counts[i] * (counts[i] + 1.0)), i))
+    return counts

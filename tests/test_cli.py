@@ -96,6 +96,14 @@ class TestAllocate:
         assert code == 2
         assert f"sum of the {name} values overflows" in capsys.readouterr().err
 
+    def test_bisection_unrepresentable_scale_exit_2(self, tmp_path, capsys):
+        # s = n / sum(a) = 5e-401 is below the float range
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,1e100,1\nv,1e100,1\n")
+        code = main(["allocate", "--input", str(pop), "--n", "1e-300", "--algorithm", "bisection"])
+        assert code == 2
+        assert "scale s" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["allocate", "--input", str(tmp_path / "nope.csv"), "--n", "1"])
         assert code == 2

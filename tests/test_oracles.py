@@ -4,17 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import heap_greedy_counts
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
+    PopulationSpec,
     Stratum,
     bisection_multiplier,
     brute_force_subset,
     greedy_integer_optimal,
     kkt_verify,
+    lognormal_population,
     objective,
     power_problem,
     rna,
+    rounding,
+    srswor_variance,
     table1_problem,
     v_allocation,
 )
@@ -23,6 +28,48 @@ from stratalloc import (
 def small(a, b, n):
     strata = tuple(Stratum(label=i, a=float(ai), b=float(bi)) for i, (ai, bi) in enumerate(zip(a, b)))
     return AllocationProblem(strata=strata, n=float(n))
+
+
+def heap_greedy_result(problem):
+    """The AllocationResult greedy_integer_optimal must return, from the heap reference."""
+    counts = heap_greedy_counts(problem)
+    return AllocationResult(
+        x={st.label: float(c) for st, c in zip(problem.strata, counts)},
+        take_all=frozenset(st.label for st, c in zip(problem.strata, counts) if c == int(st.b)),
+        s_final=0.0,
+        iterations=1,
+        trace=(),
+        algorithm="greedy_integer",
+    )
+
+
+def greedy_fuzz_problems(seed, count):
+    """Random integer problems, K in 1..12 and b in 1..30, cycling over five
+    kinds of a: uniform, small integers (exact ties), one value for all strata
+    (with one b as well), 10**U(-200, 200), whose a**2 overflows to inf or
+    underflows to 0 at the ends, and 10**U(-162, -154) with b up to 300, whose
+    gains are subnormal and round to 0 within the bounds. n is K, sum(b) or
+    uniform between them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        K = int(rng.integers(1, 13))
+        b = rng.integers(1, 31, K).astype(float)
+        kind = i % 5
+        if kind == 0:
+            a = rng.uniform(0.1, 10.0, K)
+        elif kind == 1:
+            a = rng.integers(1, 4, K).astype(float)
+        elif kind == 2:
+            a = np.full(K, rng.uniform(0.1, 10.0))
+            b = np.full(K, b[0])
+        elif kind == 3:
+            a = 10.0 ** rng.uniform(-200.0, 200.0, K)
+        else:
+            a = 10.0 ** rng.uniform(-162.0, -154.0, K)
+            b = rng.integers(1, 301, K).astype(float)
+        total = int(b.sum())
+        n = [K, total, int(rng.integers(K, total + 1))][int(rng.integers(3))]
+        yield small(a, b, n)
 
 
 class TestBruteForce:
@@ -201,6 +248,27 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisection_multiplier(small([1, 1], [1, 100], 3), tol=-1.0)
 
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [
+            ((1e200, 1e200), (1e10, 1e10), 1),  # s = 5e-201: mu = s**-2 overflows
+            ((1e-160, 1e-160), (1e10, 1e10), 1),  # s = 5e159: mu = s**-2 underflows
+        ],
+    )
+    def test_extreme_scales_match_batch_solver(self, a, b, n):
+        p = small(a, b, n)
+        res = bisection_multiplier(p, tol=1e-12)
+        exact = rna(p)
+        assert res.take_all == exact.take_all
+        assert res.s_final == pytest.approx(exact.s_final, rel=1e-9)
+        for w in p.labels:
+            assert res.x[w] == pytest.approx(exact.x[w], rel=1e-9)
+
+    def test_unrepresentable_scale_names_s(self):
+        # s = n / sum a = 5e-401 is below the float range
+        with pytest.raises(ValueError, match="scale s"):
+            bisection_multiplier(small([1e100, 1e100], [1, 1], 1e-300))
+
 
 class TestGreedyInteger:
     def test_hand_example(self):
@@ -266,3 +334,60 @@ class TestGreedyInteger:
             res = greedy_integer_optimal(p)
             cont = rna(p)
             assert objective(p, res.x) >= objective(p, cont.x) - 1e-9
+
+    def test_matches_heap_reference_fuzz(self):
+        checked = 0
+        for p in greedy_fuzz_problems(seed=205, count=2500):
+            assert greedy_integer_optimal(p) == heap_greedy_result(p), p
+            checked += 1
+        assert checked == 2500
+
+    def test_variance_table_uses_exact_integer_optimum(self, monkeypatch):
+        pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=10))
+        seen = []
+
+        def recording(problem):
+            result = greedy_integer_optimal(problem)
+            seen.append((problem, result))
+            return result
+
+        monkeypatch.setattr(rounding, "greedy_integer_optimal", recording)
+        fractions = (0.1, 0.2, 0.3, 0.4, 0.5)
+        reports = rounding.variance_table(pop.N, pop.S, fractions)
+        assert [p.n for p, _ in seen] == [float(r.n) for r in reports]
+        for (problem, result), report in zip(seen, reports):
+            expected = heap_greedy_result(problem)
+            assert result == expected
+            assert report.d2_integer == srswor_variance(pop.N, pop.S, expected.x)
+
+    def test_exchange_optimal_for_large_bounds(self):
+        # bounds up to 1e15, far beyond what the heap reference can grant unit
+        # by unit: no unit left out may gain more than a granted unit loses
+        rng = np.random.default_rng(206)
+        for trial in range(300):
+            K = int(rng.integers(1, 13))
+            b = np.floor(10.0 ** rng.uniform(0.0, 15.0, K))
+            a = 10.0 ** rng.uniform(-200.0, 200.0, K) if trial % 2 else rng.uniform(0.1, 10.0, K)
+            n = K + int(rng.uniform() * (min(int(b.sum()), 2**53) - K))
+            p = small(a, b, n)
+            res = greedy_integer_optimal(p)
+            x = [res.x[w] for w in p.labels]
+            assert all(xv == int(xv) for xv in x)
+            counts = [int(xv) for xv in x]
+            assert sum(counts) == n
+            assert all(1 <= c <= bw for c, bw in zip(counts, b))
+            squares = [float(aw) * float(aw) for aw in a]
+
+            def gain(w, k):  # the gain of stratum w's (k+1)-th unit, as the heap ranks it
+                return squares[w] / (k * (k + 1.0))
+
+            add = [gain(w, c) for w, c in enumerate(counts) if c < b[w]]
+            remove = [gain(w, c - 1) for w, c in enumerate(counts) if c > 1]
+            if add and remove:
+                assert max(add) <= min(remove), (trial, list(a), list(b), n)
+            assert res.take_all == frozenset(w for w, c, bw in zip(p.labels, counts, b) if c == bw)
+
+    def test_count_limit(self):
+        p = small([1, 1], [2.0**53, 2.0**53], 2.0**53 + 2)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            greedy_integer_optimal(p)
