@@ -82,23 +82,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("allocation labels do not match the strata file")
     cert = kkt_verify(problem, result, tol=args.tol)
     fixed_point = is_optimal_takeall(problem, result.take_all)
-    for cond in ("stationarity", "primal", "complementary"):
-        print(f"{cond} residual: {cert.residuals[cond]:.3e}")
-    lam_min = min(cert.lam.values())
-    print(f"min bound multiplier: {lam_min:.3e}")
+    for cond, r in cert.residuals.items():
+        print(f"{cond} residual: {r:.3e}")
+    print(f"min bound multiplier: {min(cert.lam.values()):.3e}")
     print(f"take-all fixed point: {'ok' if fixed_point else 'FAIL'}")
     print(f"certificate: {'valid' if cert.valid else 'INVALID'} (tol = {cert.tol:g})")
-    if cert.valid and fixed_point:
+    failed = cert.failed if fixed_point else (*cert.failed, "take-all fixed point")
+    if not failed:
         return 0
-    failing = []
-    for cond in ("stationarity", "primal", "complementary"):
-        if cert.residuals[cond] > cert.tol:
-            failing.append(cond)
-    if lam_min < -cert.tol * max(1.0, cert.mu):
-        failing.append("dual nonnegativity")
-    if not fixed_point:
-        failing.append("take-all fixed point")
-    print(f"verification failed: {', '.join(failing) or 'invalid certificate'}")
+    print(f"verification failed: {', '.join(failed)}")
     return 1
 
 

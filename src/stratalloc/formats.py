@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections.abc import Hashable
 from typing import IO, Iterable, Mapping, Sequence
 
 from .model import AllocationProblem, AllocationResult, Stratum
@@ -130,7 +132,17 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     order), allocation (label/x pairs in problem order). The document is
     composed directly because json.dump formats floats with the shortest
     repr, which would make byte-level comparison depend on magnitudes.
+    JSON has no inf or nan, so a ValueError naming the stratum and s is
+    raised, before anything is written, when a number is not finite.
     """
+    bad = [lb for lb, xv in result.x.items() if not math.isfinite(xv)]
+    if bad:
+        raise ValueError(
+            f"cannot write the allocation as JSON: stratum {bad[0]!r} has x = {result.x[bad[0]]!r}"
+            f" at s = {result.s_final!r}"
+        )
+    if not (math.isfinite(n) and math.isfinite(result.s_final)):
+        raise ValueError(f"cannot write the allocation as JSON: n = {n!r}, s = {result.s_final!r}")
     take_all = [json.dumps(lb) for lb in result.x if lb in result.take_all]
     entries = [
         '{\n      "label": %s,\n      "x": %s\n    }' % (json.dumps(lb), _fmt(xv))
@@ -149,7 +161,9 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
 def read_allocation_json(fp: IO[str], name: str = "allocation json") -> AllocationResult:
     """Parse an allocation document back into an AllocationResult.
 
-    The trace is not serialized; parsed results carry an empty trace.
+    The trace is not serialized; parsed results carry an empty trace. Every
+    x must be a JSON number and take_all a list of labels from allocation;
+    anything else raises a ValueError naming the file and the field.
     """
     try:
         doc = json.load(fp)
@@ -161,11 +175,21 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
         take_all = doc["take_all"]
         s_final = float(doc["s_final"])
         iterations = int(doc["iterations"])
-        x = {entry["label"]: float(entry["x"]) for entry in entries}
-    except (KeyError, TypeError) as exc:
+        x = {}
+        for entry in entries:
+            xv = entry["x"]
+            if type(xv) not in (int, float):  # bool, an int subclass, is refused too
+                raise ValueError(f"{name}: allocation: x of label {entry['label']!r} must be a number, got {xv!r}")
+            x[entry["label"]] = float(xv)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: missing or malformed field: {exc}") from None
     if len(x) != len(entries):
         raise ValueError(f"{name}: duplicate labels in allocation")
+    if not isinstance(take_all, list):
+        raise ValueError(f"{name}: take_all must be a list of labels, got {take_all!r}")
+    for label in take_all:
+        if not (isinstance(label, Hashable) and label in x):
+            raise ValueError(f"{name}: take_all: {label!r} is not a label in allocation")
     return AllocationResult(
         x=x,
         take_all=frozenset(take_all),

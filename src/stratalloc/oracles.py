@@ -47,20 +47,28 @@ class KktCertificate:
     mu is the multiplier of the sum constraint; lam maps each label to the
     multiplier of its upper-bound constraint. For the two-regime optimum with
     scale s, stationarity forces mu = s**(-2) and lam_w = c_w**2 - mu on the
-    take-all set, 0 elsewhere. residuals holds the worst relative violation of
-    each condition ("stationarity", "primal", "complementary"); each is scaled
-    by the magnitude of the terms it compares, so the certificate reads the
-    same whether mu is 1e-3 or 1e39. Where s**2 or c_w**2 leaves the float
-    range, mu, lam and the residuals read 0, inf or nan; a nan residual is
-    reported, not dropped. valid is decided by :func:`kkt_verify` from the
-    conditions divided by mu, which stay finite at any scale.
+    take-all set, 0 elsewhere; where s**2 or c_w**2 leaves the float range,
+    mu and lam read 0 or inf. residuals holds the worst violation of each
+    condition ("stationarity", "primal", "complementary"), every one a
+    dimensionless number that reads the same whether mu is 1e-3 or 1e39 (see
+    :func:`kkt_verify`). They are the one rule: a condition has failed when
+    its residual is not within tol, so a nan fails, and the certificate is
+    valid when none has.
     """
 
     mu: float
     lam: dict[Label, float]
     residuals: dict[str, float]
     tol: float
-    valid: bool
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The conditions whose residual is not within tol, in residual order."""
+        return tuple(cond for cond, r in self.residuals.items() if not r <= self.tol)
+
+    @property
+    def valid(self) -> bool:
+        return not self.failed
 
 
 def brute_force_subset(problem: AllocationProblem, *, max_size: int = _BRUTE_FORCE_MAX) -> frozenset:
@@ -117,29 +125,28 @@ def kkt_verify(
 ) -> KktCertificate:
     """Build and evaluate the KKT certificate for a claimed optimum.
 
-    Never raises on a bad allocation; an invalid certificate is the answer.
+    Never raises on a bad allocation; a certificate that fails is the answer.
     The multiplier construction: mu = s(V)**(-2) from the claimed take-all
     set V, except in the census case where any mu up to min c_w**2 keeps the
-    bound multipliers nonnegative and min c_w**2 is used. Conditions checked:
-    stationarity -a_w**2/x_w**2 + lam_w + mu = 0, primal feasibility
-    (sum x = n, 0 < x_w <= b_w), complementary slackness lam_w (x_w - b_w) = 0,
-    and dual feasibility lam_w >= 0.
+    bound multipliers nonnegative, and mu = min c_w**2 with s = inf is used.
+    The conditions are stationarity -a_w**2/x_w**2 + lam_w + mu = 0, dual
+    feasibility lam_w >= 0, primal feasibility (sum x = n, 0 < x_w <= b_w)
+    and complementary slackness lam_w (x_w - b_w) = 0.
 
-    Validity is decided from these conditions divided by mu = s**-2, whose
-    terms stay finite for any finite positive x. Off V, stationarity reads
-    g_w * s = 1 with g_w = a_w/x_w, tested as |a_w * s / x_w - 1| <= tol. On
-    V, stationarity with lam_w = c_w**2 - mu reads x_w = b_w, tested as
-    |x_w - b_w| <= tol * b_w, and dual feasibility reads c_w * s >= 1, tested
-    as c_w * s >= 1 - tol (every s >= 1/min c_w serves the census). The
-    primal residual must be within tol. A nan fails every test.
+    Each residual is its condition divided by mu = s**-2, whose terms stay
+    finite for any finite positive x, so the residuals are dimensionless and
+    an allocation exact to machine precision reads a few ulps at any scale:
 
-    The reported residuals are relative. mu scales with a**2 and ranges over
-    dozens of orders of magnitude across realistic inputs, so an allocation
-    exact to machine precision still carries an absolute stationarity gap of
-    a few ulps of its own terms. Each stratum's stationarity gap is measured
-    against the largest term in its equation, max(1, mu, (a_w/x_w)**2,
-    |lam_w|); the sum constraint against max(1, n); bound overshoot against
-    max(1, b_w); complementary slackness against 1 + |lam_w| b_w.
+    - stationarity: off V the condition reads a_w * s / x_w = 1, measured as
+      |a_w * s / x_w - 1|; on V, lam_w >= 0 reads c_w * s >= 1, measured as
+      max(0, 1 - c_w * s). The worst over all strata.
+    - complementary: on V, lam_w = c_w**2 - mu puts x_w at its bound,
+      measured as the worst |x_w - b_w| / b_w.
+    - primal: the larger of |sum x - n| / max(1, n) and the worst bound
+      overshoot (x_w - b_w) / max(1, b_w).
+
+    If s(V) <= 0, or some x_w is not in (0, inf), all three residuals are
+    inf and lam is zero. A nan residual is kept, and fails.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -151,50 +158,38 @@ def kkt_verify(
         s = math.inf
     else:
         s = s_of(problem, v)
-        if s <= 0:
-            lam = {lb: 0.0 for lb in problem.labels}
-            residuals = {"stationarity": math.inf, "primal": math.inf, "complementary": math.inf}
-            return KktCertificate(mu=math.inf, lam=lam, residuals=residuals, tol=tol, valid=False)
         ss = s * s
-        mu = 1.0 / ss if ss else math.inf
-    lam = {
-        st.label: (st.c * st.c - mu if st.label in v else 0.0)
-        for st in problem.strata
-    }
-    stat = 0.0
-    comp = 0.0
-    bound = 0.0
-    scaled_ok = True
+        mu = 1.0 / ss if s > 0 and ss else math.inf
+    lam: dict[Label, float] = {}
+    stat = comp = bound = 0.0
+    ok = s > 0
     for st in problem.strata:
         xw = result.x[st.label]
-        if not (0 < xw < math.inf):
-            lam_min_bad = {lb: 0.0 for lb in problem.labels}
-            residuals = {"stationarity": math.inf, "primal": math.inf, "complementary": math.inf}
-            return KktCertificate(mu=mu, lam=lam_min_bad, residuals=residuals, tol=tol, valid=False)
-        g = st.a / xw
-        lw = lam[st.label]
-        # scale by the largest term in this stratum's equation: take-all
-        # strata have g**2 = c_w**2 far above mu, and their lam is formed
-        # by cancellation at that magnitude
-        r = abs(-(g * g) + lw + mu) / max(1.0, mu, g * g, abs(lw))
+        if not (ok and 0 < xw < math.inf):
+            ok = False
+            break
+        if st.label in v:
+            c = st.c
+            lam[st.label] = c * c - mu
+            r = 1.0 - c * s  # lam_w >= 0; stat starts at 0, so this is max(0, 1 - c_w * s)
+            comp = max(comp, abs(xw - st.b) / st.b)
+        else:
+            lam[st.label] = 0.0
+            r = abs(st.a * s / xw - 1.0)
         if r > stat or r != r:  # a nan stays
             stat = r
-        r = abs(lw * (xw - st.b)) / (1.0 + abs(lw) * st.b)
-        if r > comp or r != r:
-            comp = r
         bound = max(bound, (xw - st.b) / max(1.0, st.b))
-        if st.label in v:
-            scaled_ok = scaled_ok and abs(xw - st.b) <= tol * st.b and st.c * s >= 1.0 - tol
-        else:
-            scaled_ok = scaled_ok and abs(st.a * s / xw - 1.0) <= tol
-    try:
-        total = math.fsum(result.x.values())
-    except OverflowError:
-        total = math.inf
-    primal = max(abs(total - problem.n) / max(1.0, problem.n), bound)
-    residuals = {"stationarity": stat, "primal": primal, "complementary": comp}
-    valid = scaled_ok and primal <= tol
-    return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol, valid=valid)
+    if ok:
+        try:
+            total = math.fsum(result.x.values())
+        except OverflowError:
+            total = math.inf
+        primal = max(abs(total - problem.n) / max(1.0, problem.n), bound)
+        residuals = {"stationarity": stat, "primal": primal, "complementary": comp}
+    else:
+        lam = dict.fromkeys(problem.labels, 0.0)
+        residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
+    return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
 
 
 def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> AllocationResult:

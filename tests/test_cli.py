@@ -104,6 +104,21 @@ class TestAllocate:
         assert code == 2
         assert "scale s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["rna", "sga", "coma"])
+    def test_nonfinite_allocation_exit_2(self, tmp_path, capsys, algorithm):
+        # the optimum is x = (9999999999.5, 1), but s(V) overflows and the
+        # solvers return x = (inf, 1), which JSON cannot hold
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,1e-300,1e10\nv,1e10,1\n")
+        out = tmp_path / "alloc.json"
+        code = main([
+            "allocate", "--input", str(pop), "--n", "10000000000.5",
+            "--algorithm", algorithm, "--output", str(out),
+        ])
+        assert code == 2
+        assert "stratum 'u' has x = inf at s = inf" in capsys.readouterr().err
+        assert not out.exists() or out.read_text() == ""
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["allocate", "--input", str(tmp_path / "nope.csv"), "--n", "1"])
         assert code == 2
@@ -154,6 +169,34 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert code == 0, printed
         assert "certificate: valid" in printed
+
+    def test_large_scale_tamper_names_stationarity(self, tmp_path, capsys):
+        # mu = 1e-10: the old mu-relative residual read 3e-10 here
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,1,1e9\nv,1,1e9\n")
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--input", str(pop), "--n", "2e5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [e["x"] for e in doc["allocation"]] == [1e5, 1e5]
+        doc["allocation"][0]["x"], doc["allocation"][1]["x"] = 1.5e5, 0.5e5
+        out.write_text(json.dumps(doc))
+        code = main(["verify", "--input", str(pop), "--n", "2e5", "--allocation", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "stationarity residual: 1.000e+00" in printed
+        assert "verification failed: stationarity\n" in printed
+
+    def test_malformed_take_all_exit_2(self, table1_csv, tmp_path, capsys):
+        out = tmp_path / "alloc.json"
+        main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["take_all"] = 5
+        out.write_text(json.dumps(doc))
+        code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "take_all" in err
+        assert "Traceback" not in err
 
     def test_label_mismatch_exit_2(self, table1_csv, tmp_path):
         out = tmp_path / "alloc.json"

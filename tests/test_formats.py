@@ -1,9 +1,10 @@
 import io
 import json
+import math
 
 import pytest
 
-from stratalloc import Stratum, SurveyStratum, rna, table1_problem
+from stratalloc import AllocationResult, Stratum, SurveyStratum, rna, table1_problem
 from stratalloc.formats import (
     StrataCsvError,
     population_maps_from_rows,
@@ -176,3 +177,36 @@ class TestAllocationJson:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="malformed"):
             read_allocation_json(io.StringIO('{"algorithm": "rna"}'))
+
+    @pytest.mark.parametrize(
+        "take_all,x,match",
+        [
+            ("5", "1", "take_all must be a list"),
+            ('"uv"', "1", "take_all must be a list"),
+            ('[["u"]]', "1", r"take_all: \['u'\] is not a label"),
+            ('["w"]', "1", "take_all: 'w' is not a label"),
+            ("[]", "true", "allocation: x of label 'u' must be a number"),
+            ("[]", '"12"', "allocation: x of label 'u' must be a number"),
+            ("[]", "null", "allocation: x of label 'u' must be a number"),
+            ("[]", "[1]", "allocation: x of label 'u' must be a number"),
+        ],
+        ids=["int", "string", "nested", "unknown", "bool", "numeric_string", "null", "list"],
+    )
+    def test_malformed_take_all_or_x(self, take_all, x, match):
+        text = (
+            '{"algorithm": "rna", "n": 2, "s_final": 1, "iterations": 1, "take_all": %s,'
+            ' "allocation": [{"label": "u", "x": %s}, {"label": "v", "x": 1.5}]}' % (take_all, x)
+        )
+        with pytest.raises(ValueError, match="alloc.json: " + match):
+            read_allocation_json(io.StringIO(text), name="alloc.json")
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_x_not_written(self, value):
+        res = AllocationResult(
+            x={"u": value, "v": 1.0}, take_all=frozenset({"v"}), s_final=math.inf,
+            iterations=2, trace=(), algorithm="rna",
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="stratum 'u' has x = (inf|nan) at s = inf"):
+            write_allocation_json(res, 2.0, buf)
+        assert buf.getvalue() == ""

@@ -8,6 +8,7 @@ from conftest import heap_greedy_counts
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
+    KktCertificate,
     PopulationSpec,
     Stratum,
     bisection_multiplier,
@@ -28,6 +29,17 @@ from stratalloc import (
 def small(a, b, n):
     strata = tuple(Stratum(label=i, a=float(ai), b=float(bi)) for i, (ai, bi) in enumerate(zip(a, b)))
     return AllocationProblem(strata=strata, n=float(n))
+
+
+def assert_one_rule(cert):
+    """failed lists, in order, the residuals not within tol (a nan fails),
+    and valid means that none is listed."""
+    expected = tuple(
+        cond for cond in ("stationarity", "primal", "complementary")
+        if math.isnan(cert.residuals[cond]) or cert.residuals[cond] > cert.tol
+    )
+    assert cert.failed == expected
+    assert cert.valid == (not cert.failed)
 
 
 def heap_greedy_result(problem):
@@ -105,6 +117,7 @@ class TestKktVerify:
         res = rna(p)
         cert = kkt_verify(p, res, tol=1e-8)
         assert cert.valid
+        assert_one_rule(cert)
         assert cert.mu == pytest.approx(1.0 / res.s_final**2, rel=1e-12)
         assert all(v >= 0 for v in cert.lam.values())
         assert set(cert.residuals) == {"stationarity", "primal", "complementary"}
@@ -140,6 +153,8 @@ class TestKktVerify:
         cert = kkt_verify(p, bad, tol=1e-8)
         assert not cert.valid
         assert cert.residuals["stationarity"] > 1e-8
+        assert_one_rule(cert)
+        assert "stationarity" in cert.failed
 
     def test_invalid_on_wrong_take_all(self):
         p = table1_problem()
@@ -148,12 +163,15 @@ class TestKktVerify:
         assert not cert.valid
         # strata 2 and 15 are scaled past their bounds, a primal violation
         assert cert.residuals["primal"] > 1e-8
+        assert_one_rule(cert)
+        assert "primal" in cert.failed
 
     def test_census_multiplier(self):
         p = small([3, 4], [5, 6], 11)
         res = rna(p)
         cert = kkt_verify(p, res, tol=1e-8)
         assert cert.valid
+        assert_one_rule(cert)
         cs = [st.c for st in p.strata]
         assert cert.mu == pytest.approx(min(c * c for c in cs))
 
@@ -174,6 +192,7 @@ class TestKktVerify:
         p = small(a, b, n)
         res = rna(p)
         assert kkt_verify(p, res).valid
+        assert_one_rule(kkt_verify(p, res))
         for label in p.labels:
             for factor in (1 + 1e-6, 1 - 1e-6):
                 x = dict(res.x)
@@ -182,6 +201,7 @@ class TestKktVerify:
                     x=x, take_all=res.take_all, s_final=res.s_final, iterations=1, trace=(), algorithm="x"
                 )
                 assert not kkt_verify(p, bad).valid, (label, factor)
+                assert_one_rule(kkt_verify(p, bad))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, 1e308])
     def test_bad_values_invalid_without_raising(self, value):
@@ -190,6 +210,51 @@ class TestKktVerify:
         x = {0: value, 1: 1e308}  # value = 1e308 makes sum(x) overflow
         bad = AllocationResult(x=x, take_all=res.take_all, s_final=res.s_final, iterations=1, trace=(), algorithm="x")
         assert not kkt_verify(p, bad).valid
+        assert kkt_verify(p, bad).failed == ("stationarity", "primal", "complementary")
+
+    def test_nan_residual_fails(self):
+        residuals = {"stationarity": math.nan, "primal": 0.0, "complementary": 2e-8}
+        cert = KktCertificate(mu=1.0, lam={}, residuals=residuals, tol=1e-8)
+        assert cert.failed == ("stationarity", "complementary")
+        assert not cert.valid
+        assert KktCertificate(mu=1.0, lam={}, residuals={"primal": 1e-8}, tol=1e-8).valid
+
+    def test_large_scale_tamper_names_stationarity(self):
+        # s = 1e5 and mu = 1e-10: moving mass between strata that share a
+        # and b breaks a_w * s / x_w = 1 by a third and by one, however
+        # small the gap reads against mu
+        p = small([1, 1], [1e9, 1e9], 2e5)
+        bad = AllocationResult(
+            x={0: 1.5e5, 1: 0.5e5}, take_all=frozenset(), s_final=1e5, iterations=1, trace=(), algorithm="x"
+        )
+        cert = kkt_verify(p, bad)
+        assert cert.residuals["stationarity"] >= 0.5
+        assert cert.failed == ("stationarity",)
+        assert cert.mu == pytest.approx(1e-10, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_one_rule_on_random_allocations(self, problem_factory, scale):
+        # solved, perturbed in one stratum, and with mass moved between two
+        rng = np.random.default_rng(211)
+        for trial in range(60):
+            base = problem_factory(rng, int(rng.integers(1, 13)), float(rng.choice([0.1, 0.5, 0.9])))
+            p = AllocationProblem(
+                strata=tuple(Stratum(label=st.label, a=st.a * scale, b=st.b) for st in base.strata), n=base.n
+            )
+            res = rna(p)
+            cert = kkt_verify(p, res)
+            assert cert.valid, trial
+            assert_one_rule(cert)
+            i, j = (int(k) for k in rng.integers(0, p.size, 2))
+            delta = float(rng.choice([1e-10, 1e-6, 1e-2])) * res.x[i]
+            for moves in ({i: delta}, {i: delta, j: -delta}):
+                x = dict(res.x)
+                for k, d in moves.items():
+                    x[k] += d
+                bad = AllocationResult(
+                    x=x, take_all=res.take_all, s_final=res.s_final, iterations=1, trace=(), algorithm="x"
+                )
+                assert_one_rule(kkt_verify(p, bad))
 
 
 class TestBisection:
