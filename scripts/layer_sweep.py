@@ -1,0 +1,148 @@
+"""Per-layer times of the allocate and verify paths over a sweep of K.
+
+    python3 scripts/layer_sweep.py --src parent=/path/to/parent/src --src change=src \
+        --sizes 10000 100000 1000000 --repeats 5 --out BENCH_7.json
+
+Each ``--src NAME=DIR`` is a source tree holding the ``stratalloc`` package.
+For every K the input is perfbench's seeded survey file
+(``perfbench/gen.write_survey_csv``, seed 0) with n = round(0.2 * sum(N)).
+Each repeat runs, for every source in turn, one worker process that times
+the layers in process once each (CSV read, problem build, rna, JSON write,
+JSON read, kkt_verify, is_optimal_takeall), then the CLI ``allocate`` and
+``verify`` commands as child processes, timed from spawn to exit. Sources
+alternate within a repeat, so a drift of the host's speed reaches all of
+them. The output holds the median of every layer per source and K, the
+sha256 of each source's allocation JSON, and the median time of perfbench's
+reference loop (``ops.reference_loop``) measured before each worker, which
+tells how fast the host ran.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+LAYERS = (
+    "read_strata_csv", "build", "rna", "write_allocation_json",
+    "read_allocation_json", "kkt_verify", "is_optimal_takeall",
+)
+
+
+def worker(csv_path: str, n: float) -> dict[str, float]:
+    """One timed call of every layer, on the stratalloc package on sys.path."""
+    from stratalloc import formats, is_optimal_takeall, kkt_verify, rna
+
+    out: dict[str, float] = {}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        value = fn(*args)
+        out[name] = time.perf_counter() - start
+        return value
+
+    with open(csv_path, encoding="utf-8", newline="") as fp:
+        rows = timed("read_strata_csv", formats.read_strata_csv, fp)
+    problem = timed("build", formats.problem_from_rows, rows, n)
+    result = timed("rna", rna, problem)
+    buf = io.StringIO()
+    timed("write_allocation_json", formats.write_allocation_json, result, problem.n, buf)
+    back = timed("read_allocation_json", formats.read_allocation_json, io.StringIO(buf.getvalue()))
+    cert = timed("kkt_verify", kkt_verify, problem, back)
+    fixed = timed("is_optimal_takeall", is_optimal_takeall, problem, back.take_all)
+    if not (cert.valid and fixed):
+        raise RuntimeError("the allocation did not verify")
+    return out
+
+
+def cli(src: str, argv: list[str]) -> float:
+    """Wall time of one CLI child from spawn to exit."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "stratalloc.cli", *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=600)
+    return time.perf_counter() - start
+
+
+def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -> dict:
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from ops import reference_loop
+
+    results: dict = {name: {} for name in sources}
+    refs: list[float] = []
+    for K in sizes:
+        path = work / f"survey_{K}.csv"
+        gen.write_survey_csv(str(path), 0, K)
+        n = gen.sample_size(str(path))
+        samples = {name: {layer: [] for layer in (*LAYERS, "cli_allocate", "cli_verify")} for name in sources}
+        digests = {}
+        for _ in range(repeats):
+            for name, src in sources.items():
+                refs.append(min(reference_loop() for _ in range(3)))
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--worker", str(path), str(n)],
+                    env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True, timeout=1800,
+                )
+                for layer, t in json.loads(proc.stdout).items():
+                    samples[name][layer].append(t)
+                out = work / f"{name}_{K}.json"
+                samples[name]["cli_allocate"].append(
+                    cli(src, ["allocate", "--input", str(path), "--n", str(n), "--output", str(out)]))
+                samples[name]["cli_verify"].append(
+                    cli(src, ["verify", "--input", str(path), "--n", str(n), "--allocation", str(out)]))
+                digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        for name in sources:
+            results[name][str(K)] = {
+                "n": n,
+                "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
+                "allocate_sha256": digests[name],
+            }
+        print(f"K={K}: " + "; ".join(
+            f"{name} allocate {results[name][str(K)]['median_s']['cli_allocate']:.3f} s" for name in sources),
+            file=sys.stderr)
+    return {"reference_loop_median_s": statistics.median(refs), "results": results}
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None and sys.argv[1:2] == ["--worker"]:
+        print(json.dumps(worker(sys.argv[2], float(sys.argv[3]))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", required=True, help="NAME=DIR of a source tree; repeatable")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    sources = dict(item.split("=", 1) for item in args.src)
+    sources = {name: str(Path(src).resolve()) for name, src in sources.items()}
+    with tempfile.TemporaryDirectory(prefix="layer_sweep-") as work:
+        report = sweep(sources, args.sizes, args.repeats, Path(work))
+    report["environment"] = {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+    }
+    report["method"] = (
+        f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
+        "timing each layer once, then the CLI allocate and verify children. Unscaled medians in seconds."
+    )
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

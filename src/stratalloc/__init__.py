@@ -15,6 +15,7 @@ from .model import (
     InfeasibleProblemError,
     InfeasibleSubsetError,
     IterationRecord,
+    StrataColumns,
     Stratum,
     SurveyStratum,
     is_optimal_takeall,
@@ -55,6 +56,7 @@ __all__ = [
     "KktCertificate",
     "PopulationSpec",
     "StratifiedPopulation",
+    "StrataColumns",
     "Stratum",
     "SurveyStratum",
     "VarianceReport",

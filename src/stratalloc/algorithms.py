@@ -4,8 +4,10 @@ All three find the same optimal take-all set V and return identical
 allocations. They share one kernel and differ only in the order in which it
 visits strata:
 
-rna   tests every free stratum as a batch, in input order: all that pass
-      the take-all test join V at once and the scale s is recomputed.
+rna   tests every stratum as a batch: all that pass the take-all test
+      form the next V and the scale s is recomputed. Strata already in V
+      pass again, since s(V) never decreases, so each iteration is one
+      compare over the whole column.
 sga   sorts strata by descending priority c = a/b once (ties keep input
       order), then admits them one at a time while the test holds.
 coma  walks the same sorted order and stops at the first decrease of the
@@ -25,21 +27,30 @@ Each iteration appends an :class:`~stratalloc.model.IterationRecord`; the
 final record has an empty ``added`` tuple. The number of iterations r* equals
 ``len(trace)``. The recorded s values are non-decreasing.
 
-The final allocation is rebuilt from the discovered V with compensated sums
-(:func:`~stratalloc.model.v_allocation`), so results are bit-identical across
-the three solvers and across input permutations of the same strata. During
-discovery the numerator B and denominator A of s are carried as compensated
-(value, error) pairs. Since its last exact sum, a pair is off by less than
-2**-53 of its value plus (K + 1)**2 * 2**-106 of its value at that sum. When
-B or A falls below (K + 2)**2 * 2**-61 times its value at the last exact sum,
-the pair no longer guarantees the relative 2**-44 that the filter needs, and
-both are summed again with ``math.fsum``.
+The final allocation is rebuilt from the discovered V with correctly rounded
+sums (:func:`~stratalloc.model.v_allocation`), so results are bit-identical
+across the three solvers and across input permutations of the same strata.
+
+rna forms each s(V) from two correctly rounded sums, so its trace holds the
+exact s(V_r) of each iteration rounded once. sga and coma take one stratum
+per iteration and carry the numerator B and denominator A of s as
+compensated (value, error) pairs. Since its last exact sum, a pair is off by
+less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its value at that
+sum. When B or A falls below (K + 2)**2 * 2**-61 times its value at the last
+exact sum, the pair no longer guarantees the relative 2**-44 that the filter
+needs, and both are summed again with ``math.fsum``.
+
+The solvers read the problem's columns as lists (``columns.lists``): every
+pass over a column is one C-level map, compress or fsum. numpy arrays would
+save time only on the large compares, and their per-call cost is more than a
+whole pass at K = 20, where library callers solve many small problems.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter, truediv
+from itertools import chain, compress
+from operator import truediv
 
 from .model import (
     S_MAX,
@@ -73,17 +84,38 @@ def _exact_pair(values: list[float]) -> tuple[float, float]:
     return total, math.fsum([*values, -total])
 
 
-def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> AllocationResult:
-    if problem.is_census:
-        return v_allocation(problem, problem.labels, algorithm=algorithm)
-    strata = problem.strata
-    K = len(strata)
-    a = list(map(attrgetter("a"), strata))
-    b = list(map(attrgetter("b"), strata))
-    c = list(map(truediv, a, b))
-    # rna: the free strata in input order; sga, coma: all strata in the
-    # stable descending-c order, visited one per iteration
-    order = list(range(K)) if batch else sorted(range(K), key=c.__getitem__, reverse=True)
+def _batch_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], list[IterationRecord]]:
+    # rna: every stratum tested at once; the hits are the next V, and only
+    # the strata new to it are recorded
+    labels = problem.labels
+    a, b = problem.columns.lists
+    every = range(problem.size)
+    in_v = [False] * problem.size
+    spent = [problem.n]  # n and the negated bounds of V: the budget is their sum
+    dropped: list[float] = []  # the negated weights of V
+    denom = problem.sum_a
+    taken: list[int] = []
+    trace: list[IterationRecord] = []
+    while True:
+        s = math.fsum(spent) / denom
+        hits = take_all_members(problem, c, taken, s, every)
+        picked = [i for i in compress(every, hits) if not in_v[i]]
+        trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, picked))))
+        if not picked:
+            return taken, trace
+        in_v = hits
+        taken += picked
+        spent += [-b[i] for i in picked]
+        dropped += [-a[i] for i in picked]
+        denom = math.fsum(chain(a, dropped))
+
+
+def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], list[IterationRecord]]:
+    # sga, coma: all strata in the stable descending-c order, one per iteration
+    labels = problem.labels
+    K = problem.size
+    a, b = problem.columns.lists
+    order = sorted(range(K), key=c.__getitem__, reverse=True)
     shrink = (K + 2) ** 2 * 2.0**-61
     budget, budget_c = problem.n, 0.0
     denom = problem.sum_a
@@ -91,39 +123,33 @@ def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> Allocatio
     budget_min, denom_min = shrink * budget, shrink * denom
     taken: list[int] = []
     trace: list[IterationRecord] = []
-    r = 0
-    while True:
-        r += 1
+    for r, i in enumerate(order, start=1):
         if budget + budget_c < budget_min or denom + denom_c < denom_min:
-            budget, budget_c = _exact_pair([problem.n, *(-b[i] for i in taken)])
-            denom, denom_c = _exact_pair([*a, *(-a[i] for i in taken)])
+            budget, budget_c = _exact_pair([problem.n, *(-b[j] for j in taken)])
+            denom, denom_c = _exact_pair([*a, *(-a[j] for j in taken)])
             budget_min, denom_min = shrink * budget, shrink * denom
         s = (budget + budget_c) / (denom + denom_c)
-        if batch:
-            picked = take_all_members(problem, c, taken, s, order)
-            added = tuple([strata[i].label for i in picked])
+        # the float filter of take_all_members, inlined for one candidate
+        if S_MIN <= s <= S_MAX and not TAKE_LO / s < c[i] < TAKE_HI / s:
+            take = c[i] > 1.0 / s
         else:
-            # one candidate, with the float filter of take_all_members
-            # inlined: sga and coma take one iteration per take-all stratum
-            i = order[r - 1]
-            t = c[i] * s
-            if S_MIN <= s <= S_MAX and not TAKE_LO < t < TAKE_HI:
-                picked = [i] if t > 1.0 else []
-            else:
-                picked = take_all_members(problem, c, taken, s, (i,))
-            added = (strata[i].label,) if picked else ()
-        trace.append(IterationRecord(r, s, added))
-        if not picked:
+            take = take_all_members(problem, [c[i]], taken, s, [i])[0]
+        trace.append(IterationRecord(r, s, (labels[i],) if take else ()))
+        if not take:
             break
-        for i in picked:
-            budget, budget_c = _drop(budget, budget_c, b[i])
-            denom, denom_c = _drop(denom, denom_c, a[i])
-        taken += picked
-        if batch:
-            picked_set = set(picked)
-            order = [i for i in order if i not in picked_set]
-    v = frozenset([strata[i].label for i in taken])
-    return v_allocation(problem, v, algorithm=algorithm, iterations=r, trace=tuple(trace))
+        budget, budget_c = _drop(budget, budget_c, b[i])
+        denom, denom_c = _drop(denom, denom_c, a[i])
+        taken.append(i)
+    return taken, trace
+
+
+def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> AllocationResult:
+    if problem.is_census:
+        return v_allocation(problem, problem.labels, algorithm=algorithm)
+    c = list(map(truediv, *problem.columns.lists))
+    taken, trace = (_batch_walk if batch else _sorted_walk)(problem, c)
+    v = frozenset(map(problem.labels.__getitem__, taken))
+    return v_allocation(problem, v, algorithm=algorithm, iterations=len(trace), trace=tuple(trace))
 
 
 def rna(problem: AllocationProblem) -> AllocationResult:

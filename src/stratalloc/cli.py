@@ -17,7 +17,7 @@ from typing import IO, Iterator
 from . import bench as bench_mod
 from . import formats
 from .algorithms import SOLVERS
-from .model import AllocationProblem, InfeasibleProblemError, Stratum, is_optimal_takeall
+from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, Stratum, is_optimal_takeall
 from .oracles import bisection_multiplier, kkt_verify
 from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
@@ -47,7 +47,7 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield fp
 
 
-def _read_rows(path: str) -> tuple[Stratum, ...]:
+def _read_rows(path: str) -> StrataColumns:
     with open(path, encoding="utf-8", newline="") as fp:
         return formats.read_strata_csv(fp, name=path)
 

@@ -6,9 +6,14 @@ import csv
 import json
 import math
 from collections.abc import Hashable
-from typing import IO, Iterable, Mapping, Sequence
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import IO, Iterable, Sequence
 
-from .model import AllocationProblem, AllocationResult, Stratum
+import numpy as np
+
+from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum, first_invalid
 
 __all__ = [
     "StrataCsvError",
@@ -26,14 +31,16 @@ class StrataCsvError(ValueError):
     """Malformed strata CSV; the message names the offending line."""
 
 
-def read_strata_csv(fp: IO[str], name: str = "strata csv") -> tuple[Stratum, ...]:
-    """Parse a strata CSV in either accepted header form.
+def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
+    """Parse a strata CSV in either accepted header form into columns.
 
-    ``label,a,b`` gives the weights and bounds directly as :class:`Stratum`
-    records; ``label,N,S`` is the survey form and reads as
-    :class:`SurveyStratum` records (a = N * S, b = N). Header matching is
-    case-insensitive. Raises :class:`StrataCsvError` naming the line on any
-    malformed content, including values the record constructors reject.
+    ``label,a,b`` gives the weights and bounds directly; ``label,N,S`` is the
+    survey form (a = N * S, b = N) and keeps its S column. The result is a
+    :class:`StrataColumns`, whose records are built only if it is indexed or
+    iterated. Header matching is case-insensitive. Raises
+    :class:`StrataCsvError` naming the first malformed line, including values
+    the record constructors (:class:`Stratum`, :meth:`Stratum.survey`) reject,
+    with that constructor's message.
     """
     reader = csv.reader(fp)
     try:
@@ -49,36 +56,91 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> tuple[Stratum, ...
         raise StrataCsvError(
             f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
         )
-    rows: list[Stratum] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue  # ignore blank lines
-        if len(raw) != 3:
-            raise StrataCsvError(f"{name}: line {lineno}: expected 3 fields, got {len(raw)}")
-        label = raw[0].strip()
-        if not label:
-            raise StrataCsvError(f"{name}: line {lineno}: empty label")
-        if label in seen:
-            raise StrataCsvError(f"{name}: line {lineno}: duplicate label {label!r}")
-        seen.add(label)
-        try:
-            v1 = float(raw[1])
-            v2 = float(raw[2])
-        except ValueError:
-            raise StrataCsvError(
-                f"{name}: line {lineno}: non-numeric value in {raw[1]!r}, {raw[2]!r}"
-            ) from None
-        try:
-            rows.append(make(label, v1, v2))
-        except ValueError as exc:
-            raise StrataCsvError(f"{name}: line {lineno}: {exc}") from None
+    rows = list(reader)
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if min(map(len, rows), default=2) < 2:
+        # blank lines are ignored; the others keep their line numbers
+        lines = [ln for ln, raw in zip(lines, rows) if len(raw) > 1 or (raw and raw[0].strip())]
+        rows = [rows[ln - 2] for ln in lines]
     if not rows:
         raise StrataCsvError(f"{name}: line 2: no data rows")
-    return tuple(rows)
+    # Each check narrows `first`, the first row found bad so far, to the rows
+    # before it, so every row before the final `first` passes every check.
+    # That row's own message is then found as a one-row read would find it.
+    widths = list(map(len, rows))
+    first = len(rows) if widths.count(3) == len(rows) else next(i for i, k in enumerate(widths) if k != 3)
+    labels = list(map(str.strip, map(itemgetter(0), rows[:first])))
+    if "" in labels:
+        first = labels.index("")
+        del labels[first:]
+    if len(set(labels)) < first:
+        first = _first_repeat(labels)
+        del labels[first:]
+    v1 = _floats(list(map(itemgetter(1), rows[:first])))
+    v2 = _floats(list(map(itemgetter(2), rows[:first])))
+    first = min(first, len(v1), len(v2))
+    del labels[first:], v1[first:], v2[first:]
+    if make is Stratum:
+        a, b, S = np.array(v1), np.array(v2), None
+    else:
+        b, S = np.array(v1), np.array(v2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = b * S
+    first = min(first, first_invalid(a, b, S))
+    if first < len(rows):
+        reason = _row_error(rows[first], frozenset(labels[:first]), make)
+        raise StrataCsvError(f"{name}: line {lines[first]}: {reason}")
+    return StrataColumns(labels, a, b, S)
+
+
+def _first_repeat(items: list) -> int:
+    seen = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
+    return len(items)
+
+
+def _floats(texts: list[str]) -> list[float]:
+    """float() of each text, up to the first that is not a number."""
+    try:
+        return list(map(float, texts))
+    except ValueError:
+        out = []
+        for text in texts:
+            try:
+                out.append(float(text))
+            except ValueError:
+                break
+        return out
+
+
+def _row_error(raw: list[str], seen: frozenset, make) -> str:
+    """Why one data row is rejected, checked in the order a reader meets it:
+    field count, label, numbers, then the record constructor."""
+    if len(raw) != 3:
+        return f"expected 3 fields, got {len(raw)}"
+    label = raw[0].strip()
+    if not label:
+        return "empty label"
+    if label in seen:
+        return f"duplicate label {label!r}"
+    try:
+        v1 = float(raw[1])
+        v2 = float(raw[2])
+    except ValueError:
+        return f"non-numeric value in {raw[1]!r}, {raw[2]!r}"
+    try:
+        make(label, v1, v2)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"row {raw!r} was found bad but passes every check")
 
 
 def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
+    """The problem over rows: columns from :func:`read_strata_csv` are used
+    as they are, without building a record."""
     return AllocationProblem(strata=rows, n=n)
 
 
@@ -119,10 +181,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _list_block(items: list[str]) -> str:
-    if not items:
+def _json_labels(labels: list) -> list[str]:
+    try:
+        return list(map(encode_basestring_ascii, labels))  # what json.dumps writes for a str
+    except TypeError:  # some label is not a str
+        return list(map(json.dumps, labels))
+
+
+def _list_block(item: str, count: int, values: tuple) -> str:
+    """A JSON list of count items at the document's indent, one formatting
+    of the item template repeated over values."""
+    if not count:
         return "[]"
-    return "[\n" + ",\n".join("    " + item for item in items) + "\n  ]"
+    return "[\n    " + ",\n    ".join([item] * count) % values + "\n  ]"
 
 
 def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> None:
@@ -131,31 +202,39 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     Schema: algorithm, n, s_final, iterations, take_all (labels in problem
     order), allocation (label/x pairs in problem order). The document is
     composed directly because json.dump formats floats with the shortest
-    repr, which would make byte-level comparison depend on magnitudes.
-    JSON has no inf or nan, so a ValueError naming the stratum and s is
-    raised, before anything is written, when a number is not finite.
+    repr, which would make byte-level comparison depend on magnitudes; each
+    list is one formatting of a repeated item template. JSON has no inf or
+    nan, so a ValueError naming the stratum and s is raised, before anything
+    is written, when a number is not finite.
     """
-    bad = [lb for lb, xv in result.x.items() if not math.isfinite(xv)]
-    if bad:
+    labels = list(result.x)
+    xs = list(result.x.values())
+    finite = np.isfinite(xs)
+    if not finite.all():
+        bad = int(finite.argmin())
         raise ValueError(
-            f"cannot write the allocation as JSON: stratum {bad[0]!r} has x = {result.x[bad[0]]!r}"
+            f"cannot write the allocation as JSON: stratum {labels[bad]!r} has x = {xs[bad]!r}"
             f" at s = {result.s_final!r}"
         )
     if not (math.isfinite(n) and math.isfinite(result.s_final)):
         raise ValueError(f"cannot write the allocation as JSON: n = {n!r}, s = {result.s_final!r}")
-    take_all = [json.dumps(lb) for lb in result.x if lb in result.take_all]
-    entries = [
-        '{\n      "label": %s,\n      "x": %s\n    }' % (json.dumps(lb), _fmt(xv))
-        for lb, xv in result.x.items()
-    ]
-    fp.write("{\n")
-    fp.write(f'  "algorithm": {json.dumps(result.algorithm)},\n')
-    fp.write(f'  "n": {_fmt(float(n))},\n')
-    fp.write(f'  "s_final": {_fmt(result.s_final)},\n')
-    fp.write(f'  "iterations": {int(result.iterations)},\n')
-    fp.write(f'  "take_all": {_list_block(take_all)},\n')
-    fp.write(f'  "allocation": {_list_block(entries)}\n')
-    fp.write("}\n")
+    names = _json_labels(labels)
+    take_all = tuple(compress(names, map(result.take_all.__contains__, labels)))
+    entries = tuple(chain.from_iterable(zip(names, xs)))
+    fp.write(
+        "{\n"
+        f'  "algorithm": {json.dumps(result.algorithm)},\n'
+        f'  "n": {_fmt(float(n))},\n'
+        f'  "s_final": {_fmt(result.s_final)},\n'
+        f'  "iterations": {int(result.iterations)},\n'
+        f'  "take_all": {_list_block("%s", len(take_all), take_all)},\n'
+        f'  "allocation": {_list_block(_ENTRY, len(names), entries)}\n'
+        "}\n"
+    )
+
+
+# one allocation entry; %.17g formats as _fmt does
+_ENTRY = '{\n      "label": %s,\n      "x": %.17g\n    }'
 
 
 def read_allocation_json(fp: IO[str], name: str = "allocation json") -> AllocationResult:
@@ -178,9 +257,11 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
         x = {}
         for entry in entries:
             xv = entry["x"]
-            if type(xv) not in (int, float):  # bool, an int subclass, is refused too
-                raise ValueError(f"{name}: allocation: x of label {entry['label']!r} must be a number, got {xv!r}")
-            x[entry["label"]] = float(xv)
+            if type(xv) is not float:
+                if type(xv) is not int:  # bool, an int subclass, is refused too
+                    raise ValueError(f"{name}: allocation: x of label {entry['label']!r} must be a number, got {xv!r}")
+                xv = float(xv)
+            x[entry["label"]] = xv
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: missing or malformed field: {exc}") from None
     if len(x) != len(entries):

@@ -19,10 +19,14 @@ V is characterized by a fixed-point condition checked by
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import compress, repeat
+from operator import attrgetter, lt, mul, neg, not_, truediv
+
+import numpy as np
 
 Label = Hashable
 
@@ -101,61 +105,164 @@ class SurveyStratum(Stratum):
         return int(self.b)
 
 
-def _total(values: Iterable[float], name: str) -> float:
+def _column(values) -> np.ndarray:
+    col = np.array(values, dtype=np.float64)
+    col.flags.writeable = False
+    return col
+
+
+def first_invalid(a: np.ndarray, b: np.ndarray, S: np.ndarray | None = None) -> int:
+    """Position of the first stratum whose record constructor would reject
+    it, or len(a) when every one is valid.
+
+    The column form of the checks in :class:`Stratum` and
+    :class:`SurveyStratum` (when S is given): a and b positive and finite,
+    a/b finite, and for survey strata b an integer with a == b * S.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (a > 0) & (a < math.inf) & (b > 0) & (b < math.inf) & (a / b < math.inf)
+        if S is not None:
+            ok &= (b == np.floor(b)) & (a == b * S)
+    return len(a) if ok.all() else int(ok.argmin())
+
+
+class StrataColumns(Sequence):
+    """Strata held as columns: labels, float64 a and b, and S for survey strata.
+
+    The one representation the problem, the solvers and the file formats
+    read. ``a`` and ``b`` are read-only arrays for vector work; ``lists``
+    holds the same two columns as lists of floats for per-stratum Python
+    work, which at K = 20 costs less than numpy's per-call overhead. Either
+    form is built from the other once, on first use. As a sequence it yields
+    :class:`Stratum` records (:class:`SurveyStratum` records when S is
+    given), all built on first use and then kept; built by
+    :meth:`from_records` it is that exact tuple. The constructor checks the
+    columns as the record constructors would, and the first rejected stratum
+    raises its own record constructor's ValueError.
+    """
+
+    def __init__(self, labels: Iterable[Label], a, b, S=None) -> None:
+        self.labels = tuple(labels)
+        self._a = _column(a)
+        self._b = _column(b)
+        self.S = None if S is None else _column(S)
+        if not len(self.labels) == len(self._a) == len(self._b) == len(self._a if S is None else self.S):
+            raise ValueError("strata columns must have equal lengths")
+        self._records: tuple[Stratum, ...] | None = None
+        self._lists: tuple[list[float], list[float]] | None = None
+        bad = first_invalid(self._a, self._b, self.S)
+        if bad < len(self.labels):
+            self.records  # the record constructor of stratum `bad` raises
+            raise ValueError(f"stratum {self.labels[bad]!r} is invalid")
+
+    @classmethod
+    def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
+        """The columns of records already built; the sequence is that tuple."""
+        self = cls.__new__(cls)
+        self._records = tuple(records)
+        self.labels = tuple(map(attrgetter("label"), self._records))
+        self._lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
+        self._a = self._b = self.S = None
+        return self
+
+    @property
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            self._a = _column(self._lists[0])
+        return self._a
+
+    @property
+    def b(self) -> np.ndarray:
+        if self._b is None:
+            self._b = _column(self._lists[1])
+        return self._b
+
+    @property
+    def lists(self) -> tuple[list[float], list[float]]:
+        if self._lists is None:
+            self._lists = (self._a.tolist(), self._b.tolist())
+        return self._lists
+
+    @property
+    def records(self) -> tuple[Stratum, ...]:
+        if self._records is None:
+            cols = [self.labels, *self.lists]
+            if self.S is None:
+                self._records = tuple(map(Stratum, *cols))
+            else:
+                self._records = tuple(map(SurveyStratum, *cols, self.S.tolist()))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __iter__(self) -> Iterator[Stratum]:
+        return iter(self.records)
+
+
+def _total(values: list[float], name: str) -> float:
     try:
         return math.fsum(values)
     except OverflowError:
         raise ValueError(f"the sum of the {name} values overflows") from None
 
 
-@dataclass(frozen=True)
 class AllocationProblem:
     """An allocation instance: strata in a fixed order plus the total sample size n.
+
+    ``strata`` is a :class:`StrataColumns` or any iterable of
+    :class:`Stratum` records. The problem holds the columns: ``labels``, the
+    read-only float64 arrays ``a`` and ``b``, and their list views in
+    ``columns.lists``, which every solver and oracle reads. ``strata`` reads
+    back the records: the tuple given, or for columns, records built once on
+    first use.
 
     Validation on construction: labels are distinct, sum(a) and sum(b) do not
     overflow, 0 < n <= sum(b). The boundary case n == sum(b) is accepted; it
     is the trivial census where the only feasible (hence optimal) allocation
     is x = b (see :attr:`is_census`). n > sum(b) raises
-    :class:`InfeasibleProblemError`.
+    :class:`InfeasibleProblemError`. A problem is immutable.
     """
 
-    strata: tuple[Stratum, ...]
-    n: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
-        if not self.strata:
+    def __init__(self, strata: StrataColumns | Iterable[Stratum], n: float) -> None:
+        columns = strata if isinstance(strata, StrataColumns) else StrataColumns.from_records(strata)
+        labels = columns.labels
+        if not labels:
             raise ValueError("problem needs at least one stratum")
-        labels = [st.label for st in self.strata]
         if len(set(labels)) != len(labels):
             raise ValueError("stratum labels must be distinct")
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise ValueError(f"n must be positive and finite, got {self.n!r}")
-        self.sum_a  # raises ValueError when sum(a) overflows
-        if self.n > self.sum_b:
-            raise InfeasibleProblemError(
-                f"n = {self.n} exceeds the total upper bound {self.sum_b}"
-            )
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(f"n must be positive and finite, got {n!r}")
+        a, b = columns.lists
+        self.__dict__.update(columns=columns, labels=labels, n=n, sum_a=_total(a, "a"), sum_b=_total(b, "b"))
+        if n > self.sum_b:
+            raise InfeasibleProblemError(f"n = {n} exceeds the total upper bound {self.sum_b}")
 
-    @cached_property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(st.label for st in self.strata)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"AllocationProblem is immutable; cannot set {name!r}")
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.columns.a
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.columns.b
+
+    @property
+    def strata(self) -> tuple[Stratum, ...]:
+        return self.columns.records
 
     @cached_property
     def by_label(self) -> dict[Label, Stratum]:
-        return {st.label: st for st in self.strata}
-
-    @cached_property
-    def sum_a(self) -> float:
-        return _total((st.a for st in self.strata), "a")
-
-    @cached_property
-    def sum_b(self) -> float:
-        return _total((st.b for st in self.strata), "b")
+        return dict(zip(self.labels, self.strata))
 
     @property
     def size(self) -> int:
-        return len(self.strata)
+        return len(self.labels)
 
     @property
     def is_census(self) -> bool:
@@ -198,19 +305,21 @@ class AllocationResult:
         return math.fsum(self.x.values())
 
 
-def _subset_labels(problem: AllocationProblem, v: Iterable[Label]) -> frozenset:
+def _subset_flags(problem: AllocationProblem, v: Iterable[Label]) -> tuple[frozenset, list[bool]]:
+    # the labels of v and, per stratum, whether it is in v
     vset = frozenset(v)
-    unknown = vset.difference(problem.by_label)
-    if unknown:
+    flags = list(map(vset.__contains__, problem.labels))
+    if flags.count(True) != len(vset):
+        unknown = vset.difference(problem.labels)
         raise ValueError(f"labels not in problem: {sorted(map(repr, unknown))}")
-    return vset
+    return vset, flags
 
 
-def _scale(problem: AllocationProblem, vset: frozenset) -> float:
-    # s(V) from two correctly rounded sums; vset is a validated proper subset
-    by_label = problem.by_label
-    budget = math.fsum([problem.n, *(-by_label[lb].b for lb in vset)])
-    denom = math.fsum(st.a for st in problem.strata if st.label not in vset)
+def _scale(problem: AllocationProblem, flags: list[bool]) -> float:
+    # s(V) from two correctly rounded sums; flags mark a proper subset V
+    a, b = problem.columns.lists
+    budget = math.fsum([problem.n, *map(neg, compress(b, flags))])
+    denom = math.fsum(compress(a, map(not_, flags)))
     return budget / denom
 
 
@@ -221,19 +330,21 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
     The value may be negative when V overspends the budget; callers that
     need a feasible allocation must check the sign.
     """
-    vset = _subset_labels(problem, v)
+    vset, flags = _subset_flags(problem, v)
     if len(vset) == problem.size:
         return 0.0
-    return _scale(problem, vset)
+    return _scale(problem, flags)
 
 
 # The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
 # belongs to the optimal V exactly when a_w * B >= b_w * A, i.e. when
 # c_w * s(V) >= 1. If B and A are each known to a relative error below
-# 2**-44 and s lies in [S_MIN, S_MAX] (so that c_w, s and c_w * s are normal
-# wherever c_w * s is near 1), the rounded product t = c_w * s is within a
-# relative 2**-42 of the exact ratio: t >= TAKE_HI or t <= TAKE_LO decides.
-# Only a t inside the band is settled in rationals.
+# 2**-44 and s lies in [S_MIN, S_MAX] (so that TAKE_LO / s and TAKE_HI / s
+# are normal), the rounded thresholds lo = TAKE_LO / s and hi = TAKE_HI / s
+# are within a relative 2**-42 of TAKE_LO / s(V) and TAKE_HI / s(V):
+# c_w >= hi or c_w <= lo decides. Only a c_w between them is settled in
+# rationals. Comparing c_w with a quotient, never forming c_w * s, keeps the
+# filter free of overflow.
 TAKE_LO = 1.0 - 2.0**-40
 TAKE_HI = 1.0 + 2.0**-40
 S_MIN = 2.0**-1000
@@ -242,29 +353,34 @@ S_MAX = 2.0**1000
 
 def take_all_members(
     problem: AllocationProblem,
-    c: Sequence[float],
+    c: list[float],
     v_idx: Sequence[int],
     s: float,
-    candidates: Iterable[int],
-) -> list[int]:
-    """The candidate strata w with c_w * s(V) >= 1, decided exactly.
+    candidates: Sequence[int],
+) -> list[bool]:
+    """Which candidate strata w have c_w * s(V) >= 1, decided exactly.
 
-    Strata are positions in ``problem.strata``; ``c`` holds their priorities
-    a/b, ``v_idx`` the current V, and ``s`` approximates s(V) from a budget
-    and denominator each accurate to a relative 2**-44. The result keeps the
-    order of ``candidates``.
+    Strata are positions in the problem's columns: ``candidates`` lists
+    them and ``c`` holds their priorities a/b, aligned with it; ``v_idx`` is
+    the current V, and ``s`` approximates s(V) from a budget and denominator
+    each accurate to a relative 2**-44. Returns one flag per candidate: one
+    C-level compare over c, plus rationals for the candidates between the
+    two thresholds.
     """
     if S_MIN <= s <= S_MAX:
-        picked = [i for i in candidates if c[i] * s > TAKE_LO]
-        # rounding is monotone, so the smallest c_w gives the smallest t
-        if not picked or min(map(c.__getitem__, picked)) * s >= TAKE_HI:
-            return picked
+        flags = list(map(lt, repeat(TAKE_LO / s), c))
+        # done when every hit clears hi, so that no c_w lies between the two
+        if min(compress(c, flags), default=math.inf) >= TAKE_HI / s:
+            return flags
     else:
-        picked = list(candidates)
-    strata = problem.strata
-    budget = Fraction(problem.n) - sum(Fraction(strata[i].b) for i in v_idx)
-    denom = sum(Fraction(st.a) for st in strata) - sum(Fraction(strata[i].a) for i in v_idx)
-    return [i for i in picked if Fraction(strata[i].a) * budget >= Fraction(strata[i].b) * denom]
+        flags = [True] * len(c)
+    a, b = problem.columns.lists
+    budget = Fraction(problem.n) - sum(Fraction(b[i]) for i in v_idx)
+    denom = sum(map(Fraction, a)) - sum(Fraction(a[i]) for i in v_idx)
+    for j in compress(range(len(flags)), flags):
+        i = candidates[j]
+        flags[j] = Fraction(a[i]) * budget >= Fraction(b[i]) * denom
+    return flags
 
 
 def v_allocation(
@@ -282,23 +398,23 @@ def v_allocation(
     feasible whenever the fixed-point condition of :func:`is_optimal_takeall`
     holds for V.
     """
-    vset = _subset_labels(problem, v)
+    vset, flags = _subset_flags(problem, v)
     if len(vset) == problem.size:
         if not problem.is_census:
             raise InfeasibleSubsetError("full take-all set is only feasible when n equals sum(b)")
         s = 0.0
     else:
-        s = _scale(problem, vset)
+        s = _scale(problem, flags)
         if s <= 0:
             raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
-    x = {
-        st.label: st.b if st.label in vset else st.a * s
-        for st in problem.strata
-    }
+    a, b = problem.columns.lists
+    x = list(map(mul, a, repeat(s)))
+    for i in compress(range(problem.size), flags):
+        x[i] = b[i]
     if trace is None:
-        trace = (IterationRecord(1, s, tuple(lb for lb in problem.labels if lb in vset)),)
+        trace = (IterationRecord(1, s, tuple(compress(problem.labels, flags))),)
     return AllocationResult(
-        x=x,
+        x=dict(zip(problem.labels, x)),
         take_all=vset,
         s_final=s,
         iterations=iterations,
@@ -315,18 +431,17 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     :func:`take_all_members` (no tolerance). For the census problem
     (n == sum(b)) only V = W passes.
     """
-    vset = _subset_labels(problem, v)
+    vset, flags = _subset_flags(problem, v)
     if problem.is_census:
         return len(vset) == problem.size
     if len(vset) == problem.size:
         return False
-    s = _scale(problem, vset)
+    s = _scale(problem, flags)
     if s <= 0:
         return False
-    strata = problem.strata
-    v_idx = [i for i, st in enumerate(strata) if st.label in vset]
-    c = [st.a / st.b for st in strata]
-    return take_all_members(problem, c, v_idx, s, range(len(strata))) == v_idx
+    K = problem.size
+    a, b = problem.columns.lists
+    return take_all_members(problem, list(map(truediv, a, b)), list(compress(range(K), flags)), s, range(K)) == flags
 
 
 def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:
@@ -334,11 +449,11 @@ def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:
     if set(x) != set(problem.labels):
         raise ValueError("allocation labels do not match the problem")
     terms = []
-    for st in problem.strata:
-        xv = x[st.label]
+    for label, a in zip(problem.labels, problem.columns.lists[0]):
+        xv = x[label]
         if not (xv > 0):
-            raise ValueError(f"stratum {st.label!r}: allocation must be positive, got {xv!r}")
-        terms.append(st.a * st.a / xv)
+            raise ValueError(f"stratum {label!r}: allocation must be positive, got {xv!r}")
+        terms.append(a * a / xv)
     return math.fsum(terms)
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mul
 
 import numpy as np
 
@@ -85,8 +87,7 @@ def brute_force_subset(problem: AllocationProblem, *, max_size: int = _BRUTE_FOR
         raise ValueError(f"exhaustive search limited to {max_size} strata, got {K}")
     if problem.is_census:
         return frozenset(problem.labels)
-    a = np.array([st.a for st in problem.strata])
-    b = np.array([st.b for st in problem.strata])
+    a, b = problem.a, problem.b
     c = a / b
     # subset sums via doubling: index bit i set <=> stratum i in the subset
     sum_a = np.zeros(1)
@@ -115,7 +116,7 @@ def brute_force_subset(problem: AllocationProblem, *, max_size: int = _BRUTE_FOR
         return (len(idx), idx)
 
     best = min(candidates, key=key)
-    return frozenset(problem.strata[i].label for i in range(K) if best >> i & 1)
+    return frozenset(problem.labels[i] for i in range(K) if best >> i & 1)
 
 
 def kkt_verify(
@@ -139,57 +140,56 @@ def kkt_verify(
 
     - stationarity: off V the condition reads a_w * s / x_w = 1, measured as
       |a_w * s / x_w - 1|; on V, lam_w >= 0 reads c_w * s >= 1, measured as
-      max(0, 1 - c_w * s). The worst over all strata.
+      max(0, 1 - c_w * s). In the census case mu = min c_w**2 makes every
+      lam_w >= 0, so the on-V term is 0. The worst over all strata.
     - complementary: on V, lam_w = c_w**2 - mu puts x_w at its bound,
       measured as the worst |x_w - b_w| / b_w.
-    - primal: the larger of |sum x - n| / max(1, n) and the worst bound
-      overshoot (x_w - b_w) / max(1, b_w).
+    - primal: the larger of |sum x - n| / max(1, n) and the worst relative
+      bound overshoot (x_w - b_w) / b_w.
 
     If s(V) <= 0, or some x_w is not in (0, inf), all three residuals are
-    inf and lam is zero. A nan residual is kept, and fails.
+    inf and lam is zero. A nan residual is kept, and fails. The conditions
+    are evaluated as vector expressions over the problem's columns.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if set(result.x) != set(problem.labels):
+    labels = problem.labels
+    if len(result.x) != problem.size:
         raise ValueError("result labels do not match the problem")
+    try:
+        x = np.array(list(map(result.x.__getitem__, labels)), dtype=np.float64)
+    except KeyError:
+        raise ValueError("result labels do not match the problem") from None
+    a, b = problem.a, problem.b
     v = result.take_all
-    if len(v) == problem.size:
-        mu = min(st.c * st.c for st in problem.strata)
-        s = math.inf
-    else:
-        s = s_of(problem, v)
-        ss = s * s
-        mu = 1.0 / ss if s > 0 and ss else math.inf
-    lam: dict[Label, float] = {}
-    stat = comp = bound = 0.0
-    ok = s > 0
-    for st in problem.strata:
-        xw = result.x[st.label]
-        if not (ok and 0 < xw < math.inf):
-            ok = False
-            break
-        if st.label in v:
-            c = st.c
-            lam[st.label] = c * c - mu
-            r = 1.0 - c * s  # lam_w >= 0; stat starts at 0, so this is max(0, 1 - c_w * s)
-            comp = max(comp, abs(xw - st.b) / st.b)
+    census = len(v) == problem.size
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        c = a / b
+        cc = c * c
+        if census:
+            mu = float(cc.min())
+            s = math.inf
         else:
-            lam[st.label] = 0.0
-            r = abs(st.a * s / xw - 1.0)
-        if r > stat or r != r:  # a nan stays
-            stat = r
-        bound = max(bound, (xw - st.b) / max(1.0, st.b))
-    if ok:
-        try:
-            total = math.fsum(result.x.values())
-        except OverflowError:
-            total = math.inf
-        primal = max(abs(total - problem.n) / max(1.0, problem.n), bound)
-        residuals = {"stationarity": stat, "primal": primal, "complementary": comp}
-    else:
-        lam = dict.fromkeys(problem.labels, 0.0)
-        residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
-    return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+            s = s_of(problem, v)
+            ss = s * s
+            mu = 1.0 / ss if s > 0 and ss else math.inf
+        if not (s > 0 and ((x > 0) & (x < math.inf)).all()):
+            lam = dict.fromkeys(labels, 0.0)
+            residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
+            return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+        on = np.fromiter(map(v.__contains__, labels), bool, problem.size)
+        lam = np.where(on, cc - mu, 0.0)
+        on_term = 0.0 if census else 1.0 - c * s  # lam_w >= 0 in scale-free form
+        stat = np.where(on, on_term, np.abs(a * s / x - 1.0)).max(initial=0.0)
+        comp = (np.abs(x - b) / b).max(initial=0.0, where=on)
+        bound = ((x - b) / b).max(initial=0.0)
+    try:
+        total = math.fsum(x.tolist())
+    except OverflowError:
+        total = math.inf
+    primal = max(abs(total - problem.n) / max(1.0, problem.n), float(bound))
+    residuals = {"stationarity": float(stat), "primal": primal, "complementary": float(comp)}
+    return KktCertificate(mu=mu, lam=dict(zip(labels, lam.tolist())), residuals=residuals, tol=tol)
 
 
 def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> AllocationResult:
@@ -207,20 +207,19 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    a, b = problem.columns.lists
     if problem.is_census:
-        x = {st.label: st.b for st in problem.strata}
         return AllocationResult(
-            x=x,
+            x=dict(zip(problem.labels, b)),
             take_all=frozenset(problem.labels),
             s_final=0.0,
             iterations=1,
             trace=(),
             algorithm="bisection",
         )
-    strata = problem.strata
 
     def total(s: float) -> float:
-        return math.fsum(min(st.a * s, st.b) for st in strata)
+        return math.fsum(map(min, map(mul, a, repeat(s)), b))
 
     hi = problem.n / problem.sum_a
     if not (sys.float_info.min <= hi < math.inf):
@@ -247,13 +246,13 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     s = hi
     x: dict[Label, float] = {}
     take_all = []
-    for st in strata:
-        xv = st.a * s
-        if xv >= st.b:
-            x[st.label] = st.b
-            take_all.append(st.label)
+    for label, av, bv in zip(problem.labels, a, b):
+        xv = av * s
+        if xv >= bv:
+            x[label] = bv
+            take_all.append(label)
         else:
-            x[st.label] = xv
+            x[label] = xv
     achieved = math.fsum(x.values())
     if abs(achieved - problem.n) > tol * problem.n:
         raise RuntimeError(
@@ -329,18 +328,17 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     n = problem.n
     if n != int(n):
         raise ValueError(f"integer allocation needs integer n, got {n!r}")
-    for st in problem.strata:
-        if st.b != int(st.b):
-            raise ValueError(f"stratum {st.label!r}: integer allocation needs integer bounds")
+    fractional = problem.b != np.floor(problem.b)
+    if fractional.any():
+        label = problem.labels[int(fractional.argmax())]
+        raise ValueError(f"stratum {label!r}: integer allocation needs integer bounds")
     n = int(n)
     if n < K:
         raise ValueError(f"integer allocation needs n >= K, got n={n}, K={K}")
     if n > 2**53:
         raise ValueError(f"integer allocation needs n <= 2**53, got n={n}")
-    strata = problem.strata
     m = n - K  # units to grant beyond the first of each stratum
-    a = np.array([st.a for st in strata])
-    b = np.array([st.b for st in strata])
+    a, b = problem.a, problem.b
     # units each stratum can take, capped at m <= 2**53: counts are exact
     # floats, and a float sum of counts compares with m exactly (it is exact
     # below 2**53, and a partial sum that reaches 2**53 >= m stays there)
@@ -370,7 +368,7 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     before = np.concatenate(([0.0], np.cumsum(ties)[:-1]))
     counts = 1.0 + above_hi + np.clip(rest - before, 0.0, ties)
     x = dict(zip(problem.labels, counts.tolist()))
-    take_all = frozenset(st.label for st, full in zip(strata, counts == b) if full)
+    take_all = frozenset(compress(problem.labels, (counts == b).tolist()))
     return AllocationResult(
         x=x,
         take_all=take_all,

@@ -151,6 +151,12 @@ class TestRandomEquivalence:
                 assert res.iterations == len(res.trace)
                 s_seq = [rec.s_value for rec in res.trace]
                 assert all(s_seq[i] <= s_seq[i + 1] for i in range(len(s_seq) - 1))
+                if solver is rna:
+                    # rna's s are the s(V_r) of its iterations, each rounded once
+                    v = set()
+                    for rec in res.trace:
+                        assert rec.s_value == s_of(p, v)
+                        v.update(rec.added)
                 for w in p.labels:
                     st = p.by_label[w]
                     if w in res.take_all:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from stratalloc import algorithms, bench, formats, power_problem
+from stratalloc import Stratum, algorithms, bench, formats, power_problem
 from stratalloc.cli import main
 
 TABLE1_CSV = "\n".join(
@@ -211,6 +212,61 @@ def test_one_solver_registry(table1_csv):
     assert bench.SOLVERS is algorithms.SOLVERS
     for name in [*algorithms.SOLVERS, "bisection"]:
         assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--algorithm", name]) == 0
+
+
+# sha256 of the allocate JSON, computed before the problem became columnar;
+# the populations are genpop's table1, power and lognormal (100 blocks, seed 0)
+ALLOCATION_SHA256 = {
+    ("table1", "8000", "rna"): "d0b04e93989ebf8b1e63481fdd0f559f09d2756266e5621ac346e17f18ed212a",
+    ("table1", "8000", "sga"): "c400af970d632ab33e47ba61a9b1c70e255a5a7618e1b708eb369cf7e0819b3f",
+    ("table1", "8000", "coma"): "8554164267a5b8be7f9731d6eacc3734d41f6d4071baee978857bb30e7a18832",
+    ("table1", "8000", "bisection"): "92da9efba633b64f5f6dea0c48a82b5ceb345f8aca603b7fe0b3123ad174e057",
+    ("power", "5000", "rna"): "0d9957c8264ad61640ba1ffa3e75a368a71599162ad214e65b25d08bb48ea809",
+    ("power", "5000", "sga"): "65bc48689f332e20b5cd61b262d023f3dbdd122973b0cff84082cfc664502e3c",
+    ("power", "5000", "coma"): "a61cde8754063c81a2548924acad4089f3decd5947c8877aaa2025db8f62a373",
+    ("power", "5000", "bisection"): "636e1837197f204eab4640a4fdd6c5fb1ce4e2dbb3fc081fd280f2482c0a422c",
+    ("power", "19999", "rna"): "89ff1d69b417a351e4dea710cf8c897f70ce994e561623860149613a49872867",
+    ("power", "19999", "sga"): "9f62aa6090a8a73d9f97d97a86b24288d2a888f5541684c45d03c290206adada",
+    ("power", "19999", "coma"): "7fed804d050fd0ae3b297085a59abfef561dbb3b73bb8095c819f6098028bfc1",
+    ("power", "19999", "bisection"): "0966a743f5c4b5d6eaef380ff7f9960ee38e3441db93d685746be2c3f5bc9f00",
+    ("lognormal", "200000", "rna"): "c4325c333540d26a278cc62527068b408af35c0d5aa44c61d444d24a3e0ab4d0",
+    ("lognormal", "200000", "sga"): "af7d9e9c02f6ab6ab8bcf74ce6b87485c3ba2c7c5fddf1f893de66086ea19ac1",
+    ("lognormal", "200000", "coma"): "8a75d20eb1b6ec64c30ae01342ef5424f839763736ea1f0f679c50d586cdc8b0",
+}
+
+
+@pytest.fixture(scope="module")
+def populations(tmp_path_factory):
+    """genpop's three populations as CSV files, by kind."""
+    root = tmp_path_factory.mktemp("populations")
+    paths = {}
+    for kind in ("table1", "power", "lognormal"):
+        paths[kind] = root / f"{kind}.csv"
+        assert main(["genpop", "--kind", kind, "--seed", "0", "--output", str(paths[kind])]) == 0
+    return paths
+
+
+class TestAllocationBytes:
+    @pytest.mark.parametrize("kind,n,algorithm", sorted(ALLOCATION_SHA256))
+    def test_pinned_sha256(self, populations, tmp_path, kind, n, algorithm):
+        out = tmp_path / "alloc.json"
+        args = ["--input", str(populations[kind]), "--n", n]
+        assert main(["allocate", *args, "--algorithm", algorithm, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ALLOCATION_SHA256[(kind, n, algorithm)]
+        assert main(["verify", *args, "--allocation", str(out)]) == 0
+
+    def test_no_records_on_allocate_or_verify(self, populations, tmp_path, monkeypatch):
+        # every Stratum and SurveyStratum constructor runs Stratum.__post_init__
+        built = []
+        check = Stratum.__post_init__
+        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+        out = tmp_path / "alloc.json"
+        args = ["--input", str(populations["lognormal"]), "--n", "200000"]
+        assert main(["allocate", *args, "--output", str(out)]) == 0
+        assert main(["verify", *args, "--allocation", str(out)]) == 0
+        assert built == []
+        Stratum.survey("u", 10, 2.0)
+        assert built == ["u"]  # the count sees survey records
 
 
 class TestGenpop:

@@ -1,0 +1,225 @@
+"""The columnar problem: both routes into it agree, and the CSV reader
+reports the same first bad line and message as a row-by-row reader."""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from stratalloc import (
+    AllocationProblem,
+    StrataColumns,
+    Stratum,
+    SurveyStratum,
+    bisection_multiplier,
+    coma,
+    is_optimal_takeall,
+    kkt_verify,
+    rna,
+    sga,
+)
+from stratalloc.formats import (
+    StrataCsvError,
+    problem_from_rows,
+    read_strata_csv,
+    write_ab_csv,
+    write_allocation_json,
+    write_ns_csv,
+)
+
+SOLVERS = {"rna": rna, "sga": sga, "coma": coma, "bisection": bisection_multiplier}
+
+
+def result_key(res):
+    return (
+        tuple((lb, float.hex(v)) for lb, v in res.x.items()),
+        res.take_all,
+        float.hex(res.s_final),
+        res.iterations,
+        tuple((rec.r, float.hex(rec.s_value), rec.added) for rec in res.trace),
+    )
+
+
+def json_bytes(res, n):
+    buf = io.StringIO()
+    write_allocation_json(res, n, buf)
+    return buf.getvalue()
+
+
+def assert_routes_agree(from_csv, from_records):
+    """Every solver and oracle gives the same answer, bit for bit, on the two problems."""
+    assert from_csv.labels == from_records.labels
+    assert from_csv.a.tobytes() == from_records.a.tobytes()
+    assert from_csv.b.tobytes() == from_records.b.tobytes()
+    for name, solver in SOLVERS.items():
+        res, other = solver(from_csv), solver(from_records)
+        assert result_key(res) == result_key(other), name
+        assert json_bytes(res, from_csv.n) == json_bytes(other, from_records.n), name
+        assert kkt_verify(from_csv, res).residuals == kkt_verify(from_records, other).residuals, name
+        assert is_optimal_takeall(from_csv, res.take_all) == is_optimal_takeall(from_records, res.take_all)
+    assert is_optimal_takeall(from_csv, ()) == is_optimal_takeall(from_records, ())
+
+
+def read(text, name="strata.csv"):
+    return read_strata_csv(io.StringIO(text), name=name)
+
+
+class TestRoutesAgree:
+    def test_near_ties(self, near_ties):
+        rng = np.random.default_rng(71)
+        for p, _ in near_ties:
+            for order in (range(p.size), rng.permutation(p.size)):
+                strata = [Stratum(str(p.strata[i].label), p.strata[i].a, p.strata[i].b) for i in order]
+                buf = io.StringIO()
+                write_ab_csv(((st.label, st.a, st.b) for st in strata), buf)
+                assert_routes_agree(problem_from_rows(read(buf.getvalue()), p.n), AllocationProblem(strata, p.n))
+
+    def test_survey_fuzz(self):
+        rng = np.random.default_rng(72)
+        for trial in range(120):
+            K = int(rng.integers(1, 40))
+            N = rng.integers(2, 2000, K).tolist()
+            S = rng.lognormal(0.0, 1.5, K).tolist()
+            labels = [f"s{i}" for i in rng.permutation(K)]
+            n = float(round(float(rng.uniform(0.02, 1.0)) * sum(N)))
+            buf = io.StringIO()
+            write_ns_csv(zip(labels, N, S), buf)
+            columns = read(buf.getvalue())
+            records = tuple(map(Stratum.survey, labels, N, S))
+            assert_routes_agree(problem_from_rows(columns, n), AllocationProblem(records, n))
+            assert columns.records == records
+
+
+class TestStrataColumns:
+    def test_records_are_lazy_and_built_once(self, monkeypatch):
+        built = []
+        check = Stratum.__post_init__
+        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+        columns = read("label,N,S\nu,100,2.5\nv,50,1.5\n")
+        p = problem_from_rows(columns, 30.0)
+        rna(p)
+        assert built == []
+        assert [type(st) for st in p.strata] == [SurveyStratum, SurveyStratum]
+        assert built == ["u", "v"]
+        assert columns[1] is p.strata[1] and list(columns) == list(p.strata)
+        assert built == ["u", "v"]
+
+    def test_problem_from_records_keeps_the_tuple(self):
+        strata = (Stratum("u", 1.0, 2.0), Stratum("v", 3.0, 4.0))
+        p = AllocationProblem(strata, 5.0)
+        assert p.strata is strata
+        assert p.a.tolist() == [1.0, 3.0] and p.b.tolist() == [2.0, 4.0]
+
+    def test_immutable(self):
+        columns = StrataColumns(["u", "v"], [1.0, 3.0], [2.0, 4.0])
+        p = AllocationProblem(columns, 5.0)
+        with pytest.raises(AttributeError):
+            p.n = 6.0
+        with pytest.raises(ValueError):
+            p.a[0] = 7.0
+        assert columns.S is None
+
+    @pytest.mark.parametrize(
+        "a,b,S,match",
+        [
+            ([1.0, -1.0], [2.0, 2.0], None, "stratum 'v': a must be positive"),
+            ([1.0, 1e300], [2.0, 1e-300], None, "stratum 'v': a/b overflows"),
+            ([1.0, 2.0], [2.0, 2.5], [0.5, 0.8], "stratum 'v': N must be an integer"),
+            ([1.0, 2.0], [2.0, 2.0], [0.5, 0.9], r"stratum 'v': a = 2.0 is not N \* S"),
+        ],
+    )
+    def test_constructor_raises_the_record_message(self, a, b, S, match):
+        with pytest.raises(ValueError, match=match):
+            StrataColumns(["u", "v"], a, b, S)
+
+
+def reference_read(text, name):
+    """The row-by-row reader: each data row is checked in turn, and the first
+    bad one raises; the message of a value error is the record constructor's."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip().lower() for h in next(reader)]
+    make = Stratum if header == ["label", "a", "b"] else Stratum.survey
+    seen = set()
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw or (len(raw) == 1 and not raw[0].strip()):
+            continue
+        if len(raw) != 3:
+            raise StrataCsvError(f"{name}: line {lineno}: expected 3 fields, got {len(raw)}")
+        label = raw[0].strip()
+        if not label:
+            raise StrataCsvError(f"{name}: line {lineno}: empty label")
+        if label in seen:
+            raise StrataCsvError(f"{name}: line {lineno}: duplicate label {label!r}")
+        seen.add(label)
+        try:
+            v1, v2 = float(raw[1]), float(raw[2])
+        except ValueError:
+            raise StrataCsvError(f"{name}: line {lineno}: non-numeric value in {raw[1]!r}, {raw[2]!r}") from None
+        try:
+            make(label, v1, v2)
+        except ValueError as exc:
+            raise StrataCsvError(f"{name}: line {lineno}: {exc}") from None
+    raise AssertionError("no bad row")
+
+
+# one bad row of each kind: (the header forms it applies to, the line with
+# {label} for a fresh label; None repeats a line already in the file)
+BAD_ROWS = {
+    "too_few_fields": ("both", "{label},1"),
+    "too_many_fields": ("both", "{label},1,2,3"),
+    "empty_label": ("both", " ,1,2"),
+    "duplicate_label": ("both", None),
+    "non_numeric": ("both", "{label},oops,2"),
+    "nan": ("both", "{label},nan,2"),
+    "zero": ("both", "{label},0,2"),
+    "negative": ("both", "{label},3,-2"),
+    "ab_overflow": ("ab", "{label},1e300,1e-300"),
+    "infinite": ("ab", "{label},inf,1"),
+    "survey_overflow": ("ns", "{label},1e300,1e10"),
+    "fractional_N": ("ns", "{label},10.5,2"),
+}
+
+
+class TestReadErrorParity:
+    def test_mixed_bad_rows_fuzz(self):
+        rng = np.random.default_rng(73)
+        checked = 0
+        for trial in range(400):
+            form = ("ab", "ns")[trial % 2]
+            kinds = [k for k, (f, _) in BAD_ROWS.items() if f in ("both", form)]
+            rows = [f"r{i},{int(rng.integers(2, 50))},{float(rng.uniform(0.1, 9)):.17g}" for i in range(int(rng.integers(3, 10)))]
+            for kind in rng.choice(kinds, size=int(rng.integers(2, 5))):
+                label = f"x{len(rows)}"
+                _, template = BAD_ROWS[kind]
+                line = rows[int(rng.integers(len(rows)))] if template is None else template.format(label=label)
+                rows.insert(int(rng.integers(len(rows) + 1)), line)
+            for _ in range(int(rng.integers(0, 3))):
+                rows.insert(int(rng.integers(len(rows) + 1)), rng.choice(["", "  "]))
+            text = ("label,a,b\n" if form == "ab" else "label,N,S\n") + "\n".join(rows) + "\n"
+            with pytest.raises(StrataCsvError) as want:
+                reference_read(text, "f.csv")
+            with pytest.raises(StrataCsvError) as got:
+                read(text, "f.csv")
+            assert str(got.value) == str(want.value), text
+            checked += 1
+        assert checked == 400
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("label,a,b\nu,1,2\nv,oops,3\nu,1,2\n", "line 3: non-numeric value in 'oops', '3'"),
+            ("label,a,b\nu,1,2\n\nu,1\nv,0,1\n", "line 4: expected 3 fields, got 2"),
+            ("label,N,S\nu,10,2\nv,10.5,2\nw,nan,1\n", "line 3: stratum 'v': N must be an integer, got 10.5"),
+            ("label,N,S\nu,10,2\n ,1,1\nu,1,1\n", "line 3: empty label"),
+            ("label,a,b\nu,1,2\nv,1e300,1e-300\nu,1,2\n", "line 3: stratum 'v': a/b overflows"),
+            ("label,a,b\nu,1,2\nv,1,2\nu,-1,2\nw,x,1\n", "line 4: duplicate label 'u'"),
+            # one row, two faults: the check a row-by-row reader meets first names it
+            ("label,a,b\nu,1,2\nu,oops,2\n", "line 3: duplicate label 'u'"),
+            ("label,N,S\nu,1,2\n ,oops,2\n", "line 3: empty label"),
+            ("label,a,b\nu,1,2\n ,1\n", "line 3: expected 3 fields, got 2"),
+        ],
+    )
+    def test_pinned_first_errors(self, text, message):
+        with pytest.raises(StrataCsvError, match="^f.csv: " + message.replace("*", r"\*")):
+            read(text, "f.csv")

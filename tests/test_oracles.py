@@ -232,6 +232,36 @@ class TestKktVerify:
         assert cert.failed == ("stationarity",)
         assert cert.mu == pytest.approx(1e-10, rel=1e-12)
 
+    def test_bound_overshoot_is_relative_below_one(self):
+        # x_0 = 5 * b_0 with b_0 = 1e-300: the overshoot is 4 bounds, not
+        # 4e-300 units; only the primal condition is broken
+        p = small([1, 1], [1e-300, 1], 1e-299)
+        bad = AllocationResult(
+            x={0: 5e-300, 1: 5e-300}, take_all=frozenset(), s_final=5e-300, iterations=1, trace=(), algorithm="x"
+        )
+        cert = kkt_verify(p, bad)
+        assert cert.residuals["primal"] == pytest.approx(4.0, rel=1e-12)
+        assert cert.failed == ("primal",)
+        assert_one_rule(cert)
+        # the optimum: stratum 0 at its bound, the rest of n on stratum 1
+        res = rna(p)
+        assert res.take_all == {0} and res.x == {0: 1e-300, 1: 9e-300}
+        good = kkt_verify(p, res)
+        assert good.valid and good.failed == ()
+
+    def test_census_with_underflowing_priority(self):
+        # c_0 = 5e-324 / 1e10 underflows to 0 and the census s is inf; mu =
+        # min c**2 = 0 keeps every bound multiplier nonnegative
+        p = small([5e-324, 1], [1e10, 1], 1e10 + 1)
+        assert p.is_census
+        res = rna(p)
+        cert = kkt_verify(p, res)
+        assert cert.failed == ()
+        assert cert.valid
+        assert cert.residuals["stationarity"] == 0.0
+        assert cert.mu == 0.0
+        assert_one_rule(cert)
+
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_one_rule_on_random_allocations(self, problem_factory, scale):
         # solved, perturbed in one stratum, and with mass moved between two
