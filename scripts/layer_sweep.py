@@ -1,15 +1,17 @@
 """Per-layer times of the allocate and verify paths over a sweep of K.
 
     python3 scripts/layer_sweep.py --src parent=/path/to/parent/src --src change=src \
-        --sizes 10000 100000 1000000 --repeats 5 --out BENCH_7.json
+        --sizes 1000 10000 100000 1000000 --repeats 5 --out BENCH_8.json
 
 Each ``--src NAME=DIR`` is a source tree holding the ``stratalloc`` package.
 For every K the input is perfbench's seeded survey file
 (``perfbench/gen.write_survey_csv``, seed 0) with n = round(0.2 * sum(N)).
 Each repeat runs, for every source in turn, one worker process that times
 the layers in process once each (CSV read, problem build, rna, JSON write,
-JSON read, kkt_verify, is_optimal_takeall), then the CLI ``allocate`` and
-``verify`` commands as child processes, timed from spawn to exit. Sources
+JSON read, kkt_verify, is_optimal_takeall), then three child processes,
+each timed from spawn to exit: ``python -c "import stratalloc.cli"``
+(``cli_import``, the start-up every command pays) and the CLI ``allocate``
+and ``verify`` commands. Sources
 alternate within a repeat, so a drift of the host's speed reaches all of
 them. The output holds the median of every layer per source and K, the
 sha256 of each source's allocation JSON, and the median time of perfbench's
@@ -38,6 +40,7 @@ LAYERS = (
     "read_strata_csv", "build", "rna", "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall",
 )
+CHILDREN = ("cli_import", "cli_allocate", "cli_verify")
 
 
 def worker(csv_path: str, n: float) -> dict[str, float]:
@@ -66,12 +69,11 @@ def worker(csv_path: str, n: float) -> dict[str, float]:
     return out
 
 
-def cli(src: str, argv: list[str]) -> float:
-    """Wall time of one CLI child from spawn to exit."""
+def child(src: str, args: list[str]) -> float:
+    """Wall time of one Python child from spawn to exit."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "stratalloc.cli", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL, timeout=600)
+    subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
     return time.perf_counter() - start
 
 
@@ -88,7 +90,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         path = work / f"survey_{K}.csv"
         gen.write_survey_csv(str(path), 0, K)
         n = gen.sample_size(str(path))
-        samples = {name: {layer: [] for layer in (*LAYERS, "cli_allocate", "cli_verify")} for name in sources}
+        samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
         digests = {}
         for _ in range(repeats):
             for name, src in sources.items():
@@ -100,10 +102,11 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 for layer, t in json.loads(proc.stdout).items():
                     samples[name][layer].append(t)
                 out = work / f"{name}_{K}.json"
-                samples[name]["cli_allocate"].append(
-                    cli(src, ["allocate", "--input", str(path), "--n", str(n), "--output", str(out)]))
-                samples[name]["cli_verify"].append(
-                    cli(src, ["verify", "--input", str(path), "--n", str(n), "--allocation", str(out)]))
+                samples[name]["cli_import"].append(child(src, ["-c", "import stratalloc.cli"]))
+                samples[name]["cli_allocate"].append(child(src, [
+                    "-m", "stratalloc.cli", "allocate", "--input", str(path), "--n", str(n), "--output", str(out)]))
+                samples[name]["cli_verify"].append(child(src, [
+                    "-m", "stratalloc.cli", "verify", "--input", str(path), "--n", str(n), "--allocation", str(out)]))
                 digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
         for name in sources:
             results[name][str(K)] = {
@@ -123,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True, help="NAME=DIR of a source tree; repeatable")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[1_000, 10_000, 100_000, 1_000_000])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -138,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
-        "timing each layer once, then the CLI allocate and verify children. Unscaled medians in seconds."
+        "timing each layer once, then the import, allocate and verify children. Unscaled medians in seconds."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

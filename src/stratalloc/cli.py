@@ -78,7 +78,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = formats.problem_from_rows(rows, args.n)
     with open(args.allocation, encoding="utf-8") as fp:
         result = formats.read_allocation_json(fp, name=args.allocation)
-    if set(result.x) != set(problem.labels):
+    if len(result.x) != problem.size or not all(map(result.x.__contains__, problem.labels)):
         raise ValueError("allocation labels do not match the strata file")
     cert = kkt_verify(problem, result, tol=args.tol)
     fixed_point = is_optimal_takeall(problem, result.take_all)
@@ -144,8 +144,9 @@ def cmd_genpop(args: argparse.Namespace) -> int:
 def cmd_roundcmp(args: argparse.Namespace) -> int:
     rows = _read_rows(args.input)
     fractions = _check_fractions(args.fraction)
-    N, S = formats.population_maps_from_rows(rows)
-    reports = variance_table(N, S, fractions)
+    strata = formats.survey_columns(rows)
+    N, S = formats.population_maps_from_rows(strata)
+    reports = variance_table(N, S, fractions, strata)
     with _open_out(args.output) as fp:
         write_variance_csv(reports, fp)
     if any(rep.skipped for rep in reports):

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from collections.abc import Hashable
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import IO, Iterable, Sequence
-
-import numpy as np
 
 from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum, first_invalid
 
@@ -19,6 +18,7 @@ __all__ = [
     "StrataCsvError",
     "read_strata_csv",
     "problem_from_rows",
+    "survey_columns",
     "population_maps_from_rows",
     "write_ab_csv",
     "write_ns_csv",
@@ -56,7 +56,16 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         raise StrataCsvError(
             f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
         )
-    rows = list(reader)
+    # K rows are K small lists; cyclic collections while they are built
+    # only scan them again (about 30% of the read at K = 1e6), so the
+    # collector is paused
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = list(reader)
+    finally:
+        if collecting:
+            gc.enable()
     lines: Sequence[int] = range(2, len(rows) + 2)
     if min(map(len, rows), default=2) < 2:
         # blank lines are ignored; the others keep their line numbers
@@ -81,16 +90,17 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     first = min(first, len(v1), len(v2))
     del labels[first:], v1[first:], v2[first:]
     if make is Stratum:
-        a, b, S = np.array(v1), np.array(v2), None
+        a, b, S = v1, v2, None
     else:
-        b, S = np.array(v1), np.array(v2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = b * S
+        a, b, S = list(map(mul, v1, v2)), v1, v2
+    if first == len(rows):
+        try:
+            return StrataColumns(labels, a, b, S)
+        except ValueError:  # some value is rejected: find the row below
+            pass
     first = min(first, first_invalid(a, b, S))
-    if first < len(rows):
-        reason = _row_error(rows[first], frozenset(labels[:first]), make)
-        raise StrataCsvError(f"{name}: line {lines[first]}: {reason}")
-    return StrataColumns(labels, a, b, S)
+    reason = _row_error(rows[first], frozenset(labels[:first]), make)
+    raise StrataCsvError(f"{name}: line {lines[first]}: {reason}")
 
 
 def _first_repeat(items: list) -> int:
@@ -144,22 +154,26 @@ def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
     return AllocationProblem(strata=rows, n=n)
 
 
-def population_maps_from_rows(rows: Sequence[Stratum]) -> tuple[dict, dict]:
-    """(N, S) maps for variance work; a,b rows must then have integer b."""
-    N: dict[str, int] = {}
-    S: dict[str, float] = {}
+def survey_columns(rows: Sequence[Stratum]) -> StrataColumns:
+    """The rows as survey strata (b = N, a = N * S) for variance work:
+    columns read from a ``label,N,S`` file as they are; other rows must then
+    have integer b, and get S = a / b."""
+    if isinstance(rows, StrataColumns) and rows.S is not None:
+        return rows
+    labels, N, S = [], [], []
     for row in rows:
-        if row.N is not None:
-            N[row.label] = row.N
-            S[row.label] = row.S
-        else:
-            if row.b != int(row.b):
-                raise StrataCsvError(
-                    f"stratum {row.label!r}: bound {row.b!r} is not an integer population size"
-                )
-            N[row.label] = int(row.b)
-            S[row.label] = row.a / row.b
-    return N, S
+        if row.S is None and row.b != int(row.b):
+            raise StrataCsvError(f"stratum {row.label!r}: bound {row.b!r} is not an integer population size")
+        labels.append(row.label)
+        N.append(row.b)
+        S.append(row.a / row.b if row.S is None else row.S)
+    return StrataColumns(labels, map(mul, N, S), N, S)
+
+
+def population_maps_from_rows(rows: Sequence[Stratum]) -> tuple[dict, dict]:
+    """(N, S) maps of :func:`survey_columns`; a,b rows must then have integer b."""
+    strata = survey_columns(rows)
+    return dict(zip(strata.labels, map(int, strata.lists[1]))), dict(zip(strata.labels, strata.S))
 
 
 def write_ab_csv(rows: Iterable[tuple[str, float, float]], fp: IO[str]) -> None:
@@ -209,9 +223,8 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     """
     labels = list(result.x)
     xs = list(result.x.values())
-    finite = np.isfinite(xs)
-    if not finite.all():
-        bad = int(finite.argmin())
+    if not all(map(math.isfinite, xs)):
+        bad = next(i for i, x in enumerate(xs) if not math.isfinite(x))
         raise ValueError(
             f"cannot write the allocation as JSON: stratum {labels[bad]!r} has x = {xs[bad]!r}"
             f" at s = {result.s_final!r}"

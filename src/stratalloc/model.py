@@ -25,8 +25,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter, lt, mul, neg, not_, truediv
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Label = Hashable
 
@@ -105,54 +107,75 @@ class SurveyStratum(Stratum):
         return int(self.b)
 
 
-def _column(values) -> np.ndarray:
+def _column(values: list[float]) -> np.ndarray:
+    import numpy as np
+
     col = np.array(values, dtype=np.float64)
     col.flags.writeable = False
     return col
 
 
-def first_invalid(a: np.ndarray, b: np.ndarray, S: np.ndarray | None = None) -> int:
+def _valid(a: float, b: float, S: float | None = None) -> bool:
+    # the checks of Stratum and SurveyStratum on one stratum's values
+    return 0 < a < math.inf and 0 < b < math.inf and a / b < math.inf and (
+        S is None or (b.is_integer() and a == b * S)
+    )
+
+
+def first_invalid(a: list[float], b: list[float], S: list[float] | None = None) -> int:
     """Position of the first stratum whose record constructor would reject
     it, or len(a) when every one is valid.
 
     The column form of the checks in :class:`Stratum` and
     :class:`SurveyStratum` (when S is given): a and b positive and finite,
-    a/b finite, and for survey strata b an integer with a == b * S.
+    a/b finite, and for survey strata b an integer with a == b * S. Each
+    check is one C-level pass over the lists of floats; only when one fails
+    are the strata checked one by one to find the first bad one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (a > 0) & (a < math.inf) & (b > 0) & (b < math.inf) & (a / b < math.inf)
-        if S is not None:
-            ok &= (b == np.floor(b)) & (a == b * S)
-    return len(a) if ok.all() else int(ok.argmin())
+    ok = (
+        all(map(math.isfinite, a))
+        and all(map(math.isfinite, b))
+        and min(a, default=1.0) > 0
+        and min(b, default=1.0) > 0
+        and all(map(math.isfinite, map(truediv, a, b)))
+        and (S is None or (all(map(float.is_integer, b)) and list(map(mul, b, S)) == a))
+    )
+    if ok:
+        return len(a)
+    return next(i for i, row in enumerate(zip(a, b, repeat(None) if S is None else S)) if not _valid(*row))
 
 
 class StrataColumns(Sequence):
-    """Strata held as columns: labels, float64 a and b, and S for survey strata.
+    """Strata held as columns: labels, a and b, and S for survey strata.
 
     The one representation the problem, the solvers and the file formats
-    read. ``a`` and ``b`` are read-only arrays for vector work; ``lists``
-    holds the same two columns as lists of floats for per-stratum Python
-    work, which at K = 20 costs less than numpy's per-call overhead. Either
-    form is built from the other once, on first use. As a sequence it yields
-    :class:`Stratum` records (:class:`SurveyStratum` records when S is
-    given), all built on first use and then kept; built by
-    :meth:`from_records` it is that exact tuple. The constructor checks the
-    columns as the record constructors would, and the first rejected stratum
-    raises its own record constructor's ValueError.
+    read. ``lists`` holds a and b as lists of floats, and ``S`` is a list of
+    floats or None: every pass over a column is one C-level map, compress or
+    fsum, which at K = 20 costs less than numpy's per-call overhead, and
+    which needs no numpy. ``a`` and ``b`` are read-only float64 arrays of
+    the same columns, built on first access, for the oracles that do vector
+    work. As a sequence it yields :class:`Stratum` records
+    (:class:`SurveyStratum` records when S is given), all built on first use
+    and then kept; built by :meth:`from_records` it is that exact tuple. The
+    constructor checks the columns as the record constructors would, and the
+    first rejected stratum raises its own record constructor's ValueError.
     """
 
-    def __init__(self, labels: Iterable[Label], a, b, S=None) -> None:
+    def __init__(
+        self, labels: Iterable[Label], a: Iterable[float], b: Iterable[float], S: Iterable[float] | None = None
+    ) -> None:
         self.labels = tuple(labels)
-        self._a = _column(a)
-        self._b = _column(b)
-        self.S = None if S is None else _column(S)
-        if not len(self.labels) == len(self._a) == len(self._b) == len(self._a if S is None else self.S):
+        self.lists = (list(map(float, a)), list(map(float, b)))
+        self.S = None if S is None else list(map(float, S))
+        K = len(self.labels)
+        if not K == len(self.lists[0]) == len(self.lists[1]) == (K if self.S is None else len(self.S)):
             raise ValueError("strata columns must have equal lengths")
         self._records: tuple[Stratum, ...] | None = None
-        self._lists: tuple[list[float], list[float]] | None = None
-        bad = first_invalid(self._a, self._b, self.S)
-        if bad < len(self.labels):
-            self.records  # the record constructor of stratum `bad` raises
+        self._a = self._b = None
+        bad = first_invalid(*self.lists, self.S)
+        if bad < K:
+            make, cols = self._record_columns()
+            make(*(col[bad] for col in cols))  # the record constructor raises
             raise ValueError(f"stratum {self.labels[bad]!r} is invalid")
 
     @classmethod
@@ -161,36 +184,32 @@ class StrataColumns(Sequence):
         self = cls.__new__(cls)
         self._records = tuple(records)
         self.labels = tuple(map(attrgetter("label"), self._records))
-        self._lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
+        self.lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
         self._a = self._b = self.S = None
         return self
 
     @property
     def a(self) -> np.ndarray:
         if self._a is None:
-            self._a = _column(self._lists[0])
+            self._a = _column(self.lists[0])
         return self._a
 
     @property
     def b(self) -> np.ndarray:
         if self._b is None:
-            self._b = _column(self._lists[1])
+            self._b = _column(self.lists[1])
         return self._b
 
-    @property
-    def lists(self) -> tuple[list[float], list[float]]:
-        if self._lists is None:
-            self._lists = (self._a.tolist(), self._b.tolist())
-        return self._lists
+    def _record_columns(self) -> tuple[type[Stratum], tuple]:
+        if self.S is None:
+            return Stratum, (self.labels, *self.lists)
+        return SurveyStratum, (self.labels, *self.lists, self.S)
 
     @property
     def records(self) -> tuple[Stratum, ...]:
         if self._records is None:
-            cols = [self.labels, *self.lists]
-            if self.S is None:
-                self._records = tuple(map(Stratum, *cols))
-            else:
-                self._records = tuple(map(SurveyStratum, *cols, self.S.tolist()))
+            make, cols = self._record_columns()
+            self._records = tuple(map(make, *cols))
         return self._records
 
     def __len__(self) -> int:
@@ -214,9 +233,10 @@ class AllocationProblem:
     """An allocation instance: strata in a fixed order plus the total sample size n.
 
     ``strata`` is a :class:`StrataColumns` or any iterable of
-    :class:`Stratum` records. The problem holds the columns: ``labels``, the
-    read-only float64 arrays ``a`` and ``b``, and their list views in
-    ``columns.lists``, which every solver and oracle reads. ``strata`` reads
+    :class:`Stratum` records. The problem holds the columns: ``labels`` and
+    the a and b lists in ``columns.lists``, which the solvers and oracles
+    read; ``a`` and ``b`` are the read-only float64 arrays of the columns,
+    built on first access for the oracles that need numpy. ``strata`` reads
     back the records: the tuple given, or for columns, records built once on
     first use.
 

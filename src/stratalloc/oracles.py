@@ -20,9 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import mul
-
-import numpy as np
+from operator import gt, mul, not_, sub, truediv
+from typing import TYPE_CHECKING
 
 from .model import (
     AllocationProblem,
@@ -30,6 +29,9 @@ from .model import (
     Label,
     s_of,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KktCertificate",
@@ -87,6 +89,8 @@ def brute_force_subset(problem: AllocationProblem, *, max_size: int = _BRUTE_FOR
         raise ValueError(f"exhaustive search limited to {max_size} strata, got {K}")
     if problem.is_census:
         return frozenset(problem.labels)
+    import numpy as np
+
     a, b = problem.a, problem.b
     c = a / b
     # subset sums via doubling: index bit i set <=> stratum i in the subset
@@ -148,8 +152,9 @@ def kkt_verify(
       bound overshoot (x_w - b_w) / b_w.
 
     If s(V) <= 0, or some x_w is not in (0, inf), all three residuals are
-    inf and lam is zero. A nan residual is kept, and fails. The conditions
-    are evaluated as vector expressions over the problem's columns.
+    inf and lam is zero. A nan residual is kept, and fails. Each condition
+    is one C-level pass over the problem's column lists, one IEEE operation
+    per stratum and term, and each residual is its exact maximum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -157,39 +162,53 @@ def kkt_verify(
     if len(result.x) != problem.size:
         raise ValueError("result labels do not match the problem")
     try:
-        x = np.array(list(map(result.x.__getitem__, labels)), dtype=np.float64)
+        x = list(map(result.x.__getitem__, labels))
     except KeyError:
         raise ValueError("result labels do not match the problem") from None
-    a, b = problem.a, problem.b
+    a, b = problem.columns.lists
     v = result.take_all
     census = len(v) == problem.size
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        c = a / b
-        cc = c * c
-        if census:
-            mu = float(cc.min())
-            s = math.inf
-        else:
-            s = s_of(problem, v)
-            ss = s * s
-            mu = 1.0 / ss if s > 0 and ss else math.inf
-        if not (s > 0 and ((x > 0) & (x < math.inf)).all()):
-            lam = dict.fromkeys(labels, 0.0)
-            residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
-            return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
-        on = np.fromiter(map(v.__contains__, labels), bool, problem.size)
-        lam = np.where(on, cc - mu, 0.0)
-        on_term = 0.0 if census else 1.0 - c * s  # lam_w >= 0 in scale-free form
-        stat = np.where(on, on_term, np.abs(a * s / x - 1.0)).max(initial=0.0)
-        comp = (np.abs(x - b) / b).max(initial=0.0, where=on)
-        bound = ((x - b) / b).max(initial=0.0)
+    if census:
+        c = list(map(truediv, a, b))
+        mu = min(map(mul, c, c))
+        s = math.inf
+    else:
+        s = s_of(problem, v)
+        ss = s * s
+        mu = 1.0 / ss if s > 0 and ss else math.inf
+    if not (s > 0 and all(map(math.isfinite, x)) and min(x) > 0):
+        lam = dict.fromkeys(labels, 0.0)
+        residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
+        return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+    on = list(map(v.__contains__, labels))
+    off = list(map(not_, on))
+    b_on = list(compress(b, on))
+    c_on = list(map(truediv, compress(a, on), b_on))
+    lam = dict.fromkeys(labels, 0.0)
+    lam.update(zip(compress(labels, on), map(sub, map(mul, c_on, c_on), repeat(mu))))
+    # off V, |a_w * s / x_w - 1|; on V, 1 - c_w * s (lam_w >= 0 in scale-free
+    # form), which mu = min c**2 makes 0 in the census case
+    stat = list(map(abs, map(sub, map(truediv, map(mul, compress(a, off), repeat(s)), compress(x, off)), repeat(1.0))))
+    if not census:
+        stat += map(sub, repeat(1.0), map(mul, c_on, repeat(s)))
+    comp = list(map(truediv, map(abs, map(sub, compress(x, on), b_on)), b_on))
+    # the bound term (x_w - b_w) / b_w is positive only where x_w > b_w
+    over = list(map(gt, x, b))
+    bound = list(map(truediv, map(sub, compress(x, over), compress(b, over)), compress(b, over)))
     try:
-        total = math.fsum(x.tolist())
+        total = math.fsum(x)
     except OverflowError:
         total = math.inf
-    primal = max(abs(total - problem.n) / max(1.0, problem.n), float(bound))
-    residuals = {"stationarity": float(stat), "primal": primal, "complementary": float(comp)}
-    return KktCertificate(mu=mu, lam=dict(zip(labels, lam.tolist())), residuals=residuals, tol=tol)
+    primal = max(abs(total - problem.n) / max(1.0, problem.n), _worst(bound))
+    residuals = {"stationarity": _worst(stat), "primal": primal, "complementary": _worst(comp)}
+    return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+
+
+def _worst(terms: list[float]) -> float:
+    # the largest of 0.0 and the terms, and nan when some term is nan
+    if any(map(math.isnan, terms)):
+        return math.nan
+    return max(0.0, max(terms, default=0.0))
 
 
 def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> AllocationResult:
@@ -280,6 +299,8 @@ def _units_above(A: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
     bisected. Counts are whole float64 values.
     """
 
+    import numpy as np
+
     def above(k: np.ndarray) -> np.ndarray:
         return (k == 0.0) | ((k <= u) & (A / (k * (k + 1.0)) > t))
 
@@ -324,6 +345,8 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     is deterministic. take_all holds the strata at their bounds. s_final is
     reported as 0.0: an integer allocation has no continuous scale.
     """
+    import numpy as np
+
     K = problem.size
     n = problem.n
     if n != int(n):

@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .model import AllocationProblem, Stratum, SurveyStratum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PopulationSpec",
@@ -125,6 +126,8 @@ def geometric_strata(values: Sequence[float], num_strata: int) -> list[float]:
     half-open interval [k_{h-1}, k_h); the last stratum includes the max.
     Equal min and max degenerate to a single stratum (no boundaries).
     """
+    import numpy as np
+
     if num_strata < 1:
         raise ValueError("num_strata must be positive")
     arr = np.asarray(values, dtype=float)
@@ -152,6 +155,8 @@ def geometric_strata(values: Sequence[float], num_strata: int) -> list[float]:
 
 def stratum_sd(values: Sequence[float]) -> float:
     """Sample standard deviation (ddof = 1), two-pass for stability."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError("standard deviation needs at least 2 values")
@@ -165,6 +170,8 @@ def _split_block(values: np.ndarray, num_strata: int) -> list[np.ndarray]:
     allocation problem (their SD is undefined or their weight a would be 0);
     they merge into the right neighbor, the rightmost one into the left.
     """
+    import numpy as np
+
     bounds = geometric_strata(values, num_strata)
     cuts = [0] + [int(np.searchsorted(values, b, side="left")) for b in bounds] + [len(values)]
     parts = [values[cuts[j]:cuts[j + 1]] for j in range(len(cuts) - 1)]
@@ -195,6 +202,8 @@ def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
     """
     if spec.kind != "lognormal_blocks":
         raise ValueError(f"expected kind 'lognormal_blocks', got {spec.kind!r}")
+    import numpy as np
+
     seq = np.random.SeedSequence(spec.seed)
     children = seq.spawn(spec.block_count + 1)
     summaries: list[SurveyStratum] = []

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
-from .model import AllocationProblem, Label, Stratum, srswor_variance
+from .model import AllocationProblem, Label, StrataColumns, Stratum, srswor_variance
 from .oracles import greedy_integer_optimal
 
 __all__ = [
@@ -94,6 +94,7 @@ def variance_table(
     N: Mapping[Label, float],
     S: Mapping[Label, float],
     fractions: Sequence[float],
+    strata: StrataColumns | None = None,
 ) -> list[VarianceReport]:
     """Compare continuous, rounded and integer-optimal allocations.
 
@@ -103,10 +104,15 @@ def variance_table(
     ratios. Fractions where n < K are reported as skipped (NaN metrics).
     At f = 1 all three variances are exactly 0 and the ratios are reported
     as 1. If rounding zeroes out a stratum, d2_rounded is +inf.
+
+    ``strata`` are the survey strata of N and S in the order of N (a = N * S,
+    b = N), such as :func:`~stratalloc.formats.survey_columns` of the rows
+    that N and S came from; when not given they are built from N and S.
     """
     if set(N) != set(S):
         raise ValueError("N and S must cover the same labels")
-    strata = tuple(Stratum.survey(w, N[w], S[w]) for w in N)
+    if strata is None:
+        strata = tuple(Stratum.survey(w, N[w], S[w]) for w in N)
     total_N = math.fsum(N.values())
     K = len(strata)
     reports = []

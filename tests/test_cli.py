@@ -207,6 +207,25 @@ class TestVerify:
         code = main(["verify", "--input", str(other), "--n", "3", "--allocation", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines + ["21,500,1000"],  # the allocation lacks label 21
+            lambda lines: lines[:-1],  # the allocation has label 20, the file does not
+            lambda lines: lines[:-1] + ["21,510,1000"],  # as many labels, one different
+        ],
+        ids=["missing", "extra", "renamed"],
+    )
+    def test_label_mismatch_message(self, table1_csv, tmp_path, capsys, edit):
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)]) == 0
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(edit(TABLE1_CSV.splitlines())) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--input", str(other), "--n", "8000", "--allocation", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: allocation labels do not match the strata file\n"
+
 
 def test_one_solver_registry(table1_csv):
     assert bench.SOLVERS is algorithms.SOLVERS
@@ -402,6 +421,20 @@ class TestRoundcmp:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1  # the report is still written
         assert "skipped" in capsys.readouterr().err
+
+    def test_no_records_rebuilt(self, populations, tmp_path, monkeypatch):
+        # a label,N,S file's columns are the survey strata that variance_table
+        # solves over; no Stratum or SurveyStratum is built on the way
+        built = []
+        check = Stratum.__post_init__
+        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+        out = tmp_path / "round.csv"
+        args = ["--fraction", "0.1", "--fraction", "0.5", "--output", str(out)]
+        assert main(["roundcmp", "--input", str(populations["lognormal"]), *args]) == 0
+        assert built == []
+        # a label,a,b file is read as records once, with S = a / b
+        assert main(["roundcmp", "--input", str(populations["table1"]), *args]) == 0
+        assert built == list(map(str, range(1, 21)))
 
     def test_weight_form_needs_integer_bounds(self, tmp_path, capsys):
         pop = tmp_path / "pop.csv"

@@ -3,6 +3,8 @@ reports the same first bad line and message as a row-by-row reader."""
 
 import csv
 import io
+import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from stratalloc import (
     rna,
     sga,
 )
+from stratalloc.model import first_invalid
 from stratalloc.formats import (
     StrataCsvError,
     problem_from_rows,
@@ -223,3 +226,80 @@ class TestReadErrorParity:
     def test_pinned_first_errors(self, text, message):
         with pytest.raises(StrataCsvError, match="^f.csv: " + message.replace("*", r"\*")):
             read(text, "f.csv")
+
+
+def numpy_first_invalid(a, b, S=None):
+    """The column checks as they were written over float64 arrays, kept as
+    the oracle of the list form (divide is ignored too, for b = 0)."""
+    a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ok = (a > 0) & (a < math.inf) & (b > 0) & (b < math.inf) & (a / b < math.inf)
+        if S is not None:
+            S = np.array(S, dtype=np.float64)
+            ok &= (b == np.floor(b)) & (a == b * S)
+    return len(a) if ok.all() else int(ok.argmin())
+
+
+# values that sit on an edge of some check, and ordinary ones
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 2.2e-308, 1e-300,
+    1e-160, 1e160, 1e200, 1e300, 1.7976931348623157e308, 2.5, 0.1 + 0.2,
+)
+PLAIN_VALUES = (1.0, 2.0, 3.0, 10.0, 1000.0, 0.5, 7.25)
+
+
+class TestFirstInvalidParity:
+    def check(self, a, b, S=None):
+        assert first_invalid(a, b, S) == numpy_first_invalid(a, b, S), (a, b, S)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([1.0, -0.0], [1.0, 1.0]),  # -0.0 is not positive
+            ([1.0, 1.0], [1.0, -0.0]),
+            ([5e-324, 1.0], [1.0, 1.0]),  # subnormal a is valid
+            ([1.0, 1.0], [1.0, 5e-324]),  # subnormal b: a/b overflows
+            ([5e-324, 5e-324], [1e300, 1.0]),  # a/b underflows to 0: valid
+            ([1.0, 1e300], [1.0, 1e-300]),  # a/b overflows
+            ([1.0, math.nan], [1.0, 1.0]),
+            ([1.0, 1.0], [math.inf, 1.0]),
+            ([], []),
+        ],
+    )
+    def test_pinned_plain(self, a, b):
+        self.check(a, b)
+
+    @pytest.mark.parametrize(
+        "b,S",
+        [
+            ([10.0, 10.0], [1.0, math.nan]),  # nan in S
+            ([10.0, 10.0], [1.0, math.inf]),  # inf in S
+            ([10.0, 1e200], [1.0, 1e200]),  # N * S overflows
+            ([10.0, 10.0], [1.0, -0.0]),
+            ([10.0, 10.0], [1.0, 5e-324]),  # N * S is subnormal
+            ([10.0, 3.0], [1.0, 5e-324]),  # N * S rounds to a subnormal
+            ([10.0, 10.5], [1.0, 1.0]),  # fractional N
+            ([1e300, 10.0], [1.0, 1e-300]),
+        ],
+    )
+    def test_pinned_survey(self, b, S):
+        self.check(list(map(mul, b, S)), b, S)
+
+    def test_survey_a_not_n_times_s(self):
+        self.check([10.0, 20.000000000000004], [10.0, 10.0], [1.0, 2.0])
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(74)
+
+        def draw(K):
+            # each value an edge value with probability 0.2, else an ordinary one
+            pools = [EDGE_VALUES if rng.random() < 0.2 else PLAIN_VALUES for _ in range(K)]
+            return [pool[int(rng.integers(len(pool)))] for pool in pools]
+
+        for trial in range(3000):
+            K = int(rng.integers(1, 7))
+            a, b, S = draw(K), draw(K), draw(K)
+            if trial % 2:
+                self.check(a, b)
+            else:
+                self.check(list(map(mul, b, S)), b, S)

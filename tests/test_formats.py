@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from stratalloc.formats import (
     StrataCsvError,
     population_maps_from_rows,
     problem_from_rows,
+    survey_columns,
     read_allocation_json,
     read_strata_csv,
     write_ab_csv,
@@ -104,7 +106,41 @@ class TestReadStrataCsv:
             parse("label,N,S\nu,10,2\nv,nan,1\n")
 
 
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, enabled):
+        def lines():
+            yield "label,N,S\n"
+            assert not gc.isenabled()  # paused while the rows are read
+            yield "u,10,2\n"
+
+        def broken():
+            yield "label,N,S\n"
+            raise OSError("read failed")
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert read_strata_csv(lines()).S == [2.0]
+            assert gc.isenabled() == enabled
+            with pytest.raises(OSError):
+                read_strata_csv(broken())
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
 class TestPopulationMaps:
+    def test_survey_columns_pass_through(self):
+        rows = parse("label,N,S\nu,100,2.5\n")
+        assert survey_columns(rows) is rows
+
+    def test_survey_columns_of_weight_rows(self):
+        rows = parse("label,a,b\nu,250,100\nv,1,3\n")
+        strata = survey_columns(rows)
+        assert strata.S == [2.5, 1 / 3]
+        assert list(strata) == [Stratum.survey("u", 100, 2.5), Stratum.survey("v", 3, 1 / 3)]
+
     def test_from_survey_rows(self):
         rows = parse("label,N,S\nu,100,2.5\n")
         N, S = population_maps_from_rows(rows)

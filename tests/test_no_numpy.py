@@ -1,0 +1,103 @@
+"""The CLI starts without numpy: importing the package loads none, and
+allocate and verify run end to end with numpy blocked, writing the same
+bytes as with it. roundcmp and genpop, which use numpy, still run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stratalloc
+from stratalloc.cli import main
+
+SRC = str(Path(stratalloc.__file__).resolve().parents[1])
+
+# Runs CLI commands in process and prints {name: [exit code, stdout]}; with
+# "blocked" first, `import numpy` raises ImportError in that process.
+RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import stratalloc
+from stratalloc import cli
+out = {}
+for name, argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out[name] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def strata_files(tmp_path_factory):
+    """A label,N,S file (lognormal, 10 blocks) and a label,a,b file (table1), with n."""
+    root = tmp_path_factory.mktemp("strata")
+    survey, weights = root / "survey.csv", root / "weights.csv"
+    assert main(["genpop", "--kind", "lognormal", "--blocks", "10", "--seed", "0", "--output", str(survey)]) == 0
+    assert main(["genpop", "--kind", "table1", "--output", str(weights)]) == 0
+    return {"survey": (survey, "20000"), "weights": (weights, "8000")}
+
+
+def run_commands(mode: str, files: dict, out_dir: Path) -> dict:
+    commands = []
+    for kind, (path, n) in files.items():
+        for algorithm in ("rna", "sga", "coma", "bisection"):
+            out = out_dir / f"{mode}_{kind}_{algorithm}.json"
+            args = ["--input", str(path), "--n", n]
+            commands.append((f"allocate {kind} {algorithm}", ["allocate", *args, "--algorithm", algorithm, "--output", str(out)]))
+            commands.append((f"verify {kind} {algorithm}", ["verify", *args, "--allocation", str(out)]))
+    proc = python("-c", RUNNER, mode, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_numpy():
+    for module in ("stratalloc", "stratalloc.cli"):
+        proc = python("-c", f"import sys, {module}; assert 'numpy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_allocate_and_verify_without_numpy(strata_files, tmp_path):
+    blocked = run_commands("blocked", strata_files, tmp_path)
+    normal = run_commands("normal", strata_files, tmp_path)
+    assert blocked == normal
+    assert len(blocked) == 16
+    for name, (code, stdout) in blocked.items():
+        assert code == 0, name
+        if name.startswith("verify"):
+            assert "certificate: valid" in stdout, name
+    for kind in strata_files:
+        for algorithm in ("rna", "sga", "coma", "bisection"):
+            data = (tmp_path / f"blocked_{kind}_{algorithm}.json").read_bytes()
+            assert data == (tmp_path / f"normal_{kind}_{algorithm}.json").read_bytes(), (kind, algorithm)
+
+
+def test_blocked_numpy_is_really_blocked(tmp_path):
+    # the runner's block makes any use of numpy fail, so the test above proves something
+    proc = python("-c", RUNNER, "blocked", json.dumps([["genpop", ["genpop", "--kind", "lognormal", "--blocks", "1"]]]))
+    assert proc.returncode != 0
+    assert "numpy" in proc.stderr
+
+
+def test_roundcmp_and_genpop_run_with_numpy(tmp_path):
+    pop, report = tmp_path / "pop.csv", tmp_path / "report.csv"
+    proc = python("-m", "stratalloc.cli", "genpop", "--kind", "lognormal", "--blocks", "10", "--output", str(pop))
+    assert proc.returncode == 0, proc.stderr
+    proc = python("-m", "stratalloc.cli", "roundcmp", "--input", str(pop), "--fraction", "0.1",
+                  "--fraction", "0.5", "--output", str(report))
+    assert proc.returncode == 0, proc.stderr
+    in_process = tmp_path / "in_process.csv"
+    assert main(["roundcmp", "--input", str(pop), "--fraction", "0.1", "--fraction", "0.5",
+                 "--output", str(in_process)]) == 0
+    assert report.read_bytes() == in_process.read_bytes()
+    assert len(report.read_text().splitlines()) == 3

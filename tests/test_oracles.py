@@ -111,6 +111,43 @@ class TestBruteForce:
             assert brute_force_subset(p) == rna(p).take_all
 
 
+def numpy_kkt(problem, result):
+    """(mu, lam, residuals) of kkt_verify as it was written over float64
+    arrays, kept as the oracle of the list form."""
+    from stratalloc import s_of
+
+    labels = problem.labels
+    x = np.array([result.x[label] for label in labels], dtype=np.float64)
+    a, b = problem.a, problem.b
+    v = result.take_all
+    census = len(v) == problem.size
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        c = a / b
+        cc = c * c
+        if census:
+            mu = float(cc.min())
+            s = math.inf
+        else:
+            s = s_of(problem, v)
+            ss = s * s
+            mu = 1.0 / ss if s > 0 and ss else math.inf
+        if not (s > 0 and ((x > 0) & (x < math.inf)).all()):
+            return mu, dict.fromkeys(labels, 0.0), dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
+        on = np.fromiter(map(v.__contains__, labels), bool, problem.size)
+        lam = np.where(on, cc - mu, 0.0)
+        on_term = 0.0 if census else 1.0 - c * s
+        stat = np.where(on, on_term, np.abs(a * s / x - 1.0)).max(initial=0.0)
+        comp = (np.abs(x - b) / b).max(initial=0.0, where=on)
+        bound = ((x - b) / b).max(initial=0.0)
+    try:
+        total = math.fsum(x.tolist())
+    except OverflowError:
+        total = math.inf
+    primal = max(abs(total - problem.n) / max(1.0, problem.n), float(bound))
+    residuals = {"stationarity": float(stat), "primal": primal, "complementary": float(comp)}
+    return mu, dict(zip(labels, lam.tolist())), residuals
+
+
 class TestKktVerify:
     def test_valid_on_solved_reference(self):
         p = table1_problem()
@@ -261,6 +298,38 @@ class TestKktVerify:
         assert cert.residuals["stationarity"] == 0.0
         assert cert.mu == 0.0
         assert_one_rule(cert)
+
+    def test_nan_term_is_reported(self):
+        # c_u = 5e-324 / 1e10 underflows to 0 on V while s(V) = 1e9 / 1e-300
+        # overflows: the on-V term 1 - c_u * s is nan, and the residual is nan
+        # rather than the inf of the off-V term
+        p = AllocationProblem((Stratum("u", 5e-324, 1e10), Stratum("v", 1e-300, 1e10)), 1e10 + 1e9)
+        res = AllocationResult(
+            x={"u": 1e10, "v": 1e9}, take_all=frozenset({"u"}), s_final=math.inf, iterations=1, trace=(), algorithm="x"
+        )
+        cert = kkt_verify(p, res)
+        assert math.isnan(cert.residuals["stationarity"])
+        assert cert.failed == ("stationarity",)
+        assert repr(cert.residuals) == repr(numpy_kkt(p, res)[2])
+
+    def test_matches_numpy_reference(self, problem_factory):
+        # solved, perturbed and wrong-V allocations at three scales and near
+        # the census: every residual, mu and lam bit for bit
+        rng = np.random.default_rng(212)
+        for trial in range(400):
+            scale = float(rng.choice([1e-150, 1.0, 1e150]))
+            base = problem_factory(rng, int(rng.integers(1, 13)), float(rng.choice([0.1, 0.5, 0.9, 0.999999])))
+            p = AllocationProblem(
+                strata=tuple(Stratum(label=st.label, a=st.a * scale, b=st.b) for st in base.strata), n=base.n
+            )
+            res = rna(p)
+            i = int(rng.integers(p.size))
+            x = dict(res.x)
+            x[i] *= 1 + float(rng.choice([-1e-3, 1e-9, 1e-3, 2.0]))
+            for take_all, xs in ((res.take_all, res.x), (res.take_all, x), (res.take_all ^ {i}, res.x)):
+                alloc = AllocationResult(x=xs, take_all=take_all, s_final=0.0, iterations=1, trace=(), algorithm="x")
+                cert = kkt_verify(p, alloc)
+                assert repr((cert.mu, cert.lam, cert.residuals)) == repr(numpy_kkt(p, alloc)), trial
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_one_rule_on_random_allocations(self, problem_factory, scale):

@@ -6,14 +6,17 @@ import pytest
 
 from stratalloc import (
     AllocationProblem,
+    PopulationSpec,
     Stratum,
     greedy_integer_optimal,
+    lognormal_population,
     rna,
     round_allocation,
     srswor_variance,
     variance_table,
     write_variance_csv,
 )
+from stratalloc.formats import population_maps_from_rows, read_strata_csv, write_ns_csv
 from stratalloc.rounding import VARIANCE_CSV_HEADER
 
 
@@ -142,6 +145,16 @@ class TestVarianceTable:
         assert rep.d2_continuous == pytest.approx(srswor_variance(N, S, cont.x), rel=1e-12)
         integer = greedy_integer_optimal(problem)
         assert rep.d2_integer == pytest.approx(srswor_variance(N, S, integer.x), rel=1e-12)
+
+
+    def test_given_strata_give_the_same_reports(self):
+        pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=10))
+        buf = io.StringIO()
+        write_ns_csv(((st.label, st.N, st.S) for st in pop.strata), buf)
+        columns = read_strata_csv(io.StringIO(buf.getvalue()))
+        N, S = population_maps_from_rows(columns)
+        fractions = [0.0005, 0.1, 0.5, 1.0]  # the first is skipped
+        assert variance_table(N, S, fractions, columns) == variance_table(N, S, fractions)
 
 
 class TestVarianceCsv:
