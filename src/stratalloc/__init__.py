@@ -26,6 +26,7 @@ from .model import (
 )
 from .oracles import (
     KktCertificate,
+    LabelMismatchError,
     bisection_multiplier,
     brute_force_subset,
     greedy_integer_optimal,
@@ -54,6 +55,7 @@ __all__ = [
     "InfeasibleSubsetError",
     "IterationRecord",
     "KktCertificate",
+    "LabelMismatchError",
     "PopulationSpec",
     "StratifiedPopulation",
     "StrataColumns",

@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import formats
 from .algorithms import SOLVERS
 from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, Stratum, is_optimal_takeall
-from .oracles import bisection_multiplier, kkt_verify
+from .oracles import LabelMismatchError, bisection_multiplier, kkt_verify
 from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
 
@@ -78,9 +78,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = formats.problem_from_rows(rows, args.n)
     with open(args.allocation, encoding="utf-8") as fp:
         result = formats.read_allocation_json(fp, name=args.allocation)
-    if len(result.x) != problem.size or not all(map(result.x.__contains__, problem.labels)):
-        raise ValueError("allocation labels do not match the strata file")
-    cert = kkt_verify(problem, result, tol=args.tol)
+    try:
+        cert = kkt_verify(problem, result, tol=args.tol)
+    except LabelMismatchError:
+        raise ValueError("allocation labels do not match the strata file") from None
     fixed_point = is_optimal_takeall(problem, result.take_all)
     for cond, r in cert.residuals.items():
         print(f"{cond} residual: {r:.3e}")
@@ -144,9 +145,8 @@ def cmd_genpop(args: argparse.Namespace) -> int:
 def cmd_roundcmp(args: argparse.Namespace) -> int:
     rows = _read_rows(args.input)
     fractions = _check_fractions(args.fraction)
-    strata = formats.survey_columns(rows)
-    N, S = formats.population_maps_from_rows(strata)
-    reports = variance_table(N, S, fractions, strata)
+    N, S = formats.population_maps_from_rows(rows)
+    reports = variance_table(N, S, fractions)
     with _open_out(args.output) as fp:
         write_variance_csv(reports, fp)
     if any(rep.skipped for rep in reports):

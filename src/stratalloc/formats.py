@@ -18,7 +18,6 @@ __all__ = [
     "StrataCsvError",
     "read_strata_csv",
     "problem_from_rows",
-    "survey_columns",
     "population_maps_from_rows",
     "write_ab_csv",
     "write_ns_csv",
@@ -41,6 +40,11 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     :class:`StrataCsvError` naming the first malformed line, including values
     the record constructors (:class:`Stratum`, :meth:`Stratum.survey`) reject,
     with that constructor's message.
+
+    The process-wide cyclic garbage collector is paused while the rows are
+    read, and then set back to the state it had when the read began. A
+    caller in another thread that switches the collector during the read
+    has that switch undone.
     """
     reader = csv.reader(fp)
     try:
@@ -154,26 +158,26 @@ def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
     return AllocationProblem(strata=rows, n=n)
 
 
-def survey_columns(rows: Sequence[Stratum]) -> StrataColumns:
-    """The rows as survey strata (b = N, a = N * S) for variance work:
-    columns read from a ``label,N,S`` file as they are; other rows must then
-    have integer b, and get S = a / b."""
-    if isinstance(rows, StrataColumns) and rows.S is not None:
-        return rows
-    labels, N, S = [], [], []
-    for row in rows:
-        if row.S is None and row.b != int(row.b):
-            raise StrataCsvError(f"stratum {row.label!r}: bound {row.b!r} is not an integer population size")
-        labels.append(row.label)
-        N.append(row.b)
-        S.append(row.a / row.b if row.S is None else row.S)
-    return StrataColumns(labels, map(mul, N, S), N, S)
-
-
 def population_maps_from_rows(rows: Sequence[Stratum]) -> tuple[dict, dict]:
-    """(N, S) maps of :func:`survey_columns`; a,b rows must then have integer b."""
-    strata = survey_columns(rows)
-    return dict(zip(strata.labels, map(int, strata.lists[1]))), dict(zip(strata.labels, strata.S))
+    """(N, S) maps for variance work; a,b rows must then have integer b, and
+    get S = a / b. Columns read from a ``label,N,S`` file give theirs without
+    building a record."""
+    if isinstance(rows, StrataColumns) and rows.S is not None:
+        return dict(zip(rows.labels, map(int, rows.lists[1]))), dict(zip(rows.labels, rows.S))
+    N: dict[str, int] = {}
+    S: dict[str, float] = {}
+    for row in rows:
+        if row.N is not None:
+            N[row.label] = row.N
+            S[row.label] = row.S
+        else:
+            if row.b != int(row.b):
+                raise StrataCsvError(
+                    f"stratum {row.label!r}: bound {row.b!r} is not an integer population size"
+                )
+            N[row.label] = int(row.b)
+            S[row.label] = row.a / row.b
+    return N, S
 
 
 def write_ab_csv(rows: Iterable[tuple[str, float, float]], fp: IO[str]) -> None:

@@ -115,10 +115,14 @@ def _column(values: list[float]) -> np.ndarray:
     return col
 
 
-def _valid(a: float, b: float, S: float | None = None) -> bool:
-    # the checks of Stratum and SurveyStratum on one stratum's values
-    return 0 < a < math.inf and 0 < b < math.inf and a / b < math.inf and (
-        S is None or (b.is_integer() and a == b * S)
+def _all_valid(a: list[float], b: list[float], S: list[float] | None) -> bool:
+    return (
+        all(map(math.isfinite, a))
+        and all(map(math.isfinite, b))
+        and min(a, default=1.0) > 0
+        and min(b, default=1.0) > 0
+        and all(map(math.isfinite, map(truediv, a, b)))
+        and (S is None or (all(map(float.is_integer, b)) and list(map(mul, b, S)) == a))
     )
 
 
@@ -130,19 +134,13 @@ def first_invalid(a: list[float], b: list[float], S: list[float] | None = None) 
     :class:`SurveyStratum` (when S is given): a and b positive and finite,
     a/b finite, and for survey strata b an integer with a == b * S. Each
     check is one C-level pass over the lists of floats; only when one fails
-    are the strata checked one by one to find the first bad one.
+    are the same passes run on each stratum in turn to find the first bad one.
     """
-    ok = (
-        all(map(math.isfinite, a))
-        and all(map(math.isfinite, b))
-        and min(a, default=1.0) > 0
-        and min(b, default=1.0) > 0
-        and all(map(math.isfinite, map(truediv, a, b)))
-        and (S is None or (all(map(float.is_integer, b)) and list(map(mul, b, S)) == a))
-    )
-    if ok:
+    if _all_valid(a, b, S):
         return len(a)
-    return next(i for i, row in enumerate(zip(a, b, repeat(None) if S is None else S)) if not _valid(*row))
+    return next(
+        i for i in range(len(a)) if not _all_valid(a[i : i + 1], b[i : i + 1], None if S is None else S[i : i + 1])
+    )
 
 
 class StrataColumns(Sequence):

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KktCertificate",
+    "LabelMismatchError",
     "brute_force_subset",
     "kkt_verify",
     "bisection_multiplier",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX = 20
+
+
+class LabelMismatchError(ValueError):
+    """Raised when an allocation's labels are not the problem's."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,8 @@ def kkt_verify(
     """Build and evaluate the KKT certificate for a claimed optimum.
 
     Never raises on a bad allocation; a certificate that fails is the answer.
+    An allocation whose labels are not the problem's raises
+    :class:`LabelMismatchError`.
     The multiplier construction: mu = s(V)**(-2) from the claimed take-all
     set V, except in the census case where any mu up to min c_w**2 keeps the
     bound multipliers nonnegative, and mu = min c_w**2 with s = inf is used.
@@ -159,12 +166,12 @@ def kkt_verify(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     labels = problem.labels
-    if len(result.x) != problem.size:
-        raise ValueError("result labels do not match the problem")
-    try:
+    if tuple(result.x) == labels:  # in problem order, as the solvers write it
+        x = list(result.x.values())
+    elif len(result.x) == problem.size and all(map(result.x.__contains__, labels)):
         x = list(map(result.x.__getitem__, labels))
-    except KeyError:
-        raise ValueError("result labels do not match the problem") from None
+    else:
+        raise LabelMismatchError("result labels do not match the problem")
     a, b = problem.columns.lists
     v = result.take_all
     census = len(v) == problem.size

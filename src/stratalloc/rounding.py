@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
-from .model import AllocationProblem, Label, StrataColumns, Stratum, srswor_variance
+from .model import AllocationProblem, Label, StrataColumns, srswor_variance
 from .oracles import greedy_integer_optimal
 
 __all__ = [
@@ -94,7 +95,6 @@ def variance_table(
     N: Mapping[Label, float],
     S: Mapping[Label, float],
     fractions: Sequence[float],
-    strata: StrataColumns | None = None,
 ) -> list[VarianceReport]:
     """Compare continuous, rounded and integer-optimal allocations.
 
@@ -104,15 +104,13 @@ def variance_table(
     ratios. Fractions where n < K are reported as skipped (NaN metrics).
     At f = 1 all three variances are exactly 0 and the ratios are reported
     as 1. If rounding zeroes out a stratum, d2_rounded is +inf.
-
-    ``strata`` are the survey strata of N and S in the order of N (a = N * S,
-    b = N), such as :func:`~stratalloc.formats.survey_columns` of the rows
-    that N and S came from; when not given they are built from N and S.
     """
     if set(N) != set(S):
         raise ValueError("N and S must cover the same labels")
-    if strata is None:
-        strata = tuple(Stratum.survey(w, N[w], S[w]) for w in N)
+    # the survey strata as columns, a = N * S and b = N, without a record each
+    Nv = list(map(float, N.values()))
+    Sv = list(map(S.__getitem__, N))
+    strata = StrataColumns(list(N), map(mul, Nv, Sv), Nv, Sv)
     total_N = math.fsum(N.values())
     K = len(strata)
     reports = []

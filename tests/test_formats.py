@@ -10,7 +10,6 @@ from stratalloc.formats import (
     StrataCsvError,
     population_maps_from_rows,
     problem_from_rows,
-    survey_columns,
     read_allocation_json,
     read_strata_csv,
     write_ab_csv,
@@ -131,16 +130,6 @@ class TestCollectorPause:
 
 
 class TestPopulationMaps:
-    def test_survey_columns_pass_through(self):
-        rows = parse("label,N,S\nu,100,2.5\n")
-        assert survey_columns(rows) is rows
-
-    def test_survey_columns_of_weight_rows(self):
-        rows = parse("label,a,b\nu,250,100\nv,1,3\n")
-        strata = survey_columns(rows)
-        assert strata.S == [2.5, 1 / 3]
-        assert list(strata) == [Stratum.survey("u", 100, 2.5), Stratum.survey("v", 3, 1 / 3)]
-
     def test_from_survey_rows(self):
         rows = parse("label,N,S\nu,100,2.5\n")
         N, S = population_maps_from_rows(rows)

@@ -9,6 +9,7 @@ from stratalloc import (
     AllocationProblem,
     AllocationResult,
     KktCertificate,
+    LabelMismatchError,
     PopulationSpec,
     Stratum,
     bisection_multiplier,
@@ -216,6 +217,42 @@ class TestKktVerify:
         p = small([1, 1], [1, 100], 3)
         with pytest.raises(ValueError):
             kkt_verify(p, rna(p), tol=0.0)
+
+    def test_labels_in_any_order(self):
+        p = table1_problem()
+        res = rna(p)
+        flipped = AllocationResult(
+            x=dict(reversed(res.x.items())),
+            take_all=res.take_all,
+            s_final=res.s_final,
+            iterations=res.iterations,
+            trace=res.trace,
+            algorithm=res.algorithm,
+        )
+        assert kkt_verify(p, flipped) == kkt_verify(p, res)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda x: {**x, 21: 1.0},  # an extra label
+            lambda x: {w: v for w, v in x.items() if w != 20},  # a missing label
+            lambda x: {(21 if w == 20 else w): v for w, v in x.items()},  # one renamed
+        ],
+        ids=["extra", "missing", "renamed"],
+    )
+    def test_label_mismatch(self, edit):
+        p = table1_problem()
+        res = rna(p)
+        wrong = AllocationResult(
+            x=edit(res.x),
+            take_all=res.take_all,
+            s_final=res.s_final,
+            iterations=res.iterations,
+            trace=res.trace,
+            algorithm=res.algorithm,
+        )
+        with pytest.raises(LabelMismatchError, match="labels do not match"):
+            kkt_verify(p, wrong)
 
     @pytest.mark.parametrize(
         "a,b,n",

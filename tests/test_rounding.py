@@ -147,14 +147,19 @@ class TestVarianceTable:
         assert rep.d2_integer == pytest.approx(srswor_variance(N, S, integer.x), rel=1e-12)
 
 
-    def test_given_strata_give_the_same_reports(self):
+    def test_no_records_built(self, monkeypatch):
         pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=10))
         buf = io.StringIO()
         write_ns_csv(((st.label, st.N, st.S) for st in pop.strata), buf)
-        columns = read_strata_csv(io.StringIO(buf.getvalue()))
-        N, S = population_maps_from_rows(columns)
+        N, S = population_maps_from_rows(read_strata_csv(io.StringIO(buf.getvalue())))
         fractions = [0.0005, 0.1, 0.5, 1.0]  # the first is skipped
-        assert variance_table(N, S, fractions, columns) == variance_table(N, S, fractions)
+        # every Stratum and SurveyStratum constructor runs Stratum.__post_init__
+        built = []
+        check = Stratum.__post_init__
+        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+        reports = variance_table(N, S, fractions)
+        assert built == []
+        assert reports[0].skipped and not any(rep.skipped for rep in reports[1:])
 
 
 class TestVarianceCsv:
