@@ -1,22 +1,23 @@
 """Per-layer times of the allocate and verify paths over a sweep of K.
 
     python3 scripts/layer_sweep.py --src parent=/path/to/parent/src --src change=src \
-        --sizes 1000 10000 100000 1000000 --repeats 5 --out BENCH_8.json
+        --sizes 1000 10000 100000 1000000 --repeats 5 --out BENCH_9.json
 
 Each ``--src NAME=DIR`` is a source tree holding the ``stratalloc`` package.
 For every K the input is perfbench's seeded survey file
 (``perfbench/gen.write_survey_csv``, seed 0) with n = round(0.2 * sum(N)).
 Each repeat runs, for every source in turn, one worker process that times
-the layers in process once each (CSV read, problem build, rna, JSON write,
-JSON read, kkt_verify, is_optimal_takeall), then three child processes,
+the layers in process once each (CSV read, problem build, rna, sga, coma,
+JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall) and
+records each solver's iteration count r*, then three child processes,
 each timed from spawn to exit: ``python -c "import stratalloc.cli"``
 (``cli_import``, the start-up every command pays) and the CLI ``allocate``
-and ``verify`` commands. Sources
-alternate within a repeat, so a drift of the host's speed reaches all of
-them. The output holds the median of every layer per source and K, the
-sha256 of each source's allocation JSON, and the median time of perfbench's
-reference loop (``ops.reference_loop``) measured before each worker, which
-tells how fast the host ran.
+and ``verify`` commands. Sources alternate within a repeat, so a drift of
+the host's speed reaches all of them. The output holds the median of every
+layer per source and K, r* per solver, the sha256 of each source's
+allocation JSON, and the median time of perfbench's reference loop
+(``ops.reference_loop``) measured before each worker, which tells how fast
+the host ran.
 """
 
 from __future__ import annotations
@@ -36,16 +37,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+SOLVERS = ("rna", "sga", "coma")
 LAYERS = (
-    "read_strata_csv", "build", "rna", "write_allocation_json",
+    "read_strata_csv", "build", *SOLVERS, "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall",
 )
 CHILDREN = ("cli_import", "cli_allocate", "cli_verify")
 
 
-def worker(csv_path: str, n: float) -> dict[str, float]:
-    """One timed call of every layer, on the stratalloc package on sys.path."""
-    from stratalloc import formats, is_optimal_takeall, kkt_verify, rna
+def worker(csv_path: str, n: float) -> dict[str, dict]:
+    """One timed call of every layer, and r* of each solver, on the
+    stratalloc package on sys.path."""
+    from stratalloc import coma, formats, is_optimal_takeall, kkt_verify, rna, sga
 
     out: dict[str, float] = {}
 
@@ -58,7 +61,8 @@ def worker(csv_path: str, n: float) -> dict[str, float]:
     with open(csv_path, encoding="utf-8", newline="") as fp:
         rows = timed("read_strata_csv", formats.read_strata_csv, fp)
     problem = timed("build", formats.problem_from_rows, rows, n)
-    result = timed("rna", rna, problem)
+    results = {name: timed(name, solver, problem) for name, solver in zip(SOLVERS, (rna, sga, coma))}
+    result = results["rna"]
     buf = io.StringIO()
     timed("write_allocation_json", formats.write_allocation_json, result, problem.n, buf)
     back = timed("read_allocation_json", formats.read_allocation_json, io.StringIO(buf.getvalue()))
@@ -66,14 +70,16 @@ def worker(csv_path: str, n: float) -> dict[str, float]:
     fixed = timed("is_optimal_takeall", is_optimal_takeall, problem, back.take_all)
     if not (cert.valid and fixed):
         raise RuntimeError("the allocation did not verify")
-    return out
+    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}}
 
 
 def child(src: str, args: list[str]) -> float:
-    """Wall time of one Python child from spawn to exit."""
+    """Wall time of one Python child from spawn to exit. The child is waited
+    for without a timeout: with one, subprocess polls for its exit at steps
+    growing to 50 ms, which rounds the time up to that grid."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
+    subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
     return time.perf_counter() - start
 
 
@@ -91,7 +97,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         gen.write_survey_csv(str(path), 0, K)
         n = gen.sample_size(str(path))
         samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
-        digests = {}
+        digests, iterations = {}, {}
         for _ in range(repeats):
             for name, src in sources.items():
                 refs.append(min(reference_loop() for _ in range(3)))
@@ -99,8 +105,10 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                     [sys.executable, __file__, "--worker", str(path), str(n)],
                     env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True, timeout=1800,
                 )
-                for layer, t in json.loads(proc.stdout).items():
+                report = json.loads(proc.stdout)
+                for layer, t in report["s"].items():
                     samples[name][layer].append(t)
+                iterations[name] = report["iterations"]
                 out = work / f"{name}_{K}.json"
                 samples[name]["cli_import"].append(child(src, ["-c", "import stratalloc.cli"]))
                 samples[name]["cli_allocate"].append(child(src, [
@@ -112,6 +120,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
             results[name][str(K)] = {
                 "n": n,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
+                "iterations": iterations[name],
                 "allocate_sha256": digests[name],
             }
         print(f"K={K}: " + "; ".join(
@@ -141,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
-        "timing each layer once, then the import, allocate and verify children. Unscaled medians in seconds."
+        "timing each layer once, then the import, allocate and verify children. Unscaled medians in seconds; "
+        "iterations is r* of each solver."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -9,7 +9,6 @@ rounding with variance reports, and deterministic synthetic populations.
 from .algorithms import coma, rna, sga
 from .bench import BenchResult, run_bench, time_solver, write_bench_csv
 from .model import (
-    ALGORITHM_IDS,
     AllocationProblem,
     AllocationResult,
     InfeasibleProblemError,
@@ -47,7 +46,6 @@ from .rounding import VarianceReport, round_allocation, variance_table, write_va
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_IDS",
     "AllocationProblem",
     "AllocationResult",
     "BenchResult",

@@ -73,23 +73,12 @@ def time_solver(
     return int(statistics.median(times)), result
 
 
-def run_bench(
-    problems: Sequence[tuple[str, AllocationProblem]],
-    algorithms: Sequence[str] = ("rna", "sga", "coma"),
-    *,
-    repetitions: int = 100,
-    warmup: int = 10,
-) -> list[BenchResult]:
-    """Time each named solver on each (problem_id, problem) pair."""
-    unknown = [name for name in algorithms if name not in SOLVERS]
-    if unknown:
-        raise ValueError(f"unknown algorithms: {unknown}")
+def run_bench(problems: Sequence[tuple[str, AllocationProblem]], *, repetitions: int = 100) -> list[BenchResult]:
+    """Time each solver of SOLVERS (rna, sga, coma) on each (problem_id, problem) pair."""
     out = []
     for problem_id, problem in problems:
-        for name in algorithms:
-            median_ns, result = time_solver(
-                SOLVERS[name], problem, repetitions=repetitions, warmup=warmup
-            )
+        for name, solver in SOLVERS.items():
+            median_ns, result = time_solver(solver, problem, repetitions=repetitions)
             out.append(
                 BenchResult(
                     algorithm=name,

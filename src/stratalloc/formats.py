@@ -6,13 +6,13 @@ import csv
 import gc
 import json
 import math
-from collections.abc import Hashable
+from collections.abc import Collection, Hashable
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import IO, Iterable, Sequence
 
-from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum, first_invalid
+from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum
 
 __all__ = [
     "StrataCsvError",
@@ -36,10 +36,15 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     ``label,a,b`` gives the weights and bounds directly; ``label,N,S`` is the
     survey form (a = N * S, b = N) and keeps its S column. The result is a
     :class:`StrataColumns`, whose records are built only if it is indexed or
-    iterated. Header matching is case-insensitive. Raises
-    :class:`StrataCsvError` naming the first malformed line, including values
-    the record constructors (:class:`Stratum`, :meth:`Stratum.survey`) reject,
-    with that constructor's message.
+    iterated. Header matching is case-insensitive.
+
+    The rows are checked a whole column at a time: field counts, labels
+    (non-empty and distinct), numbers, then the column checks of
+    :class:`StrataColumns`. When any of these fails, the rows are read
+    again one by one, and the first bad row raises
+    :class:`StrataCsvError` naming its line: the first check it fails in the
+    order above, and for a value the record constructors (:class:`Stratum`,
+    :meth:`Stratum.survey`) reject, that constructor's message.
 
     The process-wide cyclic garbage collector is paused while the rows are
     read, and then set back to the state it had when the read began. A
@@ -77,62 +82,31 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         rows = [rows[ln - 2] for ln in lines]
     if not rows:
         raise StrataCsvError(f"{name}: line 2: no data rows")
-    # Each check narrows `first`, the first row found bad so far, to the rows
-    # before it, so every row before the final `first` passes every check.
-    # That row's own message is then found as a one-row read would find it.
-    widths = list(map(len, rows))
-    first = len(rows) if widths.count(3) == len(rows) else next(i for i, k in enumerate(widths) if k != 3)
-    labels = list(map(str.strip, map(itemgetter(0), rows[:first])))
-    if "" in labels:
-        first = labels.index("")
-        del labels[first:]
-    if len(set(labels)) < first:
-        first = _first_repeat(labels)
-        del labels[first:]
-    v1 = _floats(list(map(itemgetter(1), rows[:first])))
-    v2 = _floats(list(map(itemgetter(2), rows[:first])))
-    first = min(first, len(v1), len(v2))
-    del labels[first:], v1[first:], v2[first:]
-    if make is Stratum:
-        a, b, S = v1, v2, None
-    else:
-        a, b, S = list(map(mul, v1, v2)), v1, v2
-    if first == len(rows):
-        try:
-            return StrataColumns(labels, a, b, S)
-        except ValueError:  # some value is rejected: find the row below
-            pass
-    first = min(first, first_invalid(a, b, S))
-    reason = _row_error(rows[first], frozenset(labels[:first]), make)
-    raise StrataCsvError(f"{name}: line {lines[first]}: {reason}")
-
-
-def _first_repeat(items: list) -> int:
-    seen = set()
-    for i, item in enumerate(items):
-        if item in seen:
-            return i
-        seen.add(item)
-    return len(items)
-
-
-def _floats(texts: list[str]) -> list[float]:
-    """float() of each text, up to the first that is not a number."""
-    try:
-        return list(map(float, texts))
-    except ValueError:
-        out = []
-        for text in texts:
+    if list(map(len, rows)).count(3) == len(rows):
+        labels = list(map(str.strip, map(itemgetter(0), rows)))
+        if "" not in labels and len(set(labels)) == len(labels):
             try:
-                out.append(float(text))
-            except ValueError:
-                break
-        return out
+                v1 = list(map(float, map(itemgetter(1), rows)))
+                v2 = list(map(float, map(itemgetter(2), rows)))
+                if make is Stratum:
+                    return StrataColumns(labels, v1, v2)
+                return StrataColumns(labels, list(map(mul, v1, v2)), v1, v2)
+            except ValueError:  # a number or a record is rejected
+                pass
+    # some column check failed: the row-by-row read finds and names the first bad row
+    seen: set[str] = set()
+    for line, raw in zip(lines, rows):
+        reason = _row_error(raw, seen, make)
+        if reason is not None:
+            raise StrataCsvError(f"{name}: line {line}: {reason}")
+        seen.add(raw[0].strip())
+    raise AssertionError("a column check fails that every row passes")
 
 
-def _row_error(raw: list[str], seen: frozenset, make) -> str:
+def _row_error(raw: list[str], seen: set[str], make) -> str | None:
     """Why one data row is rejected, checked in the order a reader meets it:
-    field count, label, numbers, then the record constructor."""
+    field count, label, numbers, then the record constructor; None when the
+    row is good."""
     if len(raw) != 3:
         return f"expected 3 fields, got {len(raw)}"
     label = raw[0].strip()
@@ -149,7 +123,7 @@ def _row_error(raw: list[str], seen: frozenset, make) -> str:
         make(label, v1, v2)
     except ValueError as exc:
         return str(exc)
-    raise AssertionError(f"row {raw!r} was found bad but passes every check")
+    return None
 
 
 def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
@@ -254,11 +228,24 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
 _ENTRY = '{\n      "label": %s,\n      "x": %.17g\n    }'
 
 
+# the JSON numbers; bool, an int subclass, is refused
+_NUMBER = frozenset((float, int))
+
+
+def _typed(value, types: Collection[type], name: str, field: str, what: str):
+    """value, when its type is exactly one of types; else a ValueError
+    naming the file and the field."""
+    if type(value) not in types:
+        raise ValueError(f"{name}: {field} must be {what}, got {value!r}")
+    return value
+
+
 def read_allocation_json(fp: IO[str], name: str = "allocation json") -> AllocationResult:
     """Parse an allocation document back into an AllocationResult.
 
-    The trace is not serialized; parsed results carry an empty trace. Every
-    x must be a JSON number and take_all a list of labels from allocation;
+    The trace is not serialized; parsed results carry an empty trace.
+    s_final and every x must be a JSON number, iterations a JSON integer,
+    algorithm a string and take_all a list of labels from allocation;
     anything else raises a ValueError naming the file and the field.
     """
     try:
@@ -266,19 +253,17 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}: invalid JSON: {exc}") from None
     try:
-        algorithm = doc["algorithm"]
+        algorithm = _typed(doc["algorithm"], (str,), name, "algorithm", "a string")
         entries = doc["allocation"]
         take_all = doc["take_all"]
-        s_final = float(doc["s_final"])
-        iterations = int(doc["iterations"])
-        x = {}
-        for entry in entries:
-            xv = entry["x"]
-            if type(xv) is not float:
-                if type(xv) is not int:  # bool, an int subclass, is refused too
-                    raise ValueError(f"{name}: allocation: x of label {entry['label']!r} must be a number, got {xv!r}")
-                xv = float(xv)
-            x[entry["label"]] = xv
+        s_final = float(_typed(doc["s_final"], _NUMBER, name, "s_final", "a number"))
+        iterations = _typed(doc["iterations"], (int,), name, "iterations", "an integer")
+        labels = list(map(itemgetter("label"), entries))
+        xs = list(map(itemgetter("x"), entries))
+        if not _NUMBER.issuperset(map(type, xs)):
+            for label, xv in zip(labels, xs):
+                _typed(xv, _NUMBER, name, f"allocation: x of label {label!r}", "a number")
+        x = dict(zip(labels, map(float, xs)))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: missing or malformed field: {exc}") from None
     if len(x) != len(entries):
@@ -294,5 +279,5 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
         s_final=s_final,
         iterations=iterations,
         trace=(),
-        algorithm=str(algorithm),
+        algorithm=algorithm,
     )

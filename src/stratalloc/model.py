@@ -32,15 +32,6 @@ if TYPE_CHECKING:
 
 Label = Hashable
 
-ALGORITHM_IDS = (
-    "rna",
-    "sga",
-    "coma",
-    "bisection",
-    "greedy_integer",
-    "v_allocation",
-)
-
 
 class InfeasibleProblemError(ValueError):
     """Raised when the sample size exceeds the sum of the upper bounds."""
@@ -126,23 +117,6 @@ def _all_valid(a: list[float], b: list[float], S: list[float] | None) -> bool:
     )
 
 
-def first_invalid(a: list[float], b: list[float], S: list[float] | None = None) -> int:
-    """Position of the first stratum whose record constructor would reject
-    it, or len(a) when every one is valid.
-
-    The column form of the checks in :class:`Stratum` and
-    :class:`SurveyStratum` (when S is given): a and b positive and finite,
-    a/b finite, and for survey strata b an integer with a == b * S. Each
-    check is one C-level pass over the lists of floats; only when one fails
-    are the same passes run on each stratum in turn to find the first bad one.
-    """
-    if _all_valid(a, b, S):
-        return len(a)
-    return next(
-        i for i in range(len(a)) if not _all_valid(a[i : i + 1], b[i : i + 1], None if S is None else S[i : i + 1])
-    )
-
-
 class StrataColumns(Sequence):
     """Strata held as columns: labels, a and b, and S for survey strata.
 
@@ -155,8 +129,9 @@ class StrataColumns(Sequence):
     work. As a sequence it yields :class:`Stratum` records
     (:class:`SurveyStratum` records when S is given), all built on first use
     and then kept; built by :meth:`from_records` it is that exact tuple. The
-    constructor checks the columns as the record constructors would, and the
-    first rejected stratum raises its own record constructor's ValueError.
+    constructor checks whole columns as the record constructors would; when
+    a check fails it builds the records in order, so the first rejected
+    stratum raises its own record constructor's ValueError.
     """
 
     def __init__(
@@ -170,11 +145,9 @@ class StrataColumns(Sequence):
             raise ValueError("strata columns must have equal lengths")
         self._records: tuple[Stratum, ...] | None = None
         self._a = self._b = None
-        bad = first_invalid(*self.lists, self.S)
-        if bad < K:
-            make, cols = self._record_columns()
-            make(*(col[bad] for col in cols))  # the record constructor raises
-            raise ValueError(f"stratum {self.labels[bad]!r} is invalid")
+        if not _all_valid(*self.lists, self.S):
+            self.records  # built in order: the first rejected stratum's constructor raises
+            raise AssertionError("a column check fails that every record passes")
 
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
@@ -198,16 +171,13 @@ class StrataColumns(Sequence):
             self._b = _column(self.lists[1])
         return self._b
 
-    def _record_columns(self) -> tuple[type[Stratum], tuple]:
-        if self.S is None:
-            return Stratum, (self.labels, *self.lists)
-        return SurveyStratum, (self.labels, *self.lists, self.S)
-
     @property
     def records(self) -> tuple[Stratum, ...]:
         if self._records is None:
-            make, cols = self._record_columns()
-            self._records = tuple(map(make, *cols))
+            if self.S is None:
+                self._records = tuple(map(Stratum, self.labels, *self.lists))
+            else:
+                self._records = tuple(map(SurveyStratum, self.labels, *self.lists, self.S))
         return self._records
 
     def __len__(self) -> int:
@@ -306,10 +276,11 @@ class AllocationResult:
     elsewhere. Integer-valued solvers (see greedy_integer_optimal) have no
     continuous scale; they report s_final = 0.0 and an empty trace.
 
-    algorithm is one of ALGORITHM_IDS. iterations is the 1-based count of
-    solver iterations (r* for the recursive solvers, probe count for the
-    multiplier search). trace holds per-iteration records for the recursive
-    solvers and is empty for the oracle solvers.
+    algorithm names the solver: rna, sga, coma, bisection, greedy_integer or
+    v_allocation. iterations is the 1-based count of solver iterations (r*
+    for the recursive solvers, probe count for the multiplier search). trace
+    holds per-iteration records for the recursive solvers and is empty for
+    the oracle solvers.
     """
 
     x: dict[Label, float]

@@ -80,18 +80,18 @@ class KktCertificate:
         return not self.failed
 
 
-def brute_force_subset(problem: AllocationProblem, *, max_size: int = _BRUTE_FORCE_MAX) -> frozenset:
+def brute_force_subset(problem: AllocationProblem) -> frozenset:
     """Exhaustively find the take-all subset satisfying the fixed-point test.
 
     Checks every subset V of the strata for membership consistency:
     w in V exactly when c_w * s(V) >= 1, with s(V) > 0. Intended for small
-    instances (refuses more than ``max_size`` strata). Returns the first
+    instances (refuses more than 20 strata). Returns the first
     satisfying subset ordered by cardinality, then by stratum position;
     in tie-free problems the subset is unique.
     """
     K = problem.size
-    if K > max_size:
-        raise ValueError(f"exhaustive search limited to {max_size} strata, got {K}")
+    if K > _BRUTE_FORCE_MAX:
+        raise ValueError(f"exhaustive search limited to {_BRUTE_FORCE_MAX} strata, got {K}")
     if problem.is_census:
         return frozenset(problem.labels)
     import numpy as np

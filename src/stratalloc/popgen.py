@@ -43,6 +43,10 @@ __all__ = [
 
 POPULATION_KINDS = ("table1", "lognormal_blocks", "power")
 
+# lognormal_blocks: values per block, and the most strata a block splits into
+_BLOCK_SIZE = 10000
+_STRATA_PER_BLOCK = 10
+
 # priority column c_w = a_w / b_w of the fixed 20-stratum benchmark problem
 # (a_w = 1000 c_w, b_w = 1000, n = 8000)
 _TABLE1_C = (
@@ -58,16 +62,14 @@ class PopulationSpec:
     kind: str
     seed: int = 0
     block_count: int = 100
-    block_size: int = 10000
-    strata_per_block: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in POPULATION_KINDS:
             raise ValueError(f"unknown population kind {self.kind!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.block_count < 1 or self.block_size < 2 or self.strata_per_block < 1:
-            raise ValueError("block_count, block_size and strata_per_block must be positive")
+        if self.block_count < 1:
+            raise ValueError("block_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
     summaries: list[SurveyStratum] = []
     for i in range(1, spec.block_count + 1):
         rng = np.random.default_rng(children[i - 1])
-        values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=spec.block_size))
-        for k, part in enumerate(_split_block(values, spec.strata_per_block)):
+        values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=_BLOCK_SIZE))
+        for k, part in enumerate(_split_block(values, _STRATA_PER_BLOCK)):
             summaries.append(Stratum.survey(f"b{i:03d}s{k}", len(part), float(part.std(ddof=1))))
     perm_rng = np.random.default_rng(children[-1])
     order = perm_rng.permutation(len(summaries))

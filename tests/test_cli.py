@@ -199,6 +199,16 @@ class TestVerify:
         assert err.startswith("error: ") and "take_all" in err
         assert "Traceback" not in err
 
+    def test_malformed_s_final_exit_2(self, table1_csv, tmp_path, capsys):
+        out = tmp_path / "alloc.json"
+        main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["s_final"] = "abc"
+        out.write_text(json.dumps(doc))
+        code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}: s_final must be a number, got 'abc'\n"
+
     def test_label_mismatch_exit_2(self, table1_csv, tmp_path):
         out = tmp_path / "alloc.json"
         main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)])

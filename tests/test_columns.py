@@ -21,7 +21,6 @@ from stratalloc import (
     rna,
     sga,
 )
-from stratalloc.model import first_invalid
 from stratalloc.formats import (
     StrataCsvError,
     problem_from_rows,
@@ -221,11 +220,41 @@ class TestReadErrorParity:
             ("label,a,b\nu,1,2\nu,oops,2\n", "line 3: duplicate label 'u'"),
             ("label,N,S\nu,1,2\n ,oops,2\n", "line 3: empty label"),
             ("label,a,b\nu,1,2\n ,1\n", "line 3: expected 3 fields, got 2"),
+            # a label is compared after its padding is stripped
+            ("label,a,b\nu,1,2\n u ,3,4\n", "line 3: duplicate label 'u'"),
         ],
     )
     def test_pinned_first_errors(self, text, message):
         with pytest.raises(StrataCsvError, match="^f.csv: " + message.replace("*", r"\*")):
             read(text, "f.csv")
+
+    @pytest.mark.parametrize(
+        "header,last,message",
+        [
+            ("label,N,S", "x,10.5,2", "stratum 'x': N must be an integer, got 10.5"),
+            ("label,N,S", "r7,10,2", "duplicate label 'r7'"),
+            ("label,a,b", "x,oops,2", "non-numeric value in 'oops', '2'"),
+            ("label,a,b", "x,1e300,1e-300", "stratum 'x': a/b overflows"),
+        ],
+        ids=["fractional_N", "duplicate_label", "non_numeric", "ab_overflow"],
+    )
+    def test_last_of_ten_thousand_rows(self, header, last, message):
+        # K = 10,000 rows, a blank line after every 1,000th: after the header,
+        # 9,999 good rows and 9 blank lines, the bad row is line 10,010
+        lines = [header]
+        for i in range(9_999):
+            lines.append(f"r{i},{i % 50 + 2},{i % 7 + 0.5}")
+            if i % 1_000 == 999:
+                lines.append("")
+        lines.append(last)
+        assert len(lines) == 10_010 and lines.count("") == 9
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(StrataCsvError) as want:
+            reference_read(text, "f.csv")
+        assert str(want.value) == f"f.csv: line 10010: {message}"
+        with pytest.raises(StrataCsvError) as got:
+            read(text, "f.csv")
+        assert str(got.value) == str(want.value)
 
 
 def numpy_first_invalid(a, b, S=None):
@@ -249,8 +278,17 @@ PLAIN_VALUES = (1.0, 2.0, 3.0, 10.0, 1000.0, 0.5, 7.25)
 
 
 class TestFirstInvalidParity:
+    """The constructor of StrataColumns accepts exactly the columns the
+    oracle accepts, and otherwise names the oracle's first bad stratum."""
+
     def check(self, a, b, S=None):
-        assert first_invalid(a, b, S) == numpy_first_invalid(a, b, S), (a, b, S)
+        labels = [f"s{i}" for i in range(len(a))]
+        bad = numpy_first_invalid(a, b, S)
+        if bad == len(a):
+            StrataColumns(labels, a, b, S)
+        else:
+            with pytest.raises(ValueError, match=f"^stratum 's{bad}': "):
+                StrataColumns(labels, a, b, S)
 
     @pytest.mark.parametrize(
         "a,b",

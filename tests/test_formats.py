@@ -225,6 +225,40 @@ class TestAllocationJson:
         with pytest.raises(ValueError, match="alloc.json: " + match):
             read_allocation_json(io.StringIO(text), name="alloc.json")
 
+    @staticmethod
+    def scalar_doc(**fields):
+        doc = {"algorithm": "rna", "n": 2, "s_final": 0.5, "iterations": 1, "take_all": ["v"],
+               "allocation": [{"label": "u", "x": 0.5}, {"label": "v", "x": 1.5}]}
+        doc.update(fields)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize(
+        "field,value,what",
+        [
+            ("s_final", "1.5", "a number"),
+            ("s_final", True, "a number"),
+            ("s_final", "nan", "a number"),
+            ("s_final", "abc", "a number"),
+            ("s_final", None, "a number"),
+            ("iterations", "7", "an integer"),
+            ("iterations", 2.9, "an integer"),
+            ("iterations", 2.0, "an integer"),
+            ("iterations", True, "an integer"),
+            ("algorithm", 5, "a string"),
+            ("algorithm", None, "a string"),
+        ],
+    )
+    def test_malformed_scalar(self, field, value, what):
+        text = self.scalar_doc(**{field: value})
+        with pytest.raises(ValueError, match=f"^alloc.json: {field} must be {what}, got {value!r}$"):
+            read_allocation_json(io.StringIO(text), name="alloc.json")
+
+    def test_scalars_read_as_written(self):
+        # the writer prints s_final = 0.0 as 0, an integer in JSON
+        back = read_allocation_json(io.StringIO(self.scalar_doc(s_final=0, iterations=7, algorithm="sga")))
+        assert (back.s_final, type(back.s_final), back.iterations, back.algorithm) == (0.0, float, 7, "sga")
+        assert back.x == {"u": 0.5, "v": 1.5} and back.take_all == frozenset({"v"})
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_x_not_written(self, value):
         res = AllocationResult(
