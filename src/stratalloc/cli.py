@@ -22,22 +22,6 @@ from .oracles import LabelMismatchError, bisection_multiplier, kkt_verify
 from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
 
-SEED_ENV_VAR = "STRATALLOC_SEED"
-
-
-def _resolve_seed(seed: int | None) -> int:
-    """--seed flag, else the STRATALLOC_SEED env var, else 0."""
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-
-
 @contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
     if path is None or path == "-":
@@ -101,9 +85,8 @@ def _population(args: argparse.Namespace) -> tuple[str, tuple[Stratum, ...]]:
         return "table1", table1_problem().strata
     if args.kind == "power":
         return "power", power_population().strata
-    seed = _resolve_seed(args.seed)
-    spec = PopulationSpec(kind="lognormal_blocks", seed=seed, block_count=args.blocks)
-    return f"lognormal{args.blocks}s{seed}", lognormal_population(spec).strata
+    spec = PopulationSpec(kind="lognormal_blocks", seed=args.seed, block_count=args.blocks)
+    return f"lognormal{args.blocks}s{args.seed}", lognormal_population(spec).strata
 
 
 def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProblem]]:
@@ -112,8 +95,9 @@ def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProbl
         stem = os.path.splitext(os.path.basename(args.input))[0]
         strata = _read_rows(args.input)
     else:
-        stem, strata = _population(args)
-    total_b = math.fsum(st.b for st in strata)
+        stem, records = _population(args)
+        strata = StrataColumns.from_records(records)
+    total_b = math.fsum(strata.lists[1])
     return [
         (f"{stem}@{f:g}", AllocationProblem(strata=strata, n=float(round(f * total_b))))
         for f in fractions
@@ -123,8 +107,6 @@ def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProbl
 def cmd_bench(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.kind is None):
         raise ValueError("bench needs exactly one of --input or --kind")
-    if args.repetitions < 1:
-        raise ValueError("--repetitions must be >= 1")
     problems = _bench_problems(args)
     results = bench_mod.run_bench(problems, repetitions=args.repetitions)
     with _open_out(args.output) as fp:
@@ -191,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling fraction; repeatable (default 0.1..0.5)",
     )
     p_bench.add_argument("--repetitions", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--blocks", type=int, default=100, help="lognormal block count")
     p_bench.add_argument("--output", help="bench CSV path (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("genpop", help="write a synthetic population CSV")
     p_gen.add_argument("--kind", required=True, choices=["table1", "power", "lognormal"])
-    p_gen.add_argument("--seed", type=int, default=None, help=f"RNG seed (falls back to ${SEED_ENV_VAR})")
+    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_gen.add_argument("--blocks", type=int, default=100, help="lognormal block count")
     p_gen.add_argument("--output", help="strata CSV path (default stdout)")
     p_gen.set_defaults(func=cmd_genpop)

@@ -9,7 +9,7 @@ import math
 from collections.abc import Collection, Hashable
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, mul
+from operator import itemgetter, mul, truediv
 from typing import IO, Iterable, Sequence
 
 from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum
@@ -35,12 +35,12 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
 
     ``label,a,b`` gives the weights and bounds directly; ``label,N,S`` is the
     survey form (a = N * S, b = N) and keeps its S column. The result is a
-    :class:`StrataColumns`, whose records are built only if it is indexed or
-    iterated. Header matching is case-insensitive.
+    :class:`StrataColumns`, whose records are built only if its ``records``
+    are read. Header matching is case-insensitive.
 
-    The rows are checked a whole column at a time: field counts, labels
-    (non-empty and distinct), numbers, then the column checks of
-    :class:`StrataColumns`. When any of these fails, the rows are read
+    The rows are checked a whole column at a time: field counts, non-empty
+    labels, numbers, then the checks of :class:`StrataColumns` (the values,
+    and distinct labels). When any of these fails, the rows are read
     again one by one, and the first bad row raises
     :class:`StrataCsvError` naming its line: the first check it fails in the
     order above, and for a value the record constructors (:class:`Stratum`,
@@ -84,14 +84,14 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         raise StrataCsvError(f"{name}: line 2: no data rows")
     if list(map(len, rows)).count(3) == len(rows):
         labels = list(map(str.strip, map(itemgetter(0), rows)))
-        if "" not in labels and len(set(labels)) == len(labels):
+        if "" not in labels:
             try:
                 v1 = list(map(float, map(itemgetter(1), rows)))
                 v2 = list(map(float, map(itemgetter(2), rows)))
                 if make is Stratum:
                     return StrataColumns(labels, v1, v2)
                 return StrataColumns(labels, list(map(mul, v1, v2)), v1, v2)
-            except ValueError:  # a number or a record is rejected
+            except ValueError:  # a number, a record or a repeated label is rejected
                 pass
     # some column check failed: the row-by-row read finds and names the first bad row
     seen: set[str] = set()
@@ -126,32 +126,25 @@ def _row_error(raw: list[str], seen: set[str], make) -> str | None:
     return None
 
 
-def problem_from_rows(rows: Sequence[Stratum], n: float) -> AllocationProblem:
+def problem_from_rows(rows: StrataColumns | Iterable[Stratum], n: float) -> AllocationProblem:
     """The problem over rows: columns from :func:`read_strata_csv` are used
     as they are, without building a record."""
     return AllocationProblem(strata=rows, n=n)
 
 
-def population_maps_from_rows(rows: Sequence[Stratum]) -> tuple[dict, dict]:
-    """(N, S) maps for variance work; a,b rows must then have integer b, and
-    get S = a / b. Columns read from a ``label,N,S`` file give theirs without
-    building a record."""
-    if isinstance(rows, StrataColumns) and rows.S is not None:
-        return dict(zip(rows.labels, map(int, rows.lists[1]))), dict(zip(rows.labels, rows.S))
-    N: dict[str, int] = {}
-    S: dict[str, float] = {}
-    for row in rows:
-        if row.N is not None:
-            N[row.label] = row.N
-            S[row.label] = row.S
-        else:
-            if row.b != int(row.b):
-                raise StrataCsvError(
-                    f"stratum {row.label!r}: bound {row.b!r} is not an integer population size"
-                )
-            N[row.label] = int(row.b)
-            S[row.label] = row.a / row.b
-    return N, S
+def population_maps_from_rows(rows: StrataColumns) -> tuple[dict, dict]:
+    """(N, S) maps for variance work, read from the columns without building
+    a record. A ``label,N,S`` file gives its own; a ``label,a,b`` file must
+    have integer b, which gives N = b and S = a / b."""
+    labels = rows.labels
+    a, b = rows.lists
+    S = rows.S
+    if S is None:
+        if not all(map(float.is_integer, b)):
+            bad = next(i for i, bv in enumerate(b) if not bv.is_integer())
+            raise StrataCsvError(f"stratum {labels[bad]!r}: bound {b[bad]!r} is not an integer population size")
+        S = list(map(truediv, a, b))
+    return dict(zip(labels, map(int, b))), dict(zip(labels, S))
 
 
 def write_ab_csv(rows: Iterable[tuple[str, float, float]], fp: IO[str]) -> None:

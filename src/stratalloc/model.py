@@ -19,16 +19,12 @@ V is characterized by a fixed-point condition checked by
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter, lt, mul, neg, not_, truediv
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Label = Hashable
 
@@ -98,14 +94,6 @@ class SurveyStratum(Stratum):
         return int(self.b)
 
 
-def _column(values: list[float]) -> np.ndarray:
-    import numpy as np
-
-    col = np.array(values, dtype=np.float64)
-    col.flags.writeable = False
-    return col
-
-
 def _all_valid(a: list[float], b: list[float], S: list[float] | None) -> bool:
     return (
         all(map(math.isfinite, a))
@@ -117,21 +105,28 @@ def _all_valid(a: list[float], b: list[float], S: list[float] | None) -> bool:
     )
 
 
-class StrataColumns(Sequence):
+def _check_distinct(labels: tuple[Label, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValueError("stratum labels must be distinct")
+
+
+class StrataColumns:
     """Strata held as columns: labels, a and b, and S for survey strata.
 
     The one representation the problem, the solvers and the file formats
-    read. ``lists`` holds a and b as lists of floats, and ``S`` is a list of
-    floats or None: every pass over a column is one C-level map, compress or
-    fsum, which at K = 20 costs less than numpy's per-call overhead, and
-    which needs no numpy. ``a`` and ``b`` are read-only float64 arrays of
-    the same columns, built on first access, for the oracles that do vector
-    work. As a sequence it yields :class:`Stratum` records
-    (:class:`SurveyStratum` records when S is given), all built on first use
-    and then kept; built by :meth:`from_records` it is that exact tuple. The
-    constructor checks whole columns as the record constructors would; when
-    a check fails it builds the records in order, so the first rejected
-    stratum raises its own record constructor's ValueError.
+    read. ``labels`` is a tuple, ``lists`` holds a and b as lists of floats,
+    and ``S`` is a list of floats or None: every pass over a column is one
+    C-level map, compress or fsum, which at K = 20 costs less than numpy's
+    per-call overhead, and which needs no numpy. ``records`` is the one
+    record view: :class:`Stratum` records (:class:`SurveyStratum` records
+    when S is given), built on first use and then kept; built by
+    :meth:`from_records` it is that exact tuple.
+
+    Every stratum check is made here. The constructor checks whole columns
+    as the record constructors would; when a check fails it builds the
+    records in order, so the first rejected stratum raises its own record
+    constructor's ValueError. Labels must be distinct, in both
+    constructors.
     """
 
     def __init__(
@@ -144,32 +139,21 @@ class StrataColumns(Sequence):
         if not K == len(self.lists[0]) == len(self.lists[1]) == (K if self.S is None else len(self.S)):
             raise ValueError("strata columns must have equal lengths")
         self._records: tuple[Stratum, ...] | None = None
-        self._a = self._b = None
         if not _all_valid(*self.lists, self.S):
             self.records  # built in order: the first rejected stratum's constructor raises
             raise AssertionError("a column check fails that every record passes")
+        _check_distinct(self.labels)
 
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
-        """The columns of records already built; the sequence is that tuple."""
+        """The columns of records already built; ``records`` is that tuple."""
         self = cls.__new__(cls)
         self._records = tuple(records)
         self.labels = tuple(map(attrgetter("label"), self._records))
         self.lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
-        self._a = self._b = self.S = None
+        self.S = None
+        _check_distinct(self.labels)
         return self
-
-    @property
-    def a(self) -> np.ndarray:
-        if self._a is None:
-            self._a = _column(self.lists[0])
-        return self._a
-
-    @property
-    def b(self) -> np.ndarray:
-        if self._b is None:
-            self._b = _column(self.lists[1])
-        return self._b
 
     @property
     def records(self) -> tuple[Stratum, ...]:
@@ -179,15 +163,6 @@ class StrataColumns(Sequence):
             else:
                 self._records = tuple(map(SurveyStratum, self.labels, *self.lists, self.S))
         return self._records
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self) -> Iterator[Stratum]:
-        return iter(self.records)
 
 
 def _total(values: list[float], name: str) -> float:
@@ -203,13 +178,12 @@ class AllocationProblem:
     ``strata`` is a :class:`StrataColumns` or any iterable of
     :class:`Stratum` records. The problem holds the columns: ``labels`` and
     the a and b lists in ``columns.lists``, which the solvers and oracles
-    read; ``a`` and ``b`` are the read-only float64 arrays of the columns,
-    built on first access for the oracles that need numpy. ``strata`` reads
-    back the records: the tuple given, or for columns, records built once on
-    first use.
+    read. ``strata`` is ``columns.records``: the tuple given, or for
+    columns, records built once on first use.
 
-    Validation on construction: labels are distinct, sum(a) and sum(b) do not
-    overflow, 0 < n <= sum(b). The boundary case n == sum(b) is accepted; it
+    The strata are checked by :class:`StrataColumns`. Validation on
+    construction: at least one stratum, sum(a) and sum(b) do not overflow,
+    0 < n <= sum(b). The boundary case n == sum(b) is accepted; it
     is the trivial census where the only feasible (hence optimal) allocation
     is x = b (see :attr:`is_census`). n > sum(b) raises
     :class:`InfeasibleProblemError`. A problem is immutable.
@@ -220,8 +194,6 @@ class AllocationProblem:
         labels = columns.labels
         if not labels:
             raise ValueError("problem needs at least one stratum")
-        if len(set(labels)) != len(labels):
-            raise ValueError("stratum labels must be distinct")
         if not (math.isfinite(n) and n > 0):
             raise ValueError(f"n must be positive and finite, got {n!r}")
         a, b = columns.lists
@@ -231,14 +203,6 @@ class AllocationProblem:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"AllocationProblem is immutable; cannot set {name!r}")
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.columns.a
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.columns.b
 
     @property
     def strata(self) -> tuple[Stratum, ...]:

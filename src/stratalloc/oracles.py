@@ -96,7 +96,7 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
         return frozenset(problem.labels)
     import numpy as np
 
-    a, b = problem.a, problem.b
+    a, b = map(np.array, problem.columns.lists)
     c = a / b
     # subset sums via doubling: index bit i set <=> stratum i in the subset
     sum_a = np.zeros(1)
@@ -358,7 +358,8 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     n = problem.n
     if n != int(n):
         raise ValueError(f"integer allocation needs integer n, got {n!r}")
-    fractional = problem.b != np.floor(problem.b)
+    a, b = map(np.array, problem.columns.lists)
+    fractional = b != np.floor(b)
     if fractional.any():
         label = problem.labels[int(fractional.argmax())]
         raise ValueError(f"stratum {label!r}: integer allocation needs integer bounds")
@@ -368,7 +369,6 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     if n > 2**53:
         raise ValueError(f"integer allocation needs n <= 2**53, got n={n}")
     m = n - K  # units to grant beyond the first of each stratum
-    a, b = problem.a, problem.b
     # units each stratum can take, capped at m <= 2**53: counts are exact
     # floats, and a float sum of counts compares with m exactly (it is exact
     # below 2**53, and a partial sum that reaches 2**53 >= m stays there)

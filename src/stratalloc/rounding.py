@@ -112,7 +112,7 @@ def variance_table(
     Sv = list(map(S.__getitem__, N))
     strata = StrataColumns(list(N), map(mul, Nv, Sv), Nv, Sv)
     total_N = math.fsum(N.values())
-    K = len(strata)
+    K = len(strata.labels)
     reports = []
     for f in fractions:
         if not (0 < f <= 1):

@@ -275,6 +275,19 @@ def populations(tmp_path_factory):
     return paths
 
 
+# sha256 of genpop's seed-0 CSVs and of roundcmp's report on two of them at
+# fractions 0.1 to 0.5: lognormal is a label,N,S file, table1 a label,a,b file
+GENPOP_SHA256 = {
+    "table1": "ae3df465eb58bd4edb8405565afe49308303c6a0151e4d024fc19c4b8b5db0f5",
+    "power": "ff0b81ca3d2bd4d27b16beff12848f1fc5509e4deee12a31a162fae2e3a0c48c",
+    "lognormal": "910f94bcd7197107873ab4afc2907a2c1014ea778dc86b30306780e6cabd1d1d",
+}
+ROUNDCMP_SHA256 = {
+    "lognormal": "dcc760f15790ce7de6ccc160836ce3f85381991b0f62802b3e6ebf754f6c868f",
+    "table1": "7019d6e489535d84910f1a1192c330facf5de66562f68bd968d66571ee80dd1a",
+}
+
+
 class TestAllocationBytes:
     @pytest.mark.parametrize("kind,n,algorithm", sorted(ALLOCATION_SHA256))
     def test_pinned_sha256(self, populations, tmp_path, kind, n, algorithm):
@@ -283,6 +296,17 @@ class TestAllocationBytes:
         assert main(["allocate", *args, "--algorithm", algorithm, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ALLOCATION_SHA256[(kind, n, algorithm)]
         assert main(["verify", *args, "--allocation", str(out)]) == 0
+
+    @pytest.mark.parametrize("kind", sorted(GENPOP_SHA256))
+    def test_pinned_genpop_sha256(self, populations, kind):
+        assert hashlib.sha256(populations[kind].read_bytes()).hexdigest() == GENPOP_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(ROUNDCMP_SHA256))
+    def test_pinned_roundcmp_sha256(self, populations, tmp_path, kind):
+        out = tmp_path / "round.csv"
+        fractions = [arg for f in ("0.1", "0.2", "0.3", "0.4", "0.5") for arg in ("--fraction", f)]
+        assert main(["roundcmp", "--input", str(populations[kind]), *fractions, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ROUNDCMP_SHA256[kind]
 
     def test_no_records_on_allocate_or_verify(self, populations, tmp_path, monkeypatch):
         # every Stratum and SurveyStratum constructor runs Stratum.__post_init__
@@ -336,25 +360,6 @@ class TestGenpop:
             ]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        flagged = tmp_path / "flag.csv"
-        env = tmp_path / "env.csv"
-        assert main([
-            "genpop", "--kind", "lognormal", "--seed", "7", "--blocks", "4",
-            "--output", str(flagged),
-        ]) == 0
-        monkeypatch.setenv("STRATALLOC_SEED", "7")
-        assert main([
-            "genpop", "--kind", "lognormal", "--blocks", "4", "--output", str(env),
-        ]) == 0
-        assert env.read_text() == flagged.read_text()
-
-    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("STRATALLOC_SEED", "pi")
-        code = main(["genpop", "--kind", "lognormal", "--blocks", "2", "--output", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "STRATALLOC_SEED" in capsys.readouterr().err
-
     def test_round_trips_through_allocate(self, tmp_path):
         pop = tmp_path / "pop.csv"
         main(["genpop", "--kind", "lognormal", "--seed", "3", "--blocks", "4", "--output", str(pop)])
@@ -392,6 +397,23 @@ class TestBench:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3
         assert rows[0]["problem_id"].endswith("@0.4")
+
+    def test_input_builds_no_record(self, tmp_path, monkeypatch):
+        pop = tmp_path / "pop.csv"
+        assert main(["genpop", "--kind", "lognormal", "--blocks", "5", "--output", str(pop)]) == 0
+        built = []
+        check = Stratum.__post_init__
+        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+        out = tmp_path / "bench.csv"
+        args = ["--fraction", "0.3", "--repetitions", "1", "--output", str(out)]
+        assert main(["bench", "--input", str(pop), *args]) == 0
+        assert built == []
+        assert len(list(csv.DictReader(out.read_text().splitlines()))) == 3
+
+    def test_zero_repetitions_exit_2(self, table1_csv, capsys):
+        code = main(["bench", "--input", str(table1_csv), "--fraction", "0.4", "--repetitions", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: repetitions must be >= 1\n"
 
     def test_requires_exactly_one_source(self, table1_csv, capsys):
         assert main(["bench", "--fraction", "0.5"]) == 2
@@ -442,9 +464,11 @@ class TestRoundcmp:
         args = ["--fraction", "0.1", "--fraction", "0.5", "--output", str(out)]
         assert main(["roundcmp", "--input", str(populations["lognormal"]), *args]) == 0
         assert built == []
-        # a label,a,b file is read as records once, with S = a / b
+        # nor on a label,a,b file, whose S = a / b is read from the columns
         assert main(["roundcmp", "--input", str(populations["table1"]), *args]) == 0
-        assert built == list(map(str, range(1, 21)))
+        assert built == []
+        Stratum("u", 1.0, 2.0)
+        assert built == ["u"]  # the count sees records
 
     def test_weight_form_needs_integer_bounds(self, tmp_path, capsys):
         pop = tmp_path / "pop.csv"

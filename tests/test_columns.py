@@ -52,8 +52,8 @@ def json_bytes(res, n):
 def assert_routes_agree(from_csv, from_records):
     """Every solver and oracle gives the same answer, bit for bit, on the two problems."""
     assert from_csv.labels == from_records.labels
-    assert from_csv.a.tobytes() == from_records.a.tobytes()
-    assert from_csv.b.tobytes() == from_records.b.tobytes()
+    # the values are positive and finite, so equal floats are equal bits
+    assert from_csv.columns.lists == from_records.columns.lists
     for name, solver in SOLVERS.items():
         res, other = solver(from_csv), solver(from_records)
         assert result_key(res) == result_key(other), name
@@ -104,23 +104,35 @@ class TestStrataColumns:
         assert built == []
         assert [type(st) for st in p.strata] == [SurveyStratum, SurveyStratum]
         assert built == ["u", "v"]
-        assert columns[1] is p.strata[1] and list(columns) == list(p.strata)
+        assert columns.records is p.strata
         assert built == ["u", "v"]
 
     def test_problem_from_records_keeps_the_tuple(self):
         strata = (Stratum("u", 1.0, 2.0), Stratum("v", 3.0, 4.0))
         p = AllocationProblem(strata, 5.0)
         assert p.strata is strata
-        assert p.a.tolist() == [1.0, 3.0] and p.b.tolist() == [2.0, 4.0]
+        assert p.columns.lists == ([1.0, 3.0], [2.0, 4.0])
 
     def test_immutable(self):
         columns = StrataColumns(["u", "v"], [1.0, 3.0], [2.0, 4.0])
         p = AllocationProblem(columns, 5.0)
         with pytest.raises(AttributeError):
             p.n = 6.0
-        with pytest.raises(ValueError):
-            p.a[0] = 7.0
         assert columns.S is None
+
+    def test_duplicate_labels(self):
+        with pytest.raises(ValueError, match="^stratum labels must be distinct$"):
+            StrataColumns(["u", "v", "u"], [10.0, 20.0, 30.0], [10.0, 10.0, 10.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^stratum labels must be distinct$"):
+            StrataColumns.from_records([Stratum("u", 1.0, 2.0), Stratum("u", 3.0, 4.0)])
+
+    def test_records_only_on_request(self):
+        # the columns are no sequence: a record is built only by reading records
+        columns = StrataColumns(["u"], [1.0], [2.0])
+        for op in (len, iter, lambda c: c[0]):
+            with pytest.raises(TypeError):
+                op(columns)
+        assert columns.records == (Stratum("u", 1.0, 2.0),)
 
     @pytest.mark.parametrize(
         "a,b,S,match",

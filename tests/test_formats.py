@@ -24,24 +24,24 @@ def parse(text, name="test.csv"):
 
 class TestReadStrataCsv:
     def test_weight_bound_form(self):
-        rows = parse("label,a,b\nu,2.5,10\nv,1.0,4\n")
+        rows = parse("label,a,b\nu,2.5,10\nv,1.0,4\n").records
         assert [(r.label, r.a, r.b) for r in rows] == [("u", 2.5, 10.0), ("v", 1.0, 4.0)]
         assert rows[0].N is None
 
     def test_survey_form_maps_to_weights(self):
-        rows = parse("label,N,S\nu,100,2.5\nv,50,1.5\n")
+        rows = parse("label,N,S\nu,100,2.5\nv,50,1.5\n").records
         assert rows[0].a == pytest.approx(250.0)
         assert rows[0].b == 100.0
         assert rows[0].N == 100
         assert rows[1].S == 1.5
 
     def test_header_case_insensitive(self):
-        rows = parse("Label,A,B\nu,1,2\n")
+        rows = parse("Label,A,B\nu,1,2\n").records
         assert rows[0].a == 1.0
 
     def test_blank_lines_ignored(self):
         rows = parse("label,a,b\nu,1,2\n\nv,2,3\n")
-        assert len(rows) == 2
+        assert rows.labels == ("u", "v")
 
     def test_unknown_header(self):
         with pytest.raises(StrataCsvError, match="line 1"):
@@ -84,9 +84,9 @@ class TestReadStrataCsv:
         assert p.n == 7.0
 
     def test_rows_are_strata(self):
-        rows = parse("label,a,b\nu,2.5,10\n")
+        rows = parse("label,a,b\nu,2.5,10\n").records
         assert type(rows[0]) is Stratum
-        rows = parse("label,N,S\nu,100,0.30000000000000004\nv,7,1e-300\n")
+        rows = parse("label,N,S\nu,100,0.30000000000000004\nv,7,1e-300\n").records
         assert all(type(r) is SurveyStratum for r in rows)
         assert rows[0].S.hex() == (0.1 + 0.2).hex()
         assert rows[1].S == 1e-300
@@ -95,7 +95,7 @@ class TestReadStrataCsv:
     def test_problem_shares_the_rows(self):
         rows = parse("label,N,S\nu,100,2.5\nv,50,1.5\n")
         p = problem_from_rows(rows, 30.0)
-        assert all(p.strata[i] is rows[i] for i in range(len(rows)))
+        assert p.strata is rows.records
 
     def test_rejected_record_names_line(self):
         # a/b overflows: the Stratum constructor rejects the row
@@ -152,13 +152,13 @@ class TestCsvWriters:
     def test_ab_round_trip(self):
         buf = io.StringIO()
         write_ab_csv([("u", 1.5, 10.0), ("v", 0.1, 3.0)], buf)
-        rows = parse(buf.getvalue())
+        rows = parse(buf.getvalue()).records
         assert [(r.label, r.a, r.b) for r in rows] == [("u", 1.5, 10.0), ("v", 0.1, 3.0)]
 
     def test_ns_round_trip(self):
         buf = io.StringIO()
         write_ns_csv([("u", 100, 2.5)], buf)
-        rows = parse(buf.getvalue())
+        rows = parse(buf.getvalue()).records
         assert rows[0].N == 100
         assert rows[0].S == 2.5
 
@@ -166,7 +166,7 @@ class TestCsvWriters:
         value = 0.1 + 0.2  # 0.30000000000000004
         buf = io.StringIO()
         write_ab_csv([("u", value, 1.0)], buf)
-        assert parse(buf.getvalue())[0].a == value
+        assert parse(buf.getvalue()).records[0].a == value
 
 
 class TestAllocationJson:

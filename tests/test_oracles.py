@@ -119,7 +119,7 @@ def numpy_kkt(problem, result):
 
     labels = problem.labels
     x = np.array([result.x[label] for label in labels], dtype=np.float64)
-    a, b = problem.a, problem.b
+    a, b = map(np.array, problem.columns.lists)
     v = result.take_all
     census = len(v) == problem.size
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
