@@ -1,4 +1,4 @@
-"""Per-layer times of the allocate and verify paths over a sweep of K.
+"""Per-layer times of the allocate, verify and roundcmp paths over a sweep of K.
 
     python3 scripts/layer_sweep.py --src parent=/path/to/parent/src --src change=src \
         --sizes 1000 10000 100000 1000000 --repeats 5 --out BENCH_9.json
@@ -8,16 +8,17 @@ For every K the input is perfbench's seeded survey file
 (``perfbench/gen.write_survey_csv``, seed 0) with n = round(0.2 * sum(N)).
 Each repeat runs, for every source in turn, one worker process that times
 the layers in process once each (CSV read, problem build, rna, sga, coma,
-JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall) and
-records each solver's iteration count r*, then three child processes,
-each timed from spawn to exit: ``python -c "import stratalloc.cli"``
-(``cli_import``, the start-up every command pays) and the CLI ``allocate``
-and ``verify`` commands. Sources alternate within a repeat, so a drift of
-the host's speed reaches all of them. The output holds the median of every
-layer per source and K, r* per solver, the sha256 of each source's
-allocation JSON, and the median time of perfbench's reference loop
-(``ops.reference_loop``) measured before each worker, which tells how fast
-the host ran.
+JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall, and
+greedy_integer_optimal at the same n) and records each solver's iteration
+count r*, then four child processes, each timed from spawn to exit:
+``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
+command pays), the CLI ``allocate`` and ``verify`` commands, and
+``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources alternate
+within a repeat, so a drift of the host's speed reaches all of them. The
+output holds the median of every layer per source and K, r* per solver, the
+sha256 of each source's allocation JSON and roundcmp CSV, and the median
+time of perfbench's reference loop (``ops.reference_loop``) measured
+before each worker, which tells how fast the host ran.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ PERFBENCH = ROOT / "perfbench"
 SOLVERS = ("rna", "sga", "coma")
 LAYERS = (
     "read_strata_csv", "build", *SOLVERS, "write_allocation_json",
-    "read_allocation_json", "kkt_verify", "is_optimal_takeall",
+    "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
 )
-CHILDREN = ("cli_import", "cli_allocate", "cli_verify")
+CHILDREN = ("cli_import", "cli_allocate", "cli_verify", "cli_roundcmp")
+FRACTIONS = ("0.1", "0.2", "0.3", "0.4", "0.5")
 
 
 def worker(csv_path: str, n: float) -> dict[str, dict]:
     """One timed call of every layer, and r* of each solver, on the
     stratalloc package on sys.path."""
-    from stratalloc import coma, formats, is_optimal_takeall, kkt_verify, rna, sga
+    from stratalloc import coma, formats, greedy_integer_optimal, is_optimal_takeall, kkt_verify, rna, sga
 
     out: dict[str, float] = {}
 
@@ -70,6 +72,7 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     fixed = timed("is_optimal_takeall", is_optimal_takeall, problem, back.take_all)
     if not (cert.valid and fixed):
         raise RuntimeError("the allocation did not verify")
+    timed("greedy_integer_optimal", greedy_integer_optimal, problem)
     return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}}
 
 
@@ -97,7 +100,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         gen.write_survey_csv(str(path), 0, K)
         n = gen.sample_size(str(path))
         samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
-        digests, iterations = {}, {}
+        digests, round_digests, iterations = {}, {}, {}
         for _ in range(repeats):
             for name, src in sources.items():
                 refs.append(min(reference_loop() for _ in range(3)))
@@ -116,12 +119,18 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 samples[name]["cli_verify"].append(child(src, [
                     "-m", "stratalloc.cli", "verify", "--input", str(path), "--n", str(n), "--allocation", str(out)]))
                 digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+                report_csv = work / f"{name}_{K}_roundcmp.csv"
+                fractions = [arg for f in FRACTIONS for arg in ("--fraction", f)]
+                samples[name]["cli_roundcmp"].append(child(src, [
+                    "-m", "stratalloc.cli", "roundcmp", "--input", str(path), *fractions, "--output", str(report_csv)]))
+                round_digests[name] = hashlib.sha256(report_csv.read_bytes()).hexdigest()
         for name in sources:
             results[name][str(K)] = {
                 "n": n,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
                 "iterations": iterations[name],
                 "allocate_sha256": digests[name],
+                "roundcmp_sha256": round_digests[name],
             }
         print(f"K={K}: " + "; ".join(
             f"{name} allocate {results[name][str(K)]['median_s']['cli_allocate']:.3f} s" for name in sources),
@@ -150,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
-        "timing each layer once, then the import, allocate and verify children. Unscaled medians in seconds; "
+        "timing each layer once, then the import, allocate, verify and roundcmp children. Unscaled medians in seconds; "
         "iterations is r* of each solver."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

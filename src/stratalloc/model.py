@@ -146,12 +146,14 @@ class StrataColumns:
 
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
-        """The columns of records already built; ``records`` is that tuple."""
+        """The columns of records already built; ``records`` is that tuple.
+        S is the records' S when every one is a :class:`SurveyStratum`."""
         self = cls.__new__(cls)
         self._records = tuple(records)
         self.labels = tuple(map(attrgetter("label"), self._records))
         self.lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
-        self.S = None
+        S = list(map(attrgetter("S"), self._records))
+        self.S = None if None in S else S
         _check_distinct(self.labels)
         return self
 

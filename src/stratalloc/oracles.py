@@ -9,19 +9,25 @@ stratum receives exactly the units whose marginal gain a_w**2/(k (k + 1)) lies
 above one threshold t. The gains of a stratum do not increase with k, so the
 n - K largest gains are the optimum, the allocation a greedy that grants one
 unit at a time to the largest gain would reach. :func:`greedy_integer_optimal`
-finds t, the (n - K)-th largest gain, by bisection over the bit patterns of
-the non-negative floats, each step one O(K) vector pass, and hands the units
-whose gain equals t to the earliest strata first.
+counts, exactly and per stratum, the units with gain above a probe t. The
+continuous relaxation, solved by Newton's method, puts the first probe a
+little below the (n - K)-th largest gain, and a heap grants the few units
+still missing in the greedy's order; where the relaxation leaves the float
+range, bisection over the bit patterns of the non-negative floats narrows
+the probes instead. Every pass over the strata is a C-level map over the
+column lists, so the oracle needs no numpy; only brute_force_subset uses it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from itertools import compress, repeat
-from operator import gt, mul, not_, sub, truediv
-from typing import TYPE_CHECKING
+from math import floor, sqrt
+from operator import add, and_, eq, ge, getitem, gt, le, lt, mul, neg, not_, or_, sub, truediv
 
 from .model import (
     AllocationProblem,
@@ -29,9 +35,6 @@ from .model import (
     Label,
     s_of,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "KktCertificate",
@@ -294,39 +297,114 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     )
 
 
-def _units_above(A: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    """Per stratum, how many of its units 1..u_w have a gain above t.
+def _roots(A: list[float], t: float) -> list[float]:
+    """Per stratum, the root sqrt(A_w / t + 1/4) - 1/2 of k * (k + 1) = A_w / t > 0."""
+    return list(map(sub, map(sqrt, map(add, map(truediv, A, repeat(t)), repeat(0.25))), repeat(0.5)))
+
+
+def _estimate(A: list[float], u: list[float], t: float) -> list[int]:
+    """Per stratum, the root of k * (k + 1) = A_w / t, floored and capped at u_w."""
+    # A_w / 0 is inf for every nonzero gain, nan (read as 0) for none
+    root = _roots(A, t) if t > 0.0 else list(map(mul, u, map(bool, A)))
+    return _floor_capped(root, u, list(map(lt, root, u)))
+
+
+def _floor_capped(root: list[float], u: list[float], below: list[bool]) -> list[int]:
+    # floor(min(root_w, u_w)); the min indexes the pair (u_w, root_w), since
+    # the builtin min costs several C-level operators per call in a map
+    return list(map(floor, map(getitem, zip(u, root), below)))
+
+
+def _units_above(A: list[float], u: list[float], t: float, est: list[int]) -> list[int]:
+    """Per stratum, how many of its units 1..u_w have a gain above t >= 0.
 
     The gain of a stratum's (k+1)-th unit is A_w / (k * (k + 1.0)), the float
     expression the integer optimum ranks by; it does not increase with k, so
     the count is the largest k in [0, u_w] whose gain exceeds t (k = 0 always
-    qualifies). The root of k * (k + 1) = A_w / t gives an estimate; a window
-    of one unit around it is confirmed with the float expression itself and
-    widened to the whole range [0, u_w] where it fails, then the window is
-    bisected. Counts are whole float64 values.
+    qualifies). est holds a guess k in [0, u_w] per stratum, which the float
+    expression confirms: the gain of unit k must exceed t (or k = 0) and that
+    of unit k + 1 must not (or k = u_w). A stratum where either fails is
+    counted by bisection over [0, u_w]. Every other pass is one C-level map
+    over the lists. Returns est, corrected in place.
     """
+    nxt = list(map(add, est, repeat(1.0)))
+    zero = list(map(not_, est))
+    # at k = 0 the denominator k * (k + 1.0) + (k == 0) is 1, not 0
+    own = map(or_, zero, map(gt, map(truediv, A, map(add, map(mul, est, nxt), zero)), repeat(t)))
+    last = map(or_, map(ge, est, u), map(le, map(truediv, A, map(mul, nxt, map(add, nxt, repeat(1.0)))), repeat(t)))
+    ok = list(map(and_, own, last))
+    if not all(ok):
+        for w in compress(range(len(ok)), map(not_, ok)):
+            lo, hi = 0, int(u[w])
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if A[w] / (mid * (mid + 1.0)) > t:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            est[w] = lo
+    return est
 
-    import numpy as np
 
-    def above(k: np.ndarray) -> np.ndarray:
-        return (k == 0.0) | ((k <= u) & (A / (k * (k + 1.0)) > t))
+def _relaxed_threshold(
+    A: list[float], u: list[float], m: int, a: list[float], sum_a: float
+) -> tuple[float, list[int]] | None:
+    """A threshold t with a little fewer than m units of gain above it, with
+    the estimated count of each stratum there; None when no such t is met
+    among the normal floats.
 
-    est = np.floor(np.sqrt(A / t + 0.25) - 0.5)
-    est = np.minimum(np.fmax(est, 0.0), u)  # fmax sends the nan of 0/0 or inf/inf to 0
-    lo = np.maximum(est - 1.0, 0.0)
-    hi = np.minimum(est + 1.0, u)
-    lo = np.where(above(lo), lo, 0.0)
-    hi = np.where(above(hi + 1.0), u, hi)
-    # invariant: above(lo) and not above(hi + 1)
-    while (lo < hi).any():
-        mid = lo + np.floor((hi - lo + 1.0) * 0.5)
-        ok = above(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid - 1.0)
-    return lo
+    Relaxed, a stratum takes min(u_w, sqrt(A_w / t + 1/4) - 1/2) units, the
+    root of k * (k + 1) = A_w / t; its floor is the exact count but where
+    rounding decides. In y = t**-0.5 the root grows by less than a_w per unit
+    of y, and nearly by a_w, until it meets u_w. Newton's method on the sum
+    of the floors, stepping as if each stratum below u_w grew by a_w, starts
+    from the unbounded Neyman guess y = m / sum(a), where the sum is under m,
+    aims K / 16 below m and stops once the sum is within K / 8 below it. It
+    bisects the values of y known to lie on either side where a step would
+    leave them, and stops at the last y below m when they close to within
+    2**-20 of each other (a step of the sum there is wider than K / 8: ties),
+    when t leaves the normal floats, or after 50 steps.
+    """
+    margin = len(A) // 16 + 1
+    y = m / sum_a
+    below, above = 0.0, math.inf  # values of y whose sums fall short of m, reach it
+    best = None  # the relaxation at below
+    for _ in range(50):
+        yy = y * y
+        if not _YY_MIN < yy < _YY_MAX:
+            break
+        t = 1.0 / yy
+        root = _roots(A, t)
+        free = list(map(lt, root, u))
+        short = m - sum(map(floor, compress(root, free))) - sum(compress(u, map(not_, free)))
+        if short > 0:
+            below, best = y, (t, root, free)
+            if short <= 2 * margin:
+                break
+        else:
+            above = y
+        if above - below <= below * 2.0**-20:
+            break
+        slope = sum(compress(a, free))  # 0 when every stratum is at u_w, and y must fall
+        step = y + (short - margin) / slope if slope else 0.0
+        y = step if below < step < above else 0.5 * (below + above)
+    if best is None:
+        return None
+    t, root, free = best
+    return t, _floor_capped(root, u, free)
+
+
+def _bits(t: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(t))[0]
+
+
+def _float(bits: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 _INF_BITS = 0x7FF0000000000000  # bit pattern of +inf; non-negative floats order as their bits
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+_YY_MIN, _YY_MAX = 1.0 / sys.float_info.max, 1.0 / sys.float_info.min  # t = 1 / y**2 is normal
 
 
 def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
@@ -337,31 +415,33 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     must be exact in a float). Each stratum starts at x_w = 1; its (k+1)-th
     unit lowers the objective by the gain a_w**2/k - a_w**2/(k + 1), ranked as
     the float (a_w * a_w) / (k * (k + 1.0)). The gains do not increase with k,
-    so granting the n - K largest gains is exchange-optimal, and it is what a
-    greedy that grants one unit at a time to the largest gain would do.
+    so granting the m = n - K largest gains is exchange-optimal, and it is
+    what a greedy that grants one unit at a time to the largest gain, the
+    earlier stratum first on ties, would do.
 
-    The threshold t is the (n - K)-th largest gain among the units 2..b_w of
-    all strata. It is found by bisection over the bit patterns of the
-    non-negative floats, whose order is the order of the values: at most 63
-    steps, each one O(K) vector pass that counts the units with gain above a
-    probe, stopping early once exactly n - K units lie above the lower end.
-    Every stratum receives all its units with gain above t. The units with
-    gain exactly t are ties; they go to the earliest stratum first, and each
-    stratum takes all of its tied units before the next one gets any, which
-    is the order of a greedy that breaks ties by stratum index, so the result
-    is deterministic. take_all holds the strata at their bounds. s_final is
-    reported as 0.0: an integer allocation has no continuous scale.
+    The search keeps a bracket lo < hi of thresholds with at least m units of
+    gain above lo and fewer than m above hi, each count exact per stratum.
+    The continuous relaxation gives the first hi, a little below m units;
+    where a**2 overflows or underflows there is no relaxation, and while
+    more than 4 (K + 1) units are missing above hi the next probe is the
+    midpoint of the bit patterns of lo and hi, whose order is the order of
+    the non-negative floats. Every stratum receives its units with gain
+    above hi, and the missing units are granted one at a time from a heap,
+    in the greedy's order, among the units between lo and hi. More units
+    can be missing only when lo and hi end as adjacent floats, so that the
+    units between them tie at one gain, or when exactly m units lie above
+    lo; each stratum then takes all of its units between lo and hi before
+    the next one gets any. take_all holds the strata at their bounds.
+    s_final is reported as 0.0: an integer allocation has no continuous
+    scale.
     """
-    import numpy as np
-
     K = problem.size
     n = problem.n
     if n != int(n):
         raise ValueError(f"integer allocation needs integer n, got {n!r}")
-    a, b = map(np.array, problem.columns.lists)
-    fractional = b != np.floor(b)
-    if fractional.any():
-        label = problem.labels[int(fractional.argmax())]
+    a, b = problem.columns.lists
+    if not all(map(float.is_integer, b)):
+        label = next(compress(problem.labels, map(not_, map(float.is_integer, b))))
         raise ValueError(f"stratum {label!r}: integer allocation needs integer bounds")
     n = int(n)
     if n < K:
@@ -369,39 +449,68 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     if n > 2**53:
         raise ValueError(f"integer allocation needs n <= 2**53, got n={n}")
     m = n - K  # units to grant beyond the first of each stratum
-    # units each stratum can take, capped at m <= 2**53: counts are exact
-    # floats, and a float sum of counts compares with m exactly (it is exact
-    # below 2**53, and a partial sum that reaches 2**53 >= m stays there)
-    u = np.minimum(b - 1.0, m)
-    # The counts of units with gain above the floats with bit patterns lo and
-    # hi; lo = -1 stands below 0, where every unit counts. Invariant: the
-    # count at lo is >= m > the count at hi. The search ends when exactly m
-    # units lie above lo, or when lo and hi are adjacent floats, so that the
-    # units between them are the ties at the m-th largest gain.
+    # units each stratum can take, capped at m < 2**53: every count k is exact
+    # in the float k * (k + 1.0), and a float sum of counts compares with m
+    # exactly (it is exact up to 2**53, and stays above m past it)
+    u = list(map(sub, b, repeat(1.0)))
+    for w in compress(range(K), map(gt, u, repeat(m))):
+        u[w] = float(m)
+    A = list(map(mul, a, a))
+    # The bracket, as bit patterns; lo = -1 stands below 0, where every unit
+    # counts. Invariant: total_lo >= m > total_hi.
     lo, hi = -1, _INF_BITS
-    above_lo, above_hi = u, np.zeros(K)
-    total_lo = u.sum()
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        A = a * a
-        while total_lo > m and hi - lo > 1:
-            mid = (lo + hi) // 2
-            count = _units_above(A, u, float(np.int64(mid).view(np.float64)))
-            total = count.sum()
-            if total < m:
-                hi, above_hi = mid, count
+    above_lo, above_hi = u, [0] * K
+    total_lo, total_hi = sum(u), 0
+
+    def probe(t: float, est: list[int] | None = None) -> None:
+        """Count the units with gain above t, which narrows the bracket."""
+        nonlocal lo, hi, above_lo, above_hi, total_lo, total_hi
+        bits = _bits(t)
+        if not lo < bits < hi:
+            return
+        count = _units_above(A, u, t, _estimate(A, u, t) if est is None else est)
+        total = sum(count)
+        if total < m:
+            hi, above_hi, total_hi = bits, count, total
+        else:
+            lo, above_lo, total_lo = bits, count, total
+
+    limit = 4 * (K + 1)
+    if total_lo > m and sys.float_info.min <= min(A) and max(A) < math.inf:
+        seed = _relaxed_threshold(A, u, m, a, problem.sum_a)
+        if seed is not None:
+            probe(*seed)
+    while total_lo > m and hi - lo > 1 and m - total_hi > limit:
+        probe(_float((lo + hi) // 2))
+    rest = m - total_hi
+    counts = above_hi.copy()
+    open_ = list(compress(range(K), map(gt, above_lo, above_hi)))
+    if rest <= limit:
+        # the greedy from hi on, over the strata with units between lo and hi
+        nxt = list(map(add, map(counts.__getitem__, open_), repeat(1)))
+        gains = map(truediv, map(A.__getitem__, open_), map(mul, nxt, map(add, nxt, repeat(1.0))))
+        heap = list(zip(map(neg, gains), open_))
+        heapify(heap)
+        for _ in range(rest):
+            w = heap[0][1]
+            counts[w] = k = counts[w] + 1
+            if k < above_lo[w]:
+                k += 1
+                heapreplace(heap, (-(A[w] / (k * (k + 1.0))), w))
             else:
-                lo, above_lo, total_lo = mid, count, total
-    rest = m - above_hi.sum()
-    # the units with gain in (lo, hi]: the ties at the m-th largest gain, or,
-    # after an early stop, exactly the rest; earlier strata take theirs first
-    ties = np.minimum(above_lo - above_hi, rest)
-    before = np.concatenate(([0.0], np.cumsum(ties)[:-1]))
-    counts = 1.0 + above_hi + np.clip(rest - before, 0.0, ties)
-    x = dict(zip(problem.labels, counts.tolist()))
-    take_all = frozenset(compress(problem.labels, (counts == b).tolist()))
+                heappop(heap)
+    else:
+        # lo and hi are adjacent floats, so the units between them tie at one
+        # gain, or total_lo = m and all of them are granted; earlier strata
+        # take theirs first
+        for w in open_:
+            take = min(above_lo[w] - above_hi[w], rest)
+            counts[w] += take
+            rest -= take
+    x = list(map(add, counts, repeat(1.0)))
     return AllocationResult(
-        x=x,
-        take_all=take_all,
+        x=dict(zip(problem.labels, x)),
+        take_all=frozenset(compress(problem.labels, map(eq, x, b))),
         s_final=0.0,
         iterations=1,
         trace=(),

@@ -23,6 +23,7 @@ from stratalloc import (
 )
 from stratalloc.formats import (
     StrataCsvError,
+    population_maps_from_rows,
     problem_from_rows,
     read_strata_csv,
     write_ab_csv,
@@ -112,6 +113,14 @@ class TestStrataColumns:
         p = AllocationProblem(strata, 5.0)
         assert p.strata is strata
         assert p.columns.lists == ([1.0, 3.0], [2.0, 4.0])
+
+    def test_from_records_keeps_survey_s(self):
+        # a / b for a = 3 * 0.1 reads 0.10000000000000002; the records' S is 0.1
+        survey = [Stratum.survey("s0", 3, 0.1), Stratum.survey("s1", 7, 2.5)]
+        columns = StrataColumns.from_records(survey)
+        assert columns.S == [0.1, 2.5]
+        assert population_maps_from_rows(columns) == ({"s0": 3, "s1": 7}, {"s0": 0.1, "s1": 2.5})
+        assert StrataColumns.from_records([*survey, Stratum("w", 1.0, 2.0)]).S is None
 
     def test_immutable(self):
         columns = StrataColumns(["u", "v"], [1.0, 3.0], [2.0, 4.0])

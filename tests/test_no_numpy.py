@@ -1,6 +1,6 @@
 """The CLI starts without numpy: importing the package loads none, and
-allocate and verify run end to end with numpy blocked, writing the same
-bytes as with it. roundcmp and genpop, which use numpy, still run."""
+allocate, verify and roundcmp run end to end with numpy blocked, writing the
+same bytes as with it. genpop, which uses numpy, still runs with it."""
 
 import json
 import os
@@ -80,6 +80,24 @@ def test_allocate_and_verify_without_numpy(strata_files, tmp_path):
         for algorithm in ("rna", "sga", "coma", "bisection"):
             data = (tmp_path / f"blocked_{kind}_{algorithm}.json").read_bytes()
             assert data == (tmp_path / f"normal_{kind}_{algorithm}.json").read_bytes(), (kind, algorithm)
+
+
+def test_roundcmp_without_numpy(strata_files, tmp_path):
+    fractions = [arg for f in ("0.1", "0.2", "0.3", "0.4", "0.5") for arg in ("--fraction", f)]
+    outcome = {}
+    for mode in ("blocked", "normal"):
+        commands = [
+            (kind, ["roundcmp", "--input", str(path), *fractions, "--output", str(tmp_path / f"{mode}_{kind}.csv")])
+            for kind, (path, _) in strata_files.items()
+        ]
+        proc = python("-c", RUNNER, mode, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        outcome[mode] = json.loads(proc.stdout)
+    assert outcome["blocked"] == outcome["normal"] == {"survey": [0, ""], "weights": [0, ""]}
+    for kind in strata_files:
+        data = (tmp_path / f"blocked_{kind}.csv").read_bytes()
+        assert data == (tmp_path / f"normal_{kind}.csv").read_bytes(), kind
+        assert len(data.splitlines()) == 6, kind
 
 
 def test_blocked_numpy_is_really_blocked(tmp_path):

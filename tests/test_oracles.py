@@ -1,5 +1,7 @@
 import itertools
 import math
+from itertools import compress
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from stratalloc import (
     KktCertificate,
     LabelMismatchError,
     PopulationSpec,
+    StrataColumns,
     Stratum,
     bisection_multiplier,
     brute_force_subset,
@@ -82,6 +85,19 @@ def greedy_fuzz_problems(seed, count):
             b = rng.integers(1, 301, K).astype(float)
         total = int(b.sum())
         n = [K, total, int(rng.integers(K, total + 1))][int(rng.integers(3))]
+        yield small(a, b, n)
+
+
+def large_bound_problems(seed, count):
+    """Random integer problems, K in 1..12, with bounds 10**U(0, 15) floored
+    and n uniform between K and min(sum(b), 2**53); a is U(0.1, 10) in even
+    trials and 10**U(-200, 200) in odd ones."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        K = int(rng.integers(1, 13))
+        b = np.floor(10.0 ** rng.uniform(0.0, 15.0, K))
+        a = 10.0 ** rng.uniform(-200.0, 200.0, K) if trial % 2 else rng.uniform(0.1, 10.0, K)
+        n = K + int(rng.uniform() * (min(int(b.sum()), 2**53) - K))
         yield small(a, b, n)
 
 
@@ -471,6 +487,124 @@ class TestBisection:
             bisection_multiplier(small([1e100, 1e100], [1, 1], 1e-300))
 
 
+def numpy_units_above(A: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
+    """Per stratum, how many of its units 1..u_w have a gain above t.
+
+    The gain of a stratum's (k+1)-th unit is A_w / (k * (k + 1.0)), the float
+    expression the integer optimum ranks by; it does not increase with k, so
+    the count is the largest k in [0, u_w] whose gain exceeds t (k = 0 always
+    qualifies). The root of k * (k + 1) = A_w / t gives an estimate; a window
+    of one unit around it is confirmed with the float expression itself and
+    widened to the whole range [0, u_w] where it fails, then the window is
+    bisected. Counts are whole float64 values.
+    """
+
+    import numpy as np
+
+    def above(k: np.ndarray) -> np.ndarray:
+        return (k == 0.0) | ((k <= u) & (A / (k * (k + 1.0)) > t))
+
+    est = np.floor(np.sqrt(A / t + 0.25) - 0.5)
+    est = np.minimum(np.fmax(est, 0.0), u)  # fmax sends the nan of 0/0 or inf/inf to 0
+    lo = np.maximum(est - 1.0, 0.0)
+    hi = np.minimum(est + 1.0, u)
+    lo = np.where(above(lo), lo, 0.0)
+    hi = np.where(above(hi + 1.0), u, hi)
+    # invariant: above(lo) and not above(hi + 1)
+    while (lo < hi).any():
+        mid = lo + np.floor((hi - lo + 1.0) * 0.5)
+        ok = above(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1.0)
+    return lo
+
+
+INF_BITS = 0x7FF0000000000000  # bit pattern of +inf; non-negative floats order as their bits
+
+
+def numpy_greedy(problem: AllocationProblem) -> AllocationResult:
+    """Exact integer-valued optimum by threshold selection on marginal gains.
+
+    greedy_integer_optimal as it was written over float64 arrays, kept as
+    the oracle of the list form.
+
+    Requires integer n and bounds with K <= n <= 2**53 (every stratum must
+    receive at least one unit for the objective to be finite, and every count
+    must be exact in a float). Each stratum starts at x_w = 1; its (k+1)-th
+    unit lowers the objective by the gain a_w**2/k - a_w**2/(k + 1), ranked as
+    the float (a_w * a_w) / (k * (k + 1.0)). The gains do not increase with k,
+    so granting the n - K largest gains is exchange-optimal, and it is what a
+    greedy that grants one unit at a time to the largest gain would do.
+
+    The threshold t is the (n - K)-th largest gain among the units 2..b_w of
+    all strata. It is found by bisection over the bit patterns of the
+    non-negative floats, whose order is the order of the values: at most 63
+    steps, each one O(K) vector pass that counts the units with gain above a
+    probe, stopping early once exactly n - K units lie above the lower end.
+    Every stratum receives all its units with gain above t. The units with
+    gain exactly t are ties; they go to the earliest stratum first, and each
+    stratum takes all of its tied units before the next one gets any, which
+    is the order of a greedy that breaks ties by stratum index, so the result
+    is deterministic. take_all holds the strata at their bounds. s_final is
+    reported as 0.0: an integer allocation has no continuous scale.
+    """
+    import numpy as np
+
+    K = problem.size
+    n = problem.n
+    if n != int(n):
+        raise ValueError(f"integer allocation needs integer n, got {n!r}")
+    a, b = map(np.array, problem.columns.lists)
+    fractional = b != np.floor(b)
+    if fractional.any():
+        label = problem.labels[int(fractional.argmax())]
+        raise ValueError(f"stratum {label!r}: integer allocation needs integer bounds")
+    n = int(n)
+    if n < K:
+        raise ValueError(f"integer allocation needs n >= K, got n={n}, K={K}")
+    if n > 2**53:
+        raise ValueError(f"integer allocation needs n <= 2**53, got n={n}")
+    m = n - K  # units to grant beyond the first of each stratum
+    # units each stratum can take, capped at m <= 2**53: counts are exact
+    # floats, and a float sum of counts compares with m exactly (it is exact
+    # below 2**53, and a partial sum that reaches 2**53 >= m stays there)
+    u = np.minimum(b - 1.0, m)
+    # The counts of units with gain above the floats with bit patterns lo and
+    # hi; lo = -1 stands below 0, where every unit counts. Invariant: the
+    # count at lo is >= m > the count at hi. The search ends when exactly m
+    # units lie above lo, or when lo and hi are adjacent floats, so that the
+    # units between them are the ties at the m-th largest gain.
+    lo, hi = -1, INF_BITS
+    above_lo, above_hi = u, np.zeros(K)
+    total_lo = u.sum()
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        A = a * a
+        while total_lo > m and hi - lo > 1:
+            mid = (lo + hi) // 2
+            count = numpy_units_above(A, u, float(np.int64(mid).view(np.float64)))
+            total = count.sum()
+            if total < m:
+                hi, above_hi = mid, count
+            else:
+                lo, above_lo, total_lo = mid, count, total
+    rest = m - above_hi.sum()
+    # the units with gain in (lo, hi]: the ties at the m-th largest gain, or,
+    # after an early stop, exactly the rest; earlier strata take theirs first
+    ties = np.minimum(above_lo - above_hi, rest)
+    before = np.concatenate(([0.0], np.cumsum(ties)[:-1]))
+    counts = 1.0 + above_hi + np.clip(rest - before, 0.0, ties)
+    x = dict(zip(problem.labels, counts.tolist()))
+    take_all = frozenset(compress(problem.labels, (counts == b).tolist()))
+    return AllocationResult(
+        x=x,
+        take_all=take_all,
+        s_final=0.0,
+        iterations=1,
+        trace=(),
+        algorithm="greedy_integer",
+    )
+
+
 class TestGreedyInteger:
     def test_hand_example(self):
         # marginal gains: stratum 0 keeps winning until 4/2 balance
@@ -564,13 +698,9 @@ class TestGreedyInteger:
     def test_exchange_optimal_for_large_bounds(self):
         # bounds up to 1e15, far beyond what the heap reference can grant unit
         # by unit: no unit left out may gain more than a granted unit loses
-        rng = np.random.default_rng(206)
-        for trial in range(300):
-            K = int(rng.integers(1, 13))
-            b = np.floor(10.0 ** rng.uniform(0.0, 15.0, K))
-            a = 10.0 ** rng.uniform(-200.0, 200.0, K) if trial % 2 else rng.uniform(0.1, 10.0, K)
-            n = K + int(rng.uniform() * (min(int(b.sum()), 2**53) - K))
-            p = small(a, b, n)
+        for trial, p in enumerate(large_bound_problems(seed=206, count=300)):
+            a, b = p.columns.lists
+            n = int(p.n)
             res = greedy_integer_optimal(p)
             x = [res.x[w] for w in p.labels]
             assert all(xv == int(xv) for xv in x)
@@ -587,6 +717,28 @@ class TestGreedyInteger:
             if add and remove:
                 assert max(add) <= min(remove), (trial, list(a), list(b), n)
             assert res.take_all == frozenset(w for w, c, bw in zip(p.labels, counts, b) if c == bw)
+
+    def test_matches_numpy_reference(self):
+        problems = [
+            *greedy_fuzz_problems(seed=207, count=2500),
+            *large_bound_problems(seed=208, count=300),
+            small([3, 1, 2], [4, 5, 6], 3),  # n = K
+            small([3, 1, 2], [4, 5, 6], 15),  # n = sum(b)
+            small([2.5], [40], 17),  # K = 1
+            # a**2 = inf: no relaxation, so the probes bisect the bit patterns
+            small([1e200, 1e200, 1], [100, 100, 100], 150),
+            # subnormal a**2 under huge bounds: most gains are 0 and tie, more
+            # of them than the heap grants, so earlier strata take theirs first
+            small([1e-160, 1e-160, 3e-160], [1e15, 1e15, 1e15], 10**14),
+        ]
+        for blocks in (10, 100):
+            pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=blocks))
+            N = [float(v) for v in pop.N.values()]
+            S = list(pop.S.values())
+            strata = StrataColumns(list(pop.N), map(mul, N, S), N, S)
+            problems += [AllocationProblem(strata, float(round(f * sum(N)))) for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        for p in problems:
+            assert greedy_integer_optimal(p) == numpy_greedy(p), p
 
     def test_count_limit(self):
         p = small([1, 1], [2.0**53, 2.0**53], 2.0**53 + 2)
