@@ -17,7 +17,7 @@ from typing import IO, Iterator
 from . import bench as bench_mod
 from . import formats
 from .algorithms import SOLVERS
-from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, Stratum, is_optimal_takeall
+from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, is_optimal_takeall
 from .oracles import LabelMismatchError, bisection_multiplier, kkt_verify
 from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
@@ -79,14 +79,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _population(args: argparse.Namespace) -> tuple[str, tuple[Stratum, ...]]:
+def _population(args: argparse.Namespace) -> tuple[str, StrataColumns]:
     """The strata of the population named by --kind, with its id stem."""
     if args.kind == "table1":
-        return "table1", table1_problem().strata
+        return "table1", table1_problem().columns
     if args.kind == "power":
-        return "power", power_population().strata
+        return "power", power_population().columns
     spec = PopulationSpec(kind="lognormal_blocks", seed=args.seed, block_count=args.blocks)
-    return f"lognormal{args.blocks}s{args.seed}", lognormal_population(spec).strata
+    return f"lognormal{args.blocks}s{args.seed}", lognormal_population(spec).columns
 
 
 def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProblem]]:
@@ -95,8 +95,7 @@ def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProbl
         stem = os.path.splitext(os.path.basename(args.input))[0]
         strata = _read_rows(args.input)
     else:
-        stem, records = _population(args)
-        strata = StrataColumns.from_records(records)
+        stem, strata = _population(args)
     total_b = math.fsum(strata.lists[1])
     return [
         (f"{stem}@{f:g}", AllocationProblem(strata=strata, n=float(round(f * total_b))))
@@ -116,11 +115,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_genpop(args: argparse.Namespace) -> int:
     _, strata = _population(args)
+    labels = map(str, strata.labels)
+    a, b = strata.lists
     with _open_out(args.output) as fp:
-        if args.kind == "table1":
-            formats.write_ab_csv(((str(st.label), st.a, st.b) for st in strata), fp)
+        if strata.S is None:
+            formats.write_ab_csv(zip(labels, a, b), fp)
         else:
-            formats.write_ns_csv(((str(st.label), st.N, st.S) for st in strata), fp)
+            formats.write_ns_csv(zip(labels, map(int, b), strata.S), fp)
     return 0
 
 

@@ -9,7 +9,7 @@ import math
 from collections.abc import Collection, Hashable
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, truediv
 from typing import IO, Iterable, Sequence
 
 from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum
@@ -90,7 +90,7 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
                 v2 = list(map(float, map(itemgetter(2), rows)))
                 if make is Stratum:
                     return StrataColumns(labels, v1, v2)
-                return StrataColumns(labels, list(map(mul, v1, v2)), v1, v2)
+                return StrataColumns.survey(labels, v1, v2)
             except ValueError:  # a number, a record or a repeated label is rejected
                 pass
     # some column check failed: the row-by-row read finds and names the first bad row

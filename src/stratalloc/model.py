@@ -145,6 +145,13 @@ class StrataColumns:
         _check_distinct(self.labels)
 
     @classmethod
+    def survey(cls, labels: Iterable[Label], N: Sequence[float], S: Sequence[float]) -> StrataColumns:
+        """The SRSWOR strata of N units with standard deviation S, as columns:
+        a = N * S and b = N, keeping S. The columns counterpart of
+        :meth:`Stratum.survey`."""
+        return cls(labels, map(mul, N, S), N, S)
+
+    @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
         """The columns of records already built; ``records`` is that tuple.
         S is the records' S when every one is a :class:`SurveyStratum`."""

@@ -15,7 +15,7 @@ little below the (n - K)-th largest gain, and a heap grants the few units
 still missing in the greedy's order; where the relaxation leaves the float
 range, bisection over the bit patterns of the non-negative floats narrows
 the probes instead. Every pass over the strata is a C-level map over the
-column lists, so the oracle needs no numpy; only brute_force_subset uses it.
+column lists, so no oracle needs numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from math import floor, sqrt
 from operator import add, and_, eq, ge, getitem, gt, le, lt, mul, neg, not_, or_, sub, truediv
 
@@ -86,49 +86,26 @@ class KktCertificate:
 def brute_force_subset(problem: AllocationProblem) -> frozenset:
     """Exhaustively find the take-all subset satisfying the fixed-point test.
 
-    Checks every subset V of the strata for membership consistency:
-    w in V exactly when c_w * s(V) >= 1, with s(V) > 0. Intended for small
-    instances (refuses more than 20 strata). Returns the first
-    satisfying subset ordered by cardinality, then by stratum position;
-    in tie-free problems the subset is unique.
+    Tries the proper subsets V of the strata by cardinality, then by stratum
+    position, and returns the first with s(V) > 0 whose membership is
+    consistent: w in V exactly when c_w * s(V) >= 1. s(V) is the quotient of
+    two correctly rounded sums. Intended for small instances (refuses more
+    than 20 strata); in tie-free problems the subset is unique.
     """
     K = problem.size
     if K > _BRUTE_FORCE_MAX:
         raise ValueError(f"exhaustive search limited to {_BRUTE_FORCE_MAX} strata, got {K}")
     if problem.is_census:
         return frozenset(problem.labels)
-    import numpy as np
-
-    a, b = map(np.array, problem.columns.lists)
-    c = a / b
-    # subset sums via doubling: index bit i set <=> stratum i in the subset
-    sum_a = np.zeros(1)
-    sum_b = np.zeros(1)
-    for i in range(K):
-        sum_a = np.concatenate([sum_a, sum_a + a[i]])
-        sum_b = np.concatenate([sum_b, sum_b + b[i]])
-    denom = a.sum() - sum_a
-    full = (1 << K) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (problem.n - sum_b) / denom
-    shifts = np.arange(K)
-    candidates: list[int] = []
-    for start in range(0, full + 1, 1 << 16):
-        masks = np.arange(start, min(start + (1 << 16), full + 1), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-        member = (c[None, :] * s[masks][:, None]) >= 1.0
-        ok = (bits == member).all(axis=1) & (s[masks] > 0) & (masks != full)
-        candidates.extend(int(m) for m in masks[ok])
-    if not candidates:
-        raise RuntimeError("no subset satisfies the fixed-point condition")
-
-    def key(m: int) -> tuple:
-        # smallest cardinality first, then earliest strata
-        idx = tuple(i for i in range(K) if m >> i & 1)
-        return (len(idx), idx)
-
-    best = min(candidates, key=key)
-    return frozenset(problem.labels[i] for i in range(K) if best >> i & 1)
+    a, b = problem.columns.lists
+    c = list(map(truediv, a, b))
+    for size in range(K):
+        for v in combinations(range(K), size):
+            # s(V) = (n - sum_V b) / (sum a - sum_V a), each sum correctly rounded
+            s = math.fsum([problem.n, *(-b[i] for i in v)]) / math.fsum([*a, *(-a[i] for i in v)])
+            if s > 0 and tuple(compress(range(K), map(ge, map(mul, c, repeat(s)), repeat(1.0)))) == v:
+                return frozenset(map(problem.labels.__getitem__, v))
+    raise RuntimeError("no subset satisfies the fixed-point condition")
 
 
 def kkt_verify(
@@ -347,7 +324,7 @@ def _units_above(A: list[float], u: list[float], t: float, est: list[int]) -> li
 
 
 def _relaxed_threshold(
-    A: list[float], u: list[float], m: int, a: list[float], sum_a: float
+    A: list[float], u: list[float], m: int, a: list[float], sum_a: float, limit: int
 ) -> tuple[float, list[int]] | None:
     """A threshold t with a little fewer than m units of gain above it, with
     the estimated count of each stratum there; None when no such t is met
@@ -359,10 +336,11 @@ def _relaxed_threshold(
     of y, and nearly by a_w, until it meets u_w. Newton's method on the sum
     of the floors, stepping as if each stratum below u_w grew by a_w, starts
     from the unbounded Neyman guess y = m / sum(a), where the sum is under m,
-    aims K / 16 below m and stops once the sum is within K / 8 below it. It
-    bisects the values of y known to lie on either side where a step would
-    leave them, and stops at the last y below m when they close to within
-    2**-20 of each other (a step of the sum there is wider than K / 8: ties),
+    aims K / 16 below m and stops once the sum is within K / 8 below it.
+    Where a step would leave the values of y known to lie on either side, it
+    stops at the last y below m if at most limit units are short there (the
+    sum jumps past the window at one y: ties), and bisects them otherwise. It
+    also stops at that y when the two close to within 2**-20 of each other,
     when t leaves the normal floats, or after 50 steps.
     """
     margin = len(A) // 16 + 1
@@ -378,7 +356,7 @@ def _relaxed_threshold(
         free = list(map(lt, root, u))
         short = m - sum(map(floor, compress(root, free))) - sum(compress(u, map(not_, free)))
         if short > 0:
-            below, best = y, (t, root, free)
+            below, best, short_below = y, (t, root, free), short
             if short <= 2 * margin:
                 break
         else:
@@ -387,7 +365,12 @@ def _relaxed_threshold(
             break
         slope = sum(compress(a, free))  # 0 when every stratum is at u_w, and y must fall
         step = y + (short - margin) / slope if slope else 0.0
-        y = step if below < step < above else 0.5 * (below + above)
+        if below < step < above:
+            y = step
+        elif best is not None and above < math.inf and short_below <= limit:
+            break
+        else:
+            y = 0.5 * (below + above)
     if best is None:
         return None
     t, root, free = best
@@ -477,7 +460,7 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
 
     limit = 4 * (K + 1)
     if total_lo > m and sys.float_info.min <= min(A) and max(A) < math.inf:
-        seed = _relaxed_threshold(A, u, m, a, problem.sum_a)
+        seed = _relaxed_threshold(A, u, m, a, problem.sum_a, limit)
         if seed is not None:
             probe(*seed)
     while total_lo > m and hi - lo > 1 and m - total_hi > limit:

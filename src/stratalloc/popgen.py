@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .model import AllocationProblem, Stratum, SurveyStratum
+from .formats import population_maps_from_rows
+from .model import AllocationProblem, StrataColumns, SurveyStratum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,46 +73,54 @@ class PopulationSpec:
             raise ValueError("block_count must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratifiedPopulation:
-    """A stratified population reduced to survey strata, (N, S) per stratum."""
+    """A stratified population reduced to survey strata: columns of labels,
+    N and S (a = N * S, b = N), built by :meth:`StrataColumns.survey`.
 
-    strata: tuple[SurveyStratum, ...]
+    ``strata`` is the columns' record view, built on first use. Equality is
+    identity; compare ``strata`` for values.
+    """
+
+    columns: StrataColumns
+
+    @property
+    def strata(self) -> tuple[SurveyStratum, ...]:
+        return self.columns.records
 
     @cached_property
+    def _maps(self) -> tuple[dict, dict]:
+        return population_maps_from_rows(self.columns)
+
+    @property
     def N(self) -> dict:
-        return {st.label: st.N for st in self.strata}
+        return self._maps[0]
 
-    @cached_property
+    @property
     def S(self) -> dict:
-        return {st.label: st.S for st in self.strata}
+        return self._maps[1]
 
     @property
     def size(self) -> int:
-        return len(self.strata)
+        return len(self.columns.labels)
 
     @property
     def total_units(self) -> int:
-        return sum(st.N for st in self.strata)
+        return sum(map(int, self.columns.lists[1]))
 
     def problem(self, n: float) -> AllocationProblem:
         """The allocation problem over these strata (a = N * S, b = N)."""
-        return AllocationProblem(strata=self.strata, n=n)
+        return AllocationProblem(self.columns, n)
 
 
 def table1_problem() -> AllocationProblem:
     """The fixed 20-stratum benchmark problem (n = 8000, all bounds 1000)."""
-    strata = tuple(
-        Stratum(label=w + 1, a=1000.0 * c, b=1000.0) for w, c in enumerate(_TABLE1_C)
-    )
-    return AllocationProblem(strata=strata, n=8000.0)
+    return AllocationProblem(StrataColumns(range(1, 21), [1000.0 * c for c in _TABLE1_C], [1000.0] * 20), 8000.0)
 
 
 def power_population() -> StratifiedPopulation:
     """The power-spread population: strata w = 1..20 with N_w = 1000, S_w = 10**w."""
-    return StratifiedPopulation(
-        strata=tuple(Stratum.survey(w, 1000, 10.0**w) for w in range(1, 21))
-    )
+    return StratifiedPopulation(StrataColumns.survey(range(1, 21), [1000] * 20, [10.0**w for w in range(1, 21)]))
 
 
 def power_problem(n: float) -> AllocationProblem:
@@ -208,12 +217,13 @@ def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
 
     seq = np.random.SeedSequence(spec.seed)
     children = seq.spawn(spec.block_count + 1)
-    summaries: list[SurveyStratum] = []
+    summaries: list[tuple[str, int, float]] = []  # (label, N, S) per stratum
     for i in range(1, spec.block_count + 1):
         rng = np.random.default_rng(children[i - 1])
         values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=_BLOCK_SIZE))
         for k, part in enumerate(_split_block(values, _STRATA_PER_BLOCK)):
-            summaries.append(Stratum.survey(f"b{i:03d}s{k}", len(part), float(part.std(ddof=1))))
+            summaries.append((f"b{i:03d}s{k}", len(part), float(part.std(ddof=1))))
     perm_rng = np.random.default_rng(children[-1])
     order = perm_rng.permutation(len(summaries))
-    return StratifiedPopulation(strata=tuple(summaries[int(k)] for k in order))
+    labels, N, S = zip(*(summaries[k] for k in order))
+    return StratifiedPopulation(StrataColumns.survey(labels, N, S))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
@@ -107,10 +106,7 @@ def variance_table(
     """
     if set(N) != set(S):
         raise ValueError("N and S must cover the same labels")
-    # the survey strata as columns, a = N * S and b = N, without a record each
-    Nv = list(map(float, N.values()))
-    Sv = list(map(S.__getitem__, N))
-    strata = StrataColumns(list(N), map(mul, Nv, Sv), Nv, Sv)
+    strata = StrataColumns.survey(list(N), list(N.values()), list(map(S.__getitem__, N)))
     total_N = math.fsum(N.values())
     K = len(strata.labels)
     reports = []

@@ -105,6 +105,15 @@ class TestAllocate:
         assert code == 2
         assert "scale s" in capsys.readouterr().err
 
+    def test_bisection_scale_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # n / sum(a) is about 1, but the take-all stratum v holds only 1 of
+        # n = 1e10 + 0.5 units, so the bracket on s doubles past the largest float
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,1e-300,1e10\nv,1e10,1\n")
+        code = main(["allocate", "--input", str(pop), "--n", "10000000000.5", "--algorithm", "bisection"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the scale s exceeds the float range (above 8.988465674761003e+307)\n"
+
     @pytest.mark.parametrize("algorithm", ["rna", "sga", "coma"])
     def test_nonfinite_allocation_exit_2(self, tmp_path, capsys, algorithm):
         # the optimum is x = (9999999999.5, 1), but s(V) overflows and the
@@ -237,6 +246,17 @@ class TestVerify:
         assert capsys.readouterr().err == "error: allocation labels do not match the strata file\n"
 
 
+def test_duplicate_allocation_labels_exit_2(table1_csv, tmp_path, capsys):
+    out = tmp_path / "alloc.json"
+    assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["allocation"][1]["label"] = doc["allocation"][0]["label"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: duplicate labels in allocation\n"
+
+
 def test_one_solver_registry(table1_csv):
     assert bench.SOLVERS is algorithms.SOLVERS
     for name in [*algorithms.SOLVERS, "bisection"]:
@@ -320,6 +340,20 @@ class TestAllocationBytes:
         assert built == []
         Stratum.survey("u", 10, 2.0)
         assert built == ["u"]  # the count sees survey records
+
+
+@pytest.mark.parametrize("kind", ["table1", "power", "lognormal"])
+def test_no_records_on_genpop_or_bench_kind(tmp_path, monkeypatch, kind):
+    # populations are survey columns from popgen to the CSV writer and the solvers
+    built = []
+    check = Stratum.__post_init__
+    monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+    args = ["--kind", kind, "--blocks", "10"]
+    assert main(["genpop", *args, "--output", str(tmp_path / "pop.csv")]) == 0
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", *args, "--fraction", "0.3", "--repetitions", "1", "--output", str(bench_csv)]) == 0
+    assert built == []
+    assert len(list(csv.DictReader(bench_csv.read_text().splitlines()))) == 3
 
 
 class TestGenpop:

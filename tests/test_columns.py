@@ -122,6 +122,26 @@ class TestStrataColumns:
         assert population_maps_from_rows(columns) == ({"s0": 3, "s1": 7}, {"s0": 0.1, "s1": 2.5})
         assert StrataColumns.from_records([*survey, Stratum("w", 1.0, 2.0)]).S is None
 
+    def test_survey_matches_the_records(self):
+        # a = N * S and b = N as Stratum.survey forms them, and S is kept
+        labels, N, S = ["s0", "s1", "s2"], [3, 7, 1000], [0.1, 2.5, 1e20]
+        columns = StrataColumns.survey(labels, N, S)
+        records = tuple(map(Stratum.survey, labels, N, S))
+        assert columns.lists == (list(map(mul, N, S)), [3.0, 7.0, 1000.0])
+        assert columns.S == S
+        assert columns.records == records
+        assert population_maps_from_rows(columns) == population_maps_from_rows(StrataColumns.from_records(records))
+
+    def test_survey_raises_the_record_message(self):
+        with pytest.raises(ValueError, match="^stratum 'v': N must be an integer, got 2.5$"):
+            StrataColumns.survey(["u", "v"], [2, 2.5], [0.5, 0.5])
+
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^strata columns must have equal lengths$"):
+            StrataColumns(["u", "v"], [1.0, 2.0], [2.0])
+        with pytest.raises(ValueError, match="^strata columns must have equal lengths$"):
+            StrataColumns(["u"], [1.0], [2.0], [0.5, 0.5])
+
     def test_immutable(self):
         columns = StrataColumns(["u", "v"], [1.0, 3.0], [2.0, 4.0])
         p = AllocationProblem(columns, 5.0)

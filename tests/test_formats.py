@@ -269,3 +269,17 @@ class TestAllocationJson:
         with pytest.raises(ValueError, match="stratum 'u' has x = (inf|nan) at s = inf"):
             write_allocation_json(res, 2.0, buf)
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "n,s_final,message",
+        [(math.inf, 0.5, "n = inf, s = 0.5"), (2.0, math.nan, "n = 2.0, s = nan"), (math.nan, math.inf, "n = nan, s = inf")],
+    )
+    def test_nonfinite_n_or_scale_not_written(self, n, s_final, message):
+        res = AllocationResult(
+            x={"u": 0.5, "v": 1.5}, take_all=frozenset({"v"}), s_final=s_final,
+            iterations=2, trace=(), algorithm="rna",
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^cannot write the allocation as JSON: {message}$"):
+            write_allocation_json(res, n, buf)
+        assert buf.getvalue() == ""

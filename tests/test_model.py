@@ -248,6 +248,16 @@ class TestSrsworVariance:
         with pytest.raises(ValueError):
             srswor_variance(N, S, {"z": 1.0})
 
+    def test_domain_messages(self):
+        with pytest.raises(ValueError, match="^N, S and x must cover the same labels$"):
+            srswor_variance({"u": 10}, {"u": 2.0}, {"z": 1.0})
+        with pytest.raises(ValueError, match="^stratum 'u': N must be positive$"):
+            srswor_variance({"u": 0}, {"u": 2.0}, {"u": 1.0})
+        with pytest.raises(ValueError, match="^stratum 'u': S must be nonnegative$"):
+            srswor_variance({"u": 10}, {"u": -0.5}, {"u": 1.0})
+        with pytest.raises(ValueError, match=r"^stratum 'u': need 0 < x <= N, got x=11.0, N=10$"):
+            srswor_variance({"u": 10}, {"u": 2.0}, {"u": 11.0})
+
     def test_decreases_in_x(self):
         N = {"u": 100, "v": 50}
         S = {"u": 5.0, "v": 1.0}

@@ -1,7 +1,9 @@
 """The CLI starts without numpy: importing the package loads none, and
 allocate, verify and roundcmp run end to end with numpy blocked, writing the
-same bytes as with it. genpop, which uses numpy, still runs with it."""
+same bytes as with it. So does the brute-force oracle; only popgen, which
+draws populations, imports numpy, and genpop still runs with it."""
 
+import ast
 import json
 import os
 import subprocess
@@ -98,6 +100,38 @@ def test_roundcmp_without_numpy(strata_files, tmp_path):
         data = (tmp_path / f"blocked_{kind}.csv").read_bytes()
         assert data == (tmp_path / f"normal_{kind}.csv").read_bytes(), kind
         assert len(data.splitlines()) == 6, kind
+
+
+BRUTE_FORCE = """
+import sys
+sys.modules["numpy"] = None
+from stratalloc import brute_force_subset, power_problem, rna, table1_problem
+for problem in (table1_problem(), power_problem(5000.0)):
+    print((sorted(brute_force_subset(problem)), sorted(rna(problem).take_all)))
+"""
+
+
+def test_brute_force_without_numpy():
+    proc = python("-c", BRUTE_FORCE)
+    assert proc.returncode == 0, proc.stderr
+    (table1, table1_rna), (power, power_rna) = map(ast.literal_eval, proc.stdout.splitlines())
+    assert table1 == table1_rna == [2, 6, 15, 17]
+    assert power == power_rna
+
+
+def test_numpy_imported_only_by_popgen():
+    importers = set()
+    for path in Path(SRC, "stratalloc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in modules):
+                importers.add(path.name)
+    assert importers == {"popgen.py"}
 
 
 def test_blocked_numpy_is_really_blocked(tmp_path):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import heap_greedy_counts
+from stratalloc import oracles
+from stratalloc.oracles import _BRUTE_FORCE_MAX
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
@@ -101,6 +103,60 @@ def large_bound_problems(seed, count):
         yield small(a, b, n)
 
 
+def numpy_brute_force(problem):
+    """brute_force_subset as it was written over numpy subset sums (doubling)
+    and bit masks, kept as the oracle of the plain search."""
+    K = problem.size
+    if K > _BRUTE_FORCE_MAX:
+        raise ValueError(f"exhaustive search limited to {_BRUTE_FORCE_MAX} strata, got {K}")
+    if problem.is_census:
+        return frozenset(problem.labels)
+    import numpy as np
+
+    a, b = map(np.array, problem.columns.lists)
+    c = a / b
+    # subset sums via doubling: index bit i set <=> stratum i in the subset
+    sum_a = np.zeros(1)
+    sum_b = np.zeros(1)
+    for i in range(K):
+        sum_a = np.concatenate([sum_a, sum_a + a[i]])
+        sum_b = np.concatenate([sum_b, sum_b + b[i]])
+    denom = a.sum() - sum_a
+    full = (1 << K) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (problem.n - sum_b) / denom
+    shifts = np.arange(K)
+    candidates: list[int] = []
+    for start in range(0, full + 1, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), full + 1), dtype=np.int64)
+        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
+        member = (c[None, :] * s[masks][:, None]) >= 1.0
+        ok = (bits == member).all(axis=1) & (s[masks] > 0) & (masks != full)
+        candidates.extend(int(m) for m in masks[ok])
+    if not candidates:
+        raise RuntimeError("no subset satisfies the fixed-point condition")
+
+    def key(m: int) -> tuple:
+        # smallest cardinality first, then earliest strata
+        idx = tuple(i for i in range(K) if m >> i & 1)
+        return (len(idx), idx)
+
+    best = min(candidates, key=key)
+    return frozenset(problem.labels[i] for i in range(K) if best >> i & 1)
+
+
+def tie_free(problem, rel=1e-9):
+    """True when, for every proper subset V, the budget n - sum_V b and every
+    c_w * s(V) - 1 are more than rel away from 0 (relative to n and to 1), so
+    that no rounding of the sums can decide a membership."""
+    a, b = map(np.array, problem.columns.lists)
+    K = len(a)
+    bits = ((np.arange((1 << K) - 1)[:, None] >> np.arange(K)) & 1).astype(bool)
+    budget = problem.n - bits @ b
+    s = budget / (a.sum() - bits @ a)
+    return bool(np.all(np.abs(budget) > rel * problem.n) and np.all(np.abs(np.outer(s, a / b) - 1.0) > rel))
+
+
 class TestBruteForce:
     def test_reference_problem(self):
         p = table1_problem()
@@ -109,6 +165,12 @@ class TestBruteForce:
     def test_power_problem(self):
         p = power_problem(5000.0)
         assert brute_force_subset(p) == rna(p).take_all
+
+    def test_sums_that_cancel(self):
+        # sum(a) - sum_V a cancels when V holds the largest a; correctly
+        # rounded sums keep s(V), where the numpy subset sums returned {2..7}
+        p = small([10.0 ** (3 * w) for w in range(1, 9)], [1000] * 8, 7500)
+        assert brute_force_subset(p) == rna(p).take_all == frozenset(range(1, 8))
 
     def test_census(self):
         p = small([3, 4], [5, 6], 11)
@@ -119,6 +181,18 @@ class TestBruteForce:
         p = AllocationProblem(strata=strata, n=21.0)
         with pytest.raises(ValueError, match="limited"):
             brute_force_subset(p)
+
+    def test_matches_numpy_search(self):
+        problems = [table1_problem(), power_problem(5000.0)]
+        rng = np.random.default_rng(209)
+        while len(problems) < 502:
+            K = int(rng.integers(1, 13))
+            b = rng.uniform(1.0, 100.0, K)
+            p = small(rng.uniform(0.1, 10.0, K), b, rng.uniform(0.05, 0.95) * b.sum())
+            if tie_free(p):
+                problems.append(p)
+        for p in problems:
+            assert brute_force_subset(p) == numpy_brute_force(p), p
 
     def test_matches_batch_solver_on_random(self, problem_factory):
         rng = np.random.default_rng(201)
@@ -739,6 +813,20 @@ class TestGreedyInteger:
             problems += [AllocationProblem(strata, float(round(f * sum(N)))) for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
         for p in problems:
             assert greedy_integer_optimal(p) == numpy_greedy(p), p
+
+    @pytest.mark.parametrize("K", [1000, 10000])
+    def test_identical_strata(self, monkeypatch, K):
+        # the floored relaxed sum jumps past Newton's window at one y, so the
+        # relaxation stops there and the heap grants the units still short,
+        # instead of bisecting y about 20 times
+        steps = []
+        roots = oracles._roots
+        monkeypatch.setattr(oracles, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
+        p = small([3.0] * K, [50] * K, 20 * K + 357)
+        result = greedy_integer_optimal(p)
+        assert len(steps) <= 6
+        assert result == heap_greedy_result(p)
+        assert result == numpy_greedy(p)
 
     def test_count_limit(self):
         p = small([1, 1], [2.0**53, 2.0**53], 2.0**53 + 2)

@@ -54,6 +54,16 @@ class TestRoundAllocation:
         with pytest.raises(ValueError):
             round_allocation({"a": 1.0}, 0, {"a": 5.0})
 
+    def test_label_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^allocation and bounds must cover the same labels$"):
+            round_allocation({"a": 1.0, "b": 2.0}, 3, {"a": 5.0, "c": 5.0})
+
+    @pytest.mark.parametrize("xa,message", [(-0.5, "allocation -0.5 outside"), (5.5, "allocation 5.5 outside")])
+    def test_value_outside_bounds_rejected(self, xa, message):
+        # the total matches n, so the first stratum outside [0, b] is named
+        with pytest.raises(ValueError, match=rf"^stratum 'a': {message} \[0, 5.0\]$"):
+            round_allocation({"a": xa, "b": 3.0 - xa}, 3, {"a": 5.0, "b": 5.0})
+
     def test_stays_within_one_of_input(self):
         # integer bounds, the population case; fractional bounds can make
         # the within-one contract infeasible and raise instead
@@ -115,6 +125,10 @@ class TestVarianceTable:
         assert rep.skipped
         assert math.isnan(rep.d2_continuous)
         assert math.isnan(rep.ratio_rounded_over_int)
+
+    def test_maps_over_different_labels(self):
+        with pytest.raises(ValueError, match="^N and S must cover the same labels$"):
+            variance_table({"u": 40, "v": 60}, {"u": 2.0, "w": 1.0}, [0.5])
 
     def test_bad_fraction(self):
         N, S = _uniform_population()
