@@ -32,8 +32,6 @@ from .oracles import (
     kkt_verify,
 )
 from .popgen import (
-    PopulationSpec,
-    StratifiedPopulation,
     geometric_strata,
     lognormal_population,
     power_population,
@@ -54,8 +52,6 @@ __all__ = [
     "IterationRecord",
     "KktCertificate",
     "LabelMismatchError",
-    "PopulationSpec",
-    "StratifiedPopulation",
     "StrataColumns",
     "Stratum",
     "SurveyStratum",

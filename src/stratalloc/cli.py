@@ -19,7 +19,7 @@ from . import formats
 from .algorithms import SOLVERS
 from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, is_optimal_takeall
 from .oracles import LabelMismatchError, bisection_multiplier, kkt_verify
-from .popgen import PopulationSpec, lognormal_population, power_population, table1_problem
+from .popgen import lognormal_population, power_population, table1_problem
 from .rounding import variance_table, write_variance_csv
 
 @contextmanager
@@ -79,14 +79,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+# the populations that genpop and bench --kind generate
+KINDS = ("table1", "power", "lognormal")
+
+
 def _population(args: argparse.Namespace) -> tuple[str, StrataColumns]:
     """The strata of the population named by --kind, with its id stem."""
     if args.kind == "table1":
         return "table1", table1_problem().columns
     if args.kind == "power":
-        return "power", power_population().columns
-    spec = PopulationSpec(kind="lognormal_blocks", seed=args.seed, block_count=args.blocks)
-    return f"lognormal{args.blocks}s{args.seed}", lognormal_population(spec).columns
+        return "power", power_population()
+    return f"lognormal{args.blocks}s{args.seed}", lognormal_population(args.seed, args.blocks)
 
 
 def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProblem]]:
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the solvers")
     p_bench.add_argument("--input", help="strata CSV to bench on")
-    p_bench.add_argument("--kind", choices=["table1", "power", "lognormal"])
+    p_bench.add_argument("--kind", choices=KINDS)
     p_bench.add_argument(
         "--fraction",
         action="append",
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("genpop", help="write a synthetic population CSV")
-    p_gen.add_argument("--kind", required=True, choices=["table1", "power", "lognormal"])
+    p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_gen.add_argument("--blocks", type=int, default=100, help="lognormal block count")
     p_gen.add_argument("--output", help="strata CSV path (default stdout)")

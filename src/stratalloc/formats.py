@@ -36,7 +36,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     ``label,a,b`` gives the weights and bounds directly; ``label,N,S`` is the
     survey form (a = N * S, b = N) and keeps its S column. The result is a
     :class:`StrataColumns`, whose records are built only if its ``records``
-    are read. Header matching is case-insensitive.
+    are read. Header matching is case-insensitive, and one leading U+FEFF
+    (a UTF-8 byte-order mark) is ignored.
 
     The rows are checked a whole column at a time: field counts, non-empty
     labels, numbers, then the checks of :class:`StrataColumns` (the values,
@@ -56,6 +57,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         header = next(reader)
     except StopIteration:
         raise StrataCsvError(f"{name}: line 1: empty file") from None
+    if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     cols = [h.strip().lower() for h in header]
     if cols == ["label", "a", "b"]:
         make = Stratum

@@ -29,12 +29,7 @@ from itertools import combinations, compress, repeat
 from math import floor, sqrt
 from operator import add, and_, eq, ge, getitem, gt, le, lt, mul, neg, not_, or_, sub, truediv
 
-from .model import (
-    AllocationProblem,
-    AllocationResult,
-    Label,
-    s_of,
-)
+from .model import AllocationProblem, AllocationResult, Label
 
 __all__ = [
     "KktCertificate",
@@ -86,8 +81,9 @@ class KktCertificate:
 def brute_force_subset(problem: AllocationProblem) -> frozenset:
     """Exhaustively find the take-all subset satisfying the fixed-point test.
 
-    Tries the proper subsets V of the strata by cardinality, then by stratum
-    position, and returns the first with s(V) > 0 whose membership is
+    Tries the proper subsets V of the strata by cardinality, taken from both
+    ends in turn (0, K - 1, 1, K - 2, ...), then by stratum position, and
+    returns the first with s(V) > 0 whose membership is
     consistent: w in V exactly when c_w * s(V) >= 1. s(V) is the quotient of
     two correctly rounded sums. Intended for small instances (refuses more
     than 20 strata); in tie-free problems the subset is unique.
@@ -99,7 +95,10 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
         return frozenset(problem.labels)
     a, b = problem.columns.lists
     c = list(map(truediv, a, b))
-    for size in range(K):
+    # sizes from both ends in turn, 0, K - 1, 1, K - 2, ...: large take-all
+    # sets are found without first trying the many middle-sized subsets
+    sizes = [k for pair in zip(range(K), reversed(range(K))) for k in pair][:K]
+    for size in sizes:
         for v in combinations(range(K), size):
             # s(V) = (n - sum_V b) / (sum a - sum_V a), each sum correctly rounded
             s = math.fsum([problem.n, *(-b[i] for i in v)]) / math.fsum([*a, *(-a[i] for i in v)])
@@ -116,8 +115,8 @@ def kkt_verify(
     """Build and evaluate the KKT certificate for a claimed optimum.
 
     Never raises on a bad allocation; a certificate that fails is the answer.
-    An allocation whose labels are not the problem's raises
-    :class:`LabelMismatchError`.
+    An allocation whose labels, or take-all labels, are not the problem's
+    raises :class:`LabelMismatchError` before any arithmetic.
     The multiplier construction: mu = s(V)**(-2) from the claimed take-all
     set V, except in the census case where any mu up to min c_w**2 keeps the
     bound multipliers nonnegative, and mu = min c_w**2 with s = inf is used.
@@ -152,23 +151,26 @@ def kkt_verify(
         x = list(map(result.x.__getitem__, labels))
     else:
         raise LabelMismatchError("result labels do not match the problem")
-    a, b = problem.columns.lists
     v = result.take_all
+    on = list(map(v.__contains__, labels))
+    if on.count(True) != len(v):
+        raise LabelMismatchError("take-all labels do not match the problem")
+    off = list(map(not_, on))
+    a, b = problem.columns.lists
     census = len(v) == problem.size
     if census:
         c = list(map(truediv, a, b))
         mu = min(map(mul, c, c))
         s = math.inf
     else:
-        s = s_of(problem, v)
+        # s(V) = (n - sum_V b) / sum_{not V} a, each sum correctly rounded
+        s = math.fsum([problem.n, *map(neg, compress(b, on))]) / math.fsum(compress(a, off))
         ss = s * s
         mu = 1.0 / ss if s > 0 and ss else math.inf
     if not (s > 0 and all(map(math.isfinite, x)) and min(x) > 0):
         lam = dict.fromkeys(labels, 0.0)
         residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
         return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
-    on = list(map(v.__contains__, labels))
-    off = list(map(not_, on))
     b_on = list(compress(b, on))
     c_on = list(map(truediv, compress(a, on), b_on))
     lam = dict.fromkeys(labels, 0.0)
@@ -250,23 +252,15 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
         else:
             hi = mid
     s = hi
-    x: dict[Label, float] = {}
-    take_all = []
-    for label, av, bv in zip(problem.labels, a, b):
-        xv = av * s
-        if xv >= bv:
-            x[label] = bv
-            take_all.append(label)
-        else:
-            x[label] = xv
-    achieved = math.fsum(x.values())
+    xs = list(map(min, map(mul, a, repeat(s)), b))
+    achieved = math.fsum(xs)
     if abs(achieved - problem.n) > tol * problem.n:
         raise RuntimeError(
             f"bisection stalled: |total - n| = {abs(achieved - problem.n):.3e} > tol * n"
         )
     return AllocationResult(
-        x=x,
-        take_all=frozenset(take_all),
+        x=dict(zip(problem.labels, xs)),
+        take_all=frozenset(compress(problem.labels, map(ge, xs, b))),
         s_final=s,
         iterations=probes,
         trace=(),
@@ -449,8 +443,6 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
         """Count the units with gain above t, which narrows the bracket."""
         nonlocal lo, hi, above_lo, above_hi, total_lo, total_hi
         bits = _bits(t)
-        if not lo < bits < hi:
-            return
         count = _units_above(A, u, t, _estimate(A, u, t) if est is None else est)
         total = sum(count)
         if total < m:

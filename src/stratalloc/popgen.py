@@ -8,7 +8,7 @@ Three designs:
 ``power``
     20 strata with N_w = 1000 and S_w = 10**w, an extreme-spread design
     where the take-all set grows one stratum per unit of log-range.
-``lognormal_blocks``
+``lognormal``
     block_count independent blocks of 10000 lognormal values (log-mean 0,
     log-sd log(1 + i) for block i), each split into up to 10 strata by
     geometric boundaries, concatenated and randomly permuted.
@@ -16,24 +16,22 @@ Three designs:
 Randomness is NumPy's PCG64 behind ``default_rng``; per-block generators get
 child seeds from ``SeedSequence(seed).spawn``, so populations only depend on
 (seed, block_count), not on generation order.
+
+A population is its survey columns (a = N * S, b = N, and S kept), built by
+:meth:`StrataColumns.survey`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .formats import population_maps_from_rows
-from .model import AllocationProblem, StrataColumns, SurveyStratum
+from .model import AllocationProblem, StrataColumns
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "PopulationSpec",
-    "StratifiedPopulation",
     "table1_problem",
     "power_population",
     "power_problem",
@@ -42,9 +40,7 @@ __all__ = [
     "stratum_sd",
 ]
 
-POPULATION_KINDS = ("table1", "lognormal_blocks", "power")
-
-# lognormal_blocks: values per block, and the most strata a block splits into
+# lognormal: values per block, and the most strata a block splits into
 _BLOCK_SIZE = 10000
 _STRATA_PER_BLOCK = 10
 
@@ -56,76 +52,19 @@ _TABLE1_C = (
 )
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    """Parameters of a synthetic population."""
-
-    kind: str
-    seed: int = 0
-    block_count: int = 100
-
-    def __post_init__(self) -> None:
-        if self.kind not in POPULATION_KINDS:
-            raise ValueError(f"unknown population kind {self.kind!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.block_count < 1:
-            raise ValueError("block_count must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class StratifiedPopulation:
-    """A stratified population reduced to survey strata: columns of labels,
-    N and S (a = N * S, b = N), built by :meth:`StrataColumns.survey`.
-
-    ``strata`` is the columns' record view, built on first use. Equality is
-    identity; compare ``strata`` for values.
-    """
-
-    columns: StrataColumns
-
-    @property
-    def strata(self) -> tuple[SurveyStratum, ...]:
-        return self.columns.records
-
-    @cached_property
-    def _maps(self) -> tuple[dict, dict]:
-        return population_maps_from_rows(self.columns)
-
-    @property
-    def N(self) -> dict:
-        return self._maps[0]
-
-    @property
-    def S(self) -> dict:
-        return self._maps[1]
-
-    @property
-    def size(self) -> int:
-        return len(self.columns.labels)
-
-    @property
-    def total_units(self) -> int:
-        return sum(map(int, self.columns.lists[1]))
-
-    def problem(self, n: float) -> AllocationProblem:
-        """The allocation problem over these strata (a = N * S, b = N)."""
-        return AllocationProblem(self.columns, n)
-
-
 def table1_problem() -> AllocationProblem:
     """The fixed 20-stratum benchmark problem (n = 8000, all bounds 1000)."""
     return AllocationProblem(StrataColumns(range(1, 21), [1000.0 * c for c in _TABLE1_C], [1000.0] * 20), 8000.0)
 
 
-def power_population() -> StratifiedPopulation:
+def power_population() -> StrataColumns:
     """The power-spread population: strata w = 1..20 with N_w = 1000, S_w = 10**w."""
-    return StratifiedPopulation(StrataColumns.survey(range(1, 21), [1000] * 20, [10.0**w for w in range(1, 21)]))
+    return StrataColumns.survey(range(1, 21), [1000] * 20, [10.0**w for w in range(1, 21)])
 
 
 def power_problem(n: float) -> AllocationProblem:
     """The power-spread problem: a_w = 1000 * 10**w, b_w = 1000."""
-    return power_population().problem(n)
+    return AllocationProblem(power_population(), n)
 
 
 def geometric_strata(values: Sequence[float], num_strata: int) -> list[float]:
@@ -205,20 +144,22 @@ def _split_block(values: np.ndarray, num_strata: int) -> list[np.ndarray]:
     return parts
 
 
-def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
-    """Generate the lognormal-blocks population described in the module doc.
+def lognormal_population(seed: int = 0, block_count: int = 100) -> StrataColumns:
+    """Generate the lognormal population described in the module doc.
 
-    Deterministic in spec.seed. Stratum labels encode block and slot
-    ("b017s3"); the final stratum order is a seed-derived permutation.
+    Deterministic in (seed, block_count). Stratum labels encode block and
+    slot ("b017s3"); the final stratum order is a seed-derived permutation.
     """
-    if spec.kind != "lognormal_blocks":
-        raise ValueError(f"expected kind 'lognormal_blocks', got {spec.kind!r}")
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if block_count < 1:
+        raise ValueError("block_count must be positive")
     import numpy as np
 
-    seq = np.random.SeedSequence(spec.seed)
-    children = seq.spawn(spec.block_count + 1)
+    seq = np.random.SeedSequence(seed)
+    children = seq.spawn(block_count + 1)
     summaries: list[tuple[str, int, float]] = []  # (label, N, S) per stratum
-    for i in range(1, spec.block_count + 1):
+    for i in range(1, block_count + 1):
         rng = np.random.default_rng(children[i - 1])
         values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=_BLOCK_SIZE))
         for k, part in enumerate(_split_block(values, _STRATA_PER_BLOCK)):
@@ -226,4 +167,4 @@ def lognormal_population(spec: PopulationSpec) -> StratifiedPopulation:
     perm_rng = np.random.default_rng(children[-1])
     order = perm_rng.permutation(len(summaries))
     labels, N, S = zip(*(summaries[k] for k in order))
-    return StratifiedPopulation(StrataColumns.survey(labels, N, S))
+    return StrataColumns.survey(labels, N, S)

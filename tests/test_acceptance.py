@@ -17,7 +17,6 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES, make_random_problem
 from stratalloc import (
     AllocationProblem,
-    PopulationSpec,
     Stratum,
     bisection_multiplier,
     brute_force_subset,
@@ -35,6 +34,7 @@ from stratalloc import (
     variance_table,
 )
 from stratalloc.cli import main
+from stratalloc.formats import population_maps_from_rows
 
 # Quoted one-decimal optimum for the fixed 20-stratum benchmark. The
 # quoted priority coefficients are 2-decimal roundings of the values this
@@ -225,14 +225,14 @@ def test_criterion_4_scale_monotonicity():
 @criterion(5)
 def test_criterion_5_variance_ratio_profile():
     start = time.perf_counter()
-    spec = PopulationSpec(kind="lognormal_blocks", seed=0, block_count=100)
-    pop = lognormal_population(spec)
+    pop = lognormal_population(seed=0, block_count=100)
+    N, S = population_maps_from_rows(pop)
     fractions = (0.1, 0.2, 0.3, 0.4, 0.5)
-    reports = variance_table(pop.N, pop.S, fractions)
+    reports = variance_table(N, S, fractions)
     elapsed = time.perf_counter() - start
     failures = []
-    if pop.size < 400:
-        failures.append(f"population has {pop.size} strata, needs >= 400")
+    if len(pop.labels) < 400:
+        failures.append(f"population has {len(pop.labels)} strata, needs >= 400")
     out_of_band = [(r.sample_fraction, r.ratio_cont_over_int) for r in reports
                    if not 0.99 < r.ratio_cont_over_int <= 1.0]
     if out_of_band:
@@ -258,7 +258,7 @@ def test_criterion_5_variance_ratio_profile():
         failures.append(f"took {elapsed:.1f} s, limit 60 s")
     if failures:
         raise AssertionError("; ".join(failures))
-    return (f"{pop.size}-stratum population: ratio profile in band, monotone,"
+    return (f"{len(pop.labels)}-stratum population: ratio profile in band, monotone,"
             f" rounded ratio within 1e-4, in {elapsed:.1f} s")
 
 

@@ -31,6 +31,24 @@ def table1_csv(tmp_path):
 
 
 class TestAllocate:
+    def test_byte_order_mark_ignored(self, table1_csv, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        assert main(["genpop", "--kind", "power", "--output", str(tmp_path / "power.csv")]) == 0
+        for plain in (table1_csv, tmp_path / "power.csv"):
+            marked = tmp_path / f"bom-{plain.name}"
+            marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+            with open(plain, encoding="utf-8", newline="") as fp:
+                expected = formats.read_strata_csv(fp)
+            with open(marked, encoding="utf-8", newline="") as fp:
+                read = formats.read_strata_csv(fp)
+            assert (read.labels, read.lists, read.S) == (expected.labels, expected.lists, expected.S)
+            docs = []
+            for path in (plain, marked):
+                out = tmp_path / f"{path.stem}.json"
+                assert main(["allocate", "--input", str(path), "--n", "8000", "--output", str(out)]) == 0
+                docs.append(out.read_bytes())
+            assert docs[0] == docs[1]
+
     def test_writes_allocation_json(self, table1_csv, tmp_path):
         out = tmp_path / "alloc.json"
         code = main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)])
@@ -384,6 +402,19 @@ class TestGenpop:
             (str(st.label), st.a.hex(), st.b.hex()) for st in expected.strata
         ]
 
+    @pytest.mark.parametrize("command", ["genpop", "bench"])
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+            (["--seed", "18446744073709551616"], "seed must fit in 64 unsigned bits"),
+            (["--blocks", "0"], "block_count must be positive"),
+        ],
+    )
+    def test_bad_lognormal_arguments_exit_2(self, capsys, command, option, message):
+        assert main([command, "--kind", "lognormal", *option]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_lognormal_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -448,6 +479,10 @@ class TestBench:
         code = main(["bench", "--input", str(table1_csv), "--fraction", "0.4", "--repetitions", "0"])
         assert code == 2
         assert capsys.readouterr().err == "error: repetitions must be >= 1\n"
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="^warmup must be >= 0$"):
+            bench.time_solver(algorithms.rna, power_problem(5000.0), warmup=-1)
 
     def test_requires_exactly_one_source(self, table1_csv, capsys):
         assert main(["bench", "--fraction", "0.5"]) == 2

@@ -1,20 +1,22 @@
+import ast
 import itertools
 import math
 from itertools import compress
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import heap_greedy_counts
 from stratalloc import oracles
+from stratalloc.formats import population_maps_from_rows
 from stratalloc.oracles import _BRUTE_FORCE_MAX
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
     KktCertificate,
     LabelMismatchError,
-    PopulationSpec,
     StrataColumns,
     Stratum,
     bisection_multiplier,
@@ -182,6 +184,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="limited"):
             brute_force_subset(p)
 
+    @pytest.mark.parametrize("n", [15000.0, 19000.0, 19999.0])
+    def test_large_take_all_sets(self, n):
+        # |V| = 14, 18 and 19 of 20: sizes from both ends reach them early
+        p = power_problem(n)
+        assert brute_force_subset(p) == rna(p).take_all
+
     def test_matches_numpy_search(self):
         problems = [table1_problem(), power_problem(5000.0)]
         rng = np.random.default_rng(209)
@@ -343,6 +351,40 @@ class TestKktVerify:
         )
         with pytest.raises(LabelMismatchError, match="labels do not match"):
             kkt_verify(p, wrong)
+
+    @pytest.mark.parametrize("size", [4, 20], ids=["partial", "census-sized"])
+    def test_unknown_take_all_label(self, size):
+        # one label of take_all is not the problem's, whatever the set's size
+        p = table1_problem()
+        res = rna(p)
+        take_all = frozenset([*p.labels[: size - 1], "stranger"])
+        wrong = AllocationResult(
+            x=res.x,
+            take_all=take_all,
+            s_final=res.s_final,
+            iterations=res.iterations,
+            trace=res.trace,
+            algorithm=res.algorithm,
+        )
+        with pytest.raises(LabelMismatchError, match="^take-all labels do not match the problem$"):
+            kkt_verify(p, wrong)
+
+    def test_shares_no_code_with_the_kernel(self):
+        # the oracles take only the problem and result types from model
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        taken = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
+            for alias in node.names
+        }
+        assert taken == {"AllocationProblem", "AllocationResult", "Label"}
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        assert imported == {"model"}
 
     @pytest.mark.parametrize(
         "a,b,n",
@@ -752,7 +794,7 @@ class TestGreedyInteger:
         assert checked == 2500
 
     def test_variance_table_uses_exact_integer_optimum(self, monkeypatch):
-        pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=10))
+        N, S = population_maps_from_rows(lognormal_population(seed=0, block_count=10))
         seen = []
 
         def recording(problem):
@@ -762,12 +804,12 @@ class TestGreedyInteger:
 
         monkeypatch.setattr(rounding, "greedy_integer_optimal", recording)
         fractions = (0.1, 0.2, 0.3, 0.4, 0.5)
-        reports = rounding.variance_table(pop.N, pop.S, fractions)
+        reports = rounding.variance_table(N, S, fractions)
         assert [p.n for p, _ in seen] == [float(r.n) for r in reports]
         for (problem, result), report in zip(seen, reports):
             expected = heap_greedy_result(problem)
             assert result == expected
-            assert report.d2_integer == srswor_variance(pop.N, pop.S, expected.x)
+            assert report.d2_integer == srswor_variance(N, S, expected.x)
 
     def test_exchange_optimal_for_large_bounds(self):
         # bounds up to 1e15, far beyond what the heap reference can grant unit
@@ -806,10 +848,10 @@ class TestGreedyInteger:
             small([1e-160, 1e-160, 3e-160], [1e15, 1e15, 1e15], 10**14),
         ]
         for blocks in (10, 100):
-            pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=blocks))
-            N = [float(v) for v in pop.N.values()]
-            S = list(pop.S.values())
-            strata = StrataColumns(list(pop.N), map(mul, N, S), N, S)
+            N_map, S_map = population_maps_from_rows(lognormal_population(seed=0, block_count=blocks))
+            N = [float(v) for v in N_map.values()]
+            S = list(S_map.values())
+            strata = StrataColumns(list(N_map), map(mul, N, S), N, S)
             problems += [AllocationProblem(strata, float(round(f * sum(N)))) for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
         for p in problems:
             assert greedy_integer_optimal(p) == numpy_greedy(p), p

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stratalloc import (
-    PopulationSpec,
+    AllocationProblem,
     SurveyStratum,
     geometric_strata,
     lognormal_population,
@@ -13,6 +13,7 @@ from stratalloc import (
     stratum_sd,
     table1_problem,
 )
+from stratalloc.formats import population_maps_from_rows
 
 REF_C = (
     0.33, 2.56, 0.15, 0.66, 0.15, 15.45, 1.49, 1.74, 0.30, 0.93,
@@ -41,9 +42,9 @@ class TestFixedProblems:
 
     def test_power_population_strata(self):
         pop = power_population()
-        assert all(type(st) is SurveyStratum for st in pop.strata)
-        assert [(st.N, st.S) for st in pop.strata] == [(1000, 10.0**w) for w in range(1, 21)]
-        assert pop.problem(5000.0).strata is pop.strata
+        assert all(type(st) is SurveyStratum for st in pop.records)
+        assert [(st.N, st.S) for st in pop.records] == [(1000, 10.0**w) for w in range(1, 21)]
+        assert AllocationProblem(pop, 5000.0).strata is pop.records
 
     def test_power_problem_infeasible_n(self):
         from stratalloc import InfeasibleProblemError
@@ -106,66 +107,58 @@ class TestStratumSd:
         assert stratum_sd(vals) == pytest.approx(analytic, rel=0.05)
 
 
-class TestPopulationSpec:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            PopulationSpec(kind="zipf")
-
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError):
-            PopulationSpec(kind="lognormal_blocks", seed=-1)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            PopulationSpec(kind="lognormal_blocks", block_count=0)
-
-
 @pytest.fixture(scope="module")
 def pop():
-    return lognormal_population(
-        PopulationSpec(kind="lognormal_blocks", seed=1, block_count=12)
-    )
+    return lognormal_population(seed=1, block_count=12)
 
 
 class TestLognormalPopulation:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError, match="lognormal_blocks"):
-            lognormal_population(PopulationSpec(kind="power"))
+    def test_rejects_bad_seed(self):
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            lognormal_population(seed=-1)
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            lognormal_population(seed=2**64)
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="^block_count must be positive$"):
+            lognormal_population(block_count=0)
 
     def test_deterministic(self, pop):
-        again = lognormal_population(
-            PopulationSpec(kind="lognormal_blocks", seed=1, block_count=12)
-        )
-        assert again.strata == pop.strata
+        again = lognormal_population(seed=1, block_count=12)
+        assert again.records == pop.records
 
     def test_seed_changes_population(self, pop):
-        other = lognormal_population(
-            PopulationSpec(kind="lognormal_blocks", seed=2, block_count=12)
-        )
-        assert other.strata != pop.strata
+        other = lognormal_population(seed=2, block_count=12)
+        assert other.records != pop.records
 
     def test_all_units_kept(self, pop):
-        assert pop.total_units == 12 * 10000
+        assert sum(pop.lists[1]) == 12 * 10000
 
     def test_stratum_count_near_ten_per_block(self, pop):
-        assert 12 * 8 <= pop.size <= 12 * 10
+        assert 12 * 8 <= len(pop.labels) <= 12 * 10
 
     def test_summaries_well_formed(self, pop):
-        labels = [st.label for st in pop.strata]
+        labels = [st.label for st in pop.records]
         assert len(set(labels)) == len(labels)
-        for st in pop.strata:
+        for st in pop.records:
             assert st.N >= 2
             assert st.S > 0
 
     def test_order_permuted(self, pop):
-        labels = [st.label for st in pop.strata]
+        labels = [st.label for st in pop.records]
         assert labels != sorted(labels)
 
     def test_problem_construction(self, pop):
-        n = round(0.2 * pop.total_units)
-        problem = pop.problem(float(n))
-        assert problem.size == pop.size
-        assert problem.sum_b == float(pop.total_units)
-        st = problem.by_label[pop.strata[0].label]
-        assert st.a == pytest.approx(pop.strata[0].N * pop.strata[0].S, rel=1e-15)
-        assert problem.strata is pop.strata
+        total_units = sum(pop.lists[1])
+        n = round(0.2 * total_units)
+        problem = AllocationProblem(pop, float(n))
+        assert problem.size == len(pop.labels)
+        assert problem.sum_b == float(total_units)
+        st = problem.by_label[pop.records[0].label]
+        assert st.a == pytest.approx(pop.records[0].N * pop.records[0].S, rel=1e-15)
+        assert problem.strata is pop.records
+
+    def test_maps_are_the_survey_columns(self, pop):
+        N, S = population_maps_from_rows(pop)
+        assert list(N) == list(pop.labels)
+        assert [(N[st.label], S[st.label]) for st in pop.records] == [(st.N, st.S) for st in pop.records]

@@ -6,7 +6,6 @@ import pytest
 
 from stratalloc import (
     AllocationProblem,
-    PopulationSpec,
     Stratum,
     greedy_integer_optimal,
     lognormal_population,
@@ -53,6 +52,11 @@ class TestRoundAllocation:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             round_allocation({"a": 1.0}, 0, {"a": 5.0})
+
+    def test_floors_above_n_rejected(self):
+        # the total is within 1e-9 * n of n, but the floor alone exceeds it
+        with pytest.raises(ValueError, match="^floored allocation already exceeds n$"):
+            round_allocation({"u": 1e10 + 4}, 10**10, {"u": 2e10})
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^allocation and bounds must cover the same labels$"):
@@ -162,9 +166,9 @@ class TestVarianceTable:
 
 
     def test_no_records_built(self, monkeypatch):
-        pop = lognormal_population(PopulationSpec(kind="lognormal_blocks", seed=0, block_count=10))
+        pop = lognormal_population(seed=0, block_count=10)
         buf = io.StringIO()
-        write_ns_csv(((st.label, st.N, st.S) for st in pop.strata), buf)
+        write_ns_csv(((st.label, st.N, st.S) for st in pop.records), buf)
         N, S = population_maps_from_rows(read_strata_csv(io.StringIO(buf.getvalue())))
         fractions = [0.0005, 0.1, 0.5, 1.0]  # the first is skipped
         # every Stratum and SurveyStratum constructor runs Stratum.__post_init__
