@@ -7,10 +7,13 @@ Each ``--src NAME=DIR`` is a source tree holding the ``stratalloc`` package.
 For every K the input is perfbench's seeded survey file
 (``perfbench/gen.write_survey_csv``, seed 0) with n = round(0.2 * sum(N)).
 Each repeat runs, for every source in turn, one worker process that times
-the layers in process once each (CSV read, problem build, rna, sga, coma,
-JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall, and
-greedy_integer_optimal at the same n) and records each solver's iteration
-count r*, then four child processes, each timed from spawn to exit:
+the layers in process (CSV read, problem build from the columns, problem
+build from ``Stratum`` records as library callers do (``build_records``),
+rna, sga, coma, JSON write of rna's answer, JSON read, kkt_verify,
+is_optimal_takeall, and greedy_integer_optimal at the same n; see
+``worker`` for how often each is called) and records each solver's
+iteration count r*, then four child processes, each timed from spawn to
+exit:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
 command pays), the CLI ``allocate`` and ``verify`` commands, and
 ``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources alternate
@@ -40,30 +43,53 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SOLVERS = ("rna", "sga", "coma")
 LAYERS = (
-    "read_strata_csv", "build", *SOLVERS, "write_allocation_json",
+    "read_strata_csv", "build", "build_records", *SOLVERS, "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
 )
 CHILDREN = ("cli_import", "cli_allocate", "cli_verify", "cli_roundcmp")
 FRACTIONS = ("0.1", "0.2", "0.3", "0.4", "0.5")
+# the solve path is timed over SOLVE_CALL_UNITS // K calls per worker
+SOLVE_CALL_UNITS = 10_000
 
 
 def worker(csv_path: str, n: float) -> dict[str, dict]:
-    """One timed call of every layer, and r* of each solver, on the
-    stratalloc package on sys.path."""
-    from stratalloc import coma, formats, greedy_integer_optimal, is_optimal_takeall, kkt_verify, rna, sga
+    """The time of every layer, and r* of each solver, on the stratalloc
+    package on sys.path. A layer is timed once, except the solve path
+    (build, build_records, rna, sga, coma): it is the median of
+    ``SOLVE_CALL_UNITS // K`` calls when that is more than one, since at
+    small K one call takes microseconds and the first one runs cold."""
+    from stratalloc import (
+        AllocationProblem,
+        Stratum,
+        coma,
+        formats,
+        greedy_integer_optimal,
+        is_optimal_takeall,
+        kkt_verify,
+        rna,
+        sga,
+    )
 
     out: dict[str, float] = {}
 
-    def timed(name, fn, *args):
-        start = time.perf_counter()
-        value = fn(*args)
-        out[name] = time.perf_counter() - start
+    def timed(name, fn, *args, calls=1):
+        times = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            value = fn(*args)
+            times.append(time.perf_counter() - start)
+        out[name] = statistics.median(times)
         return value
 
     with open(csv_path, encoding="utf-8", newline="") as fp:
         rows = timed("read_strata_csv", formats.read_strata_csv, fp)
-    problem = timed("build", formats.problem_from_rows, rows, n)
-    results = {name: timed(name, solver, problem) for name, solver in zip(SOLVERS, (rna, sga, coma))}
+    calls = max(1, SOLVE_CALL_UNITS // len(rows.labels))
+    problem = timed("build", formats.problem_from_rows, rows, n, calls=calls)
+    # the library path: one Stratum record per stratum, then the problem
+    timed(
+        "build_records", lambda: AllocationProblem(tuple(map(Stratum, rows.labels, *rows.lists)), n), calls=calls
+    )
+    results = {name: timed(name, solver, problem, calls=calls) for name, solver in zip(SOLVERS, (rna, sga, coma))}
     result = results["rna"]
     buf = io.StringIO()
     timed("write_allocation_json", formats.write_allocation_json, result, problem.n, buf)
@@ -159,8 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
-        "timing each layer once, then the import, allocate, verify and roundcmp children. Unscaled medians in seconds; "
-        "iterations is r* of each solver."
+        "timing each layer once (build, build_records, rna, sga and coma as the median of "
+        f"max(1, {SOLVE_CALL_UNITS} // K) calls), then the import, allocate, verify and roundcmp children. "
+        "Unscaled medians in seconds; iterations is r* of each solver."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -34,11 +34,15 @@ across the three solvers and across input permutations of the same strata.
 rna forms each s(V) from two correctly rounded sums, so its trace holds the
 exact s(V_r) of each iteration rounded once. sga and coma take one stratum
 per iteration and carry the numerator B and denominator A of s as
-compensated (value, error) pairs. Since its last exact sum, a pair is off by
-less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its value at that
-sum. When B or A falls below (K + 2)**2 * 2**-61 times its value at the last
-exact sum, the pair no longer guarantees the relative 2**-44 that the filter
-needs, and both are summed again with ``math.fsum``.
+compensated (value, error) pairs. Admitting stratum w subtracts b_w from B
+and a_w from A, each by one Kahan-Babuska-Neumaier step written inline in
+the walk: a step is a handful of float operations, and a helper call per
+subtraction would cost more than they do. Since its last exact sum, a pair
+is off by less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its
+value at that sum. When B or A falls below (K + 2)**2 * 2**-61 times its
+value at the last exact sum, the pair no longer guarantees the relative
+2**-44 that the filter needs, and both are summed again with
+``math.fsum``.
 
 The solvers read the problem's columns as lists (``columns.lists``): every
 pass over a column is one C-level map, compress or fsum. numpy arrays would
@@ -65,17 +69,6 @@ from .model import (
 )
 
 __all__ = ["rna", "sga", "coma", "SOLVERS"]
-
-
-def _drop(total: float, comp: float, v: float) -> tuple[float, float]:
-    # one compensated (Kahan-Babuska-Neumaier) subtraction step; the pair
-    # carries total + comp with the rounding leftover in comp
-    t = total - v
-    if abs(total) >= abs(v):
-        comp += (total - t) - v
-    else:
-        comp += total - (t + v)
-    return t, comp
 
 
 def _exact_pair(values: list[float]) -> tuple[float, float]:
@@ -137,8 +130,22 @@ def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int],
         trace.append(IterationRecord(r, s, (labels[i],) if take else ()))
         if not take:
             break
-        budget, budget_c = _drop(budget, budget_c, b[i])
-        denom, denom_c = _drop(denom, denom_c, a[i])
+        # compensated (Kahan-Babuska-Neumaier) subtractions of b_i and a_i:
+        # each pair holds its value in the sum plus the rounding leftover
+        v = b[i]
+        t = budget - v
+        if abs(budget) >= abs(v):
+            budget_c += (budget - t) - v
+        else:
+            budget_c += budget - (t + v)
+        budget = t
+        v = a[i]
+        t = denom - v
+        if abs(denom) >= abs(v):
+            denom_c += (denom - t) - v
+        else:
+            denom_c += denom - (t + v)
+        denom = t
         taken.append(i)
     return taken, trace
 

@@ -19,8 +19,9 @@ V is characterized by a fixed-point condition checked by
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -37,9 +38,20 @@ class InfeasibleSubsetError(ValueError):
     """Raised when a candidate take-all subset leaves no positive budget."""
 
 
-@dataclass(frozen=True)
+# the largest finite float; an int at most this converts to a finite float
+_FLOAT_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True, init=False)
 class Stratum:
     """One stratum: a label, a variability weight a, and an upper bound b.
+
+    The one constructor checks that a, b and a/b are positive and finite
+    in one chained compare. Values that fail it go through the three
+    checks one at a time, and the first that fails raises the ValueError
+    naming the stratum and the value. The fields are then written
+    straight into the instance's ``__dict__``: a record costs one Python
+    frame.
 
     SRSWOR strata are built with :meth:`survey` and also carry N and S; on a
     plain stratum both read None.
@@ -50,18 +62,24 @@ class Stratum:
     b: float
     N = S = None
 
+    def __init__(self, label: Label, a: float, b: float) -> None:
+        if not (0 < a <= _FLOAT_MAX and 0 < b <= _FLOAT_MAX and a / b <= _FLOAT_MAX):
+            # one condition at a time, for the message
+            if not (math.isfinite(a) and a > 0):
+                raise ValueError(f"stratum {label!r}: a must be positive and finite, got {a!r}")
+            if not (math.isfinite(b) and b > 0):
+                raise ValueError(f"stratum {label!r}: b must be positive and finite, got {b!r}")
+            if not math.isfinite(a / b):
+                raise ValueError(f"stratum {label!r}: a/b overflows")
+        attrs = self.__dict__
+        attrs["label"] = label
+        attrs["a"] = a
+        attrs["b"] = b
+
     @staticmethod
     def survey(label: Label, N: float, S: float) -> SurveyStratum:
         """The SRSWOR stratum of N units with standard deviation S: a = N * S, b = N."""
         return SurveyStratum(label, N * S, float(N), S)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"stratum {self.label!r}: a must be positive and finite, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"stratum {self.label!r}: b must be positive and finite, got {self.b!r}")
-        if not math.isfinite(self.a / self.b):
-            raise ValueError(f"stratum {self.label!r}: a/b overflows")
 
     @property
     def c(self) -> float:
@@ -69,24 +87,23 @@ class Stratum:
         return self.a / self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurveyStratum(Stratum):
     """A stratum of an SRSWOR design: b = N units with standard deviation S.
 
     Built by :meth:`Stratum.survey`; a record whose b is not an integer or
-    whose a is not b * S is rejected.
+    whose a is not b * S is rejected, after the :class:`Stratum` checks.
     """
 
-    # field() keeps S required; a bare annotation would take the inherited
-    # class attribute S = None as its default
-    S: float = field()
+    S: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.b != int(self.b):
-            raise ValueError(f"stratum {self.label!r}: N must be an integer, got {self.b!r}")
-        if self.a != self.b * self.S:
-            raise ValueError(f"stratum {self.label!r}: a = {self.a!r} is not N * S for S = {self.S!r}")
+    def __init__(self, label: Label, a: float, b: float, S: float) -> None:
+        Stratum.__init__(self, label, a, b)
+        if b != int(b):
+            raise ValueError(f"stratum {label!r}: N must be an integer, got {b!r}")
+        if a != b * S:
+            raise ValueError(f"stratum {label!r}: a = {a!r} is not N * S for S = {S!r}")
+        self.__dict__["S"] = S
 
     @property
     def N(self) -> int:
@@ -231,16 +248,25 @@ class AllocationProblem:
         return self.n == self.sum_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IterationRecord:
-    """One solver iteration: 1-based index r, the scale s(V_r), labels added."""
+    """One solver iteration: 1-based index r, the scale s(V_r), labels added.
+
+    Like :class:`Stratum`, a frozen record built in one Python frame.
+    """
 
     r: int
     s_value: float
     added: tuple[Label, ...]
 
+    def __init__(self, r: int, s_value: float, added: tuple[Label, ...]) -> None:
+        attrs = self.__dict__
+        attrs["r"] = r
+        attrs["s_value"] = s_value
+        attrs["added"] = added
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class AllocationResult:
     """A solved allocation.
 
@@ -253,7 +279,7 @@ class AllocationResult:
     v_allocation. iterations is the 1-based count of solver iterations (r*
     for the recursive solvers, probe count for the multiplier search). trace
     holds per-iteration records for the recursive solvers and is empty for
-    the oracle solvers.
+    the oracle solvers. A frozen record built in one Python frame.
     """
 
     x: dict[Label, float]
@@ -262,6 +288,19 @@ class AllocationResult:
     iterations: int
     trace: tuple[IterationRecord, ...]
     algorithm: str
+
+    def __init__(
+        self,
+        x: dict[Label, float],
+        take_all: frozenset,
+        s_final: float,
+        iterations: int,
+        trace: tuple[IterationRecord, ...],
+        algorithm: str,
+    ) -> None:
+        self.__dict__.update(
+            x=x, take_all=take_all, s_final=s_final, iterations=iterations, trace=trace, algorithm=algorithm
+        )
 
     def total(self) -> float:
         return math.fsum(self.x.values())

@@ -34,6 +34,21 @@ def problem_factory():
     return make_random_problem
 
 
+@pytest.fixture
+def built_records(monkeypatch):
+    """The labels of the Stratum and SurveyStratum records built while the
+    test runs: every record constructor runs Stratum.__init__."""
+    built = []
+    init = Stratum.__init__
+
+    def counted(st, label, a, b):
+        built.append(label)
+        init(st, label, a, b)
+
+    monkeypatch.setattr(Stratum, "__init__", counted)
+    return built
+
+
 @pytest.fixture(scope="session")
 def near_ties():
     return near_tie_problems(seed=7, count=150)

@@ -1,15 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import exact_fixed_point, exact_takeall
+from conftest import exact_fixed_point, exact_takeall, make_random_problem
 from stratalloc import (
     AllocationProblem,
     Stratum,
     coma,
     is_optimal_takeall,
     kkt_verify,
+    lognormal_population,
     objective,
     power_problem,
     rna,
@@ -265,3 +267,50 @@ class TestExactTakeAll:
                 assert result_key(solver(shuffled)) == base, trial
             assert exact_fixed_point(p, base[1]), trial
             assert kkt_verify(p, rna(p)).valid, trial
+
+
+def record_problem(columns, n):
+    # the library path: plain Stratum records over the columns' a and b
+    return AllocationProblem(tuple(map(Stratum, columns.labels, *columns.lists)), n)
+
+
+def pin_problems():
+    pop = lognormal_population(0, 10)
+    total = math.fsum(pop.lists[1])
+    for frac in (0.02, 0.1, 0.3, 0.6, 0.95):
+        yield record_problem(pop, float(round(frac * total)))
+    table1 = table1_problem()
+    yield record_problem(table1.columns, table1.n)
+    yield record_problem(pop, total)  # the census
+    # fractional bounds: the compensated budget steps are inexact only here
+    for frac in (0.1, 0.5, 0.9):
+        yield make_random_problem(np.random.default_rng(15), 300, frac)
+
+
+# sha256 of every bit of rna, sga and coma's answers and traces over
+# pin_problems(); sga and coma take the same steps, so their digests agree
+SOLVE_SHA256 = {
+    "rna": "8aa9f6aa489a3052e81ea39cbc37b29001da4c057acf7fd3838ddf609d4784ac",
+    "sga": "149b48fa72dc282e897a007d8b5973bdb41ad88dd3aab9d84e89372414696029",
+    "coma": "149b48fa72dc282e897a007d8b5973bdb41ad88dd3aab9d84e89372414696029",
+}
+
+
+def solve_digest(solver):
+    h = hashlib.sha256()
+    for p in pin_problems():
+        res = solver(p)
+        h.update(repr((
+            res.iterations,
+            res.s_final.hex(),
+            sorted(res.take_all),
+            [v.hex() for v in res.x.values()],
+            [(rec.r, rec.s_value.hex(), rec.added) for rec in res.trace],
+        )).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_pinned_solve_bits(solver):
+    # any change to a step of the walks, the compensated sums included, shows here
+    assert solve_digest(solver) == SOLVE_SHA256[solver.__name__]

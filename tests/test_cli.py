@@ -346,31 +346,24 @@ class TestAllocationBytes:
         assert main(["roundcmp", "--input", str(populations[kind]), *fractions, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ROUNDCMP_SHA256[kind]
 
-    def test_no_records_on_allocate_or_verify(self, populations, tmp_path, monkeypatch):
-        # every Stratum and SurveyStratum constructor runs Stratum.__post_init__
-        built = []
-        check = Stratum.__post_init__
-        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+    def test_no_records_on_allocate_or_verify(self, populations, tmp_path, built_records):
         out = tmp_path / "alloc.json"
         args = ["--input", str(populations["lognormal"]), "--n", "200000"]
         assert main(["allocate", *args, "--output", str(out)]) == 0
         assert main(["verify", *args, "--allocation", str(out)]) == 0
-        assert built == []
+        assert built_records == []
         Stratum.survey("u", 10, 2.0)
-        assert built == ["u"]  # the count sees survey records
+        assert built_records == ["u"]  # the count sees survey records
 
 
 @pytest.mark.parametrize("kind", ["table1", "power", "lognormal"])
-def test_no_records_on_genpop_or_bench_kind(tmp_path, monkeypatch, kind):
+def test_no_records_on_genpop_or_bench_kind(tmp_path, built_records, kind):
     # populations are survey columns from popgen to the CSV writer and the solvers
-    built = []
-    check = Stratum.__post_init__
-    monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
     args = ["--kind", kind, "--blocks", "10"]
     assert main(["genpop", *args, "--output", str(tmp_path / "pop.csv")]) == 0
     bench_csv = tmp_path / "bench.csv"
     assert main(["bench", *args, "--fraction", "0.3", "--repetitions", "1", "--output", str(bench_csv)]) == 0
-    assert built == []
+    assert built_records == []
     assert len(list(csv.DictReader(bench_csv.read_text().splitlines()))) == 3
 
 
@@ -463,16 +456,13 @@ class TestBench:
         assert len(rows) == 3
         assert rows[0]["problem_id"].endswith("@0.4")
 
-    def test_input_builds_no_record(self, tmp_path, monkeypatch):
+    def test_input_builds_no_record(self, tmp_path, built_records):
         pop = tmp_path / "pop.csv"
         assert main(["genpop", "--kind", "lognormal", "--blocks", "5", "--output", str(pop)]) == 0
-        built = []
-        check = Stratum.__post_init__
-        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
         out = tmp_path / "bench.csv"
         args = ["--fraction", "0.3", "--repetitions", "1", "--output", str(out)]
         assert main(["bench", "--input", str(pop), *args]) == 0
-        assert built == []
+        assert built_records == []
         assert len(list(csv.DictReader(out.read_text().splitlines()))) == 3
 
     def test_zero_repetitions_exit_2(self, table1_csv, capsys):
@@ -523,21 +513,18 @@ class TestRoundcmp:
         assert len(rows) == 1  # the report is still written
         assert "skipped" in capsys.readouterr().err
 
-    def test_no_records_rebuilt(self, populations, tmp_path, monkeypatch):
+    def test_no_records_rebuilt(self, populations, tmp_path, built_records):
         # a label,N,S file's columns are the survey strata that variance_table
         # solves over; no Stratum or SurveyStratum is built on the way
-        built = []
-        check = Stratum.__post_init__
-        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
         out = tmp_path / "round.csv"
         args = ["--fraction", "0.1", "--fraction", "0.5", "--output", str(out)]
         assert main(["roundcmp", "--input", str(populations["lognormal"]), *args]) == 0
-        assert built == []
+        assert built_records == []
         # nor on a label,a,b file, whose S = a / b is read from the columns
         assert main(["roundcmp", "--input", str(populations["table1"]), *args]) == 0
-        assert built == []
+        assert built_records == []
         Stratum("u", 1.0, 2.0)
-        assert built == ["u"]  # the count sees records
+        assert built_records == ["u"]  # the count sees records
 
     def test_weight_form_needs_integer_bounds(self, tmp_path, capsys):
         pop = tmp_path / "pop.csv"

@@ -95,18 +95,15 @@ class TestRoutesAgree:
 
 
 class TestStrataColumns:
-    def test_records_are_lazy_and_built_once(self, monkeypatch):
-        built = []
-        check = Stratum.__post_init__
-        monkeypatch.setattr(Stratum, "__post_init__", lambda st: (built.append(st.label), check(st)))
+    def test_records_are_lazy_and_built_once(self, built_records):
         columns = read("label,N,S\nu,100,2.5\nv,50,1.5\n")
         p = problem_from_rows(columns, 30.0)
         rna(p)
-        assert built == []
+        assert built_records == []
         assert [type(st) for st in p.strata] == [SurveyStratum, SurveyStratum]
-        assert built == ["u", "v"]
+        assert built_records == ["u", "v"]
         assert columns.records is p.strata
-        assert built == ["u", "v"]
+        assert built_records == ["u", "v"]
 
     def test_problem_from_records_keeps_the_tuple(self):
         strata = (Stratum("u", 1.0, 2.0), Stratum("v", 3.0, 4.0))

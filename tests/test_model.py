@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from stratalloc import (
     AllocationProblem,
+    AllocationResult,
     InfeasibleProblemError,
     InfeasibleSubsetError,
+    IterationRecord,
     Stratum,
     SurveyStratum,
     is_optimal_takeall,
@@ -30,10 +35,44 @@ class TestStratum:
         st = Stratum(label="u", a=2.0, b=4.0)
         assert st.c == 0.5
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)])
-    def test_rejects_nonpositive_or_nonfinite(self, a, b):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            # ids "a-b", as pytest names the (a, b) cases
+            pytest.param(a, b, message, id=f"{a}-{b}")
+            for a, b, message in [
+                (0.0, 1.0, "a must be positive and finite, got 0.0"),
+                (-1.0, 1.0, "a must be positive and finite, got -1.0"),
+                (math.nan, 1.0, "a must be positive and finite, got nan"),
+                (math.inf, 1.0, "a must be positive and finite, got inf"),
+                (-math.inf, 1.0, "a must be positive and finite, got -inf"),
+                (1.0, 0.0, "b must be positive and finite, got 0.0"),
+                (1.0, -2.0, "b must be positive and finite, got -2.0"),
+                (1.0, math.nan, "b must be positive and finite, got nan"),
+                (1.0, math.inf, "b must be positive and finite, got inf"),
+                (1.0, -math.inf, "b must be positive and finite, got -inf"),
+                (math.nan, math.nan, "a must be positive and finite, got nan"),
+                (1e308, 1e-10, "a/b overflows"),
+                (0, 1, "a must be positive and finite, got 0"),
+                (1, -3, "b must be positive and finite, got -3"),
+            ]
+        ],
+    )
+    def test_rejects_nonpositive_or_nonfinite(self, a, b, message):
+        with pytest.raises(ValueError, match=re.escape(f"stratum 'u': {message}") + "$"):
             Stratum(label="u", a=a, b=b)
+        with pytest.raises(ValueError, match=re.escape(f"stratum 'u': {message}") + "$"):
+            SurveyStratum("u", a, b, 1.0)
+
+    def test_int_inputs(self):
+        st = Stratum("u", 3, 4)
+        assert (st.a, st.b, st.c) == (3, 4, 0.75)
+        assert type(st.a) is int and type(st.b) is int  # kept as given
+        assert SurveyStratum("u", 250, 100, 2.5).N == 100
+        # an int beyond the float range fails as math.isfinite fails on it
+        for a, b in ((10**400, 10**399), (10**400, 2.0), (1.0, 10**400)):
+            with pytest.raises(OverflowError, match="int too large to convert to float"):
+                Stratum("u", a, b)
 
     def test_plain_stratum_has_no_survey_fields(self):
         st = Stratum("u", 2.0, 4.0)
@@ -57,6 +96,51 @@ class TestStratum:
             Stratum.survey("u", 10.5, 2.5)
         with pytest.raises(ValueError, match="positive"):
             Stratum.survey("u", 10, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cls,values,names,text",
+    [
+        (Stratum, ("u", 2.0, 4.0), ("label", "a", "b"), "Stratum(label='u', a=2.0, b=4.0)"),
+        (
+            SurveyStratum,
+            ("u", 250.0, 100.0, 2.5),
+            ("label", "a", "b", "S"),
+            "SurveyStratum(label='u', a=250.0, b=100.0, S=2.5)",
+        ),
+        (IterationRecord, (1, 0.5, ("u",)), ("r", "s_value", "added"), "IterationRecord(r=1, s_value=0.5, added=('u',))"),
+        (
+            AllocationResult,
+            ({"u": 1.0}, frozenset({"u"}), 0.5, 1, (IterationRecord(1, 0.5, ("u",)),), "rna"),
+            ("x", "take_all", "s_final", "iterations", "trace", "algorithm"),
+            "AllocationResult(x={'u': 1.0}, take_all=frozenset({'u'}), s_final=0.5, iterations=1,"
+            " trace=(IterationRecord(r=1, s_value=0.5, added=('u',)),), algorithm='rna')",
+        ),
+    ],
+    ids=["Stratum", "SurveyStratum", "IterationRecord", "AllocationResult"],
+)
+def test_records_are_frozen_dataclasses(cls, values, names, text):
+    rec = cls(*values)
+    assert tuple(f.name for f in dataclasses.fields(rec)) == names
+    assert tuple(getattr(rec, name) for name in names) == values
+    assert repr(rec) == text
+    # equal by fields and class only
+    assert rec == cls(**dict(zip(names, values))) == dataclasses.replace(rec) == pickle.loads(pickle.dumps(rec))
+    assert rec != values
+    assert rec != dataclasses.replace(rec, **{names[0]: "other"})
+    if cls is AllocationResult:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)  # x is a dict
+    else:
+        assert hash(rec) == hash(values) == hash(cls(*values))
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.extra = 1
+    assert tuple(getattr(rec, name) for name in names) == values
 
 
 class TestAllocationProblem:
