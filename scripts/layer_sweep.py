@@ -10,10 +10,12 @@ Each repeat runs, for every source in turn, one worker process that times
 the layers in process (CSV read, problem build from the columns, problem
 build from ``Stratum`` records as library callers do (``build_records``),
 rna, sga, coma, JSON write of rna's answer, JSON read, kkt_verify,
-is_optimal_takeall, and greedy_integer_optimal at the same n; see
-``worker`` for how often each is called) and records each solver's
-iteration count r*, then four child processes, each timed from spawn to
-exit:
+is_optimal_takeall, greedy_integer_optimal, and round_allocation and
+srswor_variance on rna's answer, all at the same n; then rna, sga and coma
+again at n = round(0.95 * sum(N)) (``rna@0.95`` and so on), where sga and
+coma take about one step per stratum; see ``worker`` for how often each is
+called) and records each solver's iteration count r* at both n, then four
+child processes, each timed from spawn to exit:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
 command pays), the CLI ``allocate`` and ``verify`` commands, and
 ``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources alternate
@@ -42,9 +44,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SOLVERS = ("rna", "sga", "coma")
+# the solvers again at n = round(HIGH_SHARE * sum(N))
+HIGH_SHARE = 0.95
+HIGH_SOLVERS = tuple(f"{name}@{HIGH_SHARE}" for name in SOLVERS)
 LAYERS = (
-    "read_strata_csv", "build", "build_records", *SOLVERS, "write_allocation_json",
+    "read_strata_csv", "build", "build_records", *SOLVERS, *HIGH_SOLVERS, "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
+    "round_allocation", "srswor_variance",
 )
 CHILDREN = ("cli_import", "cli_allocate", "cli_verify", "cli_roundcmp")
 FRACTIONS = ("0.1", "0.2", "0.3", "0.4", "0.5")
@@ -53,11 +59,12 @@ SOLVE_CALL_UNITS = 10_000
 
 
 def worker(csv_path: str, n: float) -> dict[str, dict]:
-    """The time of every layer, and r* of each solver, on the stratalloc
-    package on sys.path. A layer is timed once, except the solve path
-    (build, build_records, rna, sga, coma): it is the median of
-    ``SOLVE_CALL_UNITS // K`` calls when that is more than one, since at
-    small K one call takes microseconds and the first one runs cold."""
+    """The time of every layer, and r* of each solver at n and at the high
+    n, on the stratalloc package on sys.path. A layer is timed once, except
+    the solve path (build, build_records and the solvers at both n): it is
+    the median of ``SOLVE_CALL_UNITS // K`` calls when that is more than
+    one, since at small K one call takes microseconds and the first one runs
+    cold."""
     from stratalloc import (
         AllocationProblem,
         Stratum,
@@ -67,7 +74,9 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         is_optimal_takeall,
         kkt_verify,
         rna,
+        round_allocation,
         sga,
+        srswor_variance,
     )
 
     out: dict[str, float] = {}
@@ -99,7 +108,18 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     if not (cert.valid and fixed):
         raise RuntimeError("the allocation did not verify")
     timed("greedy_integer_optimal", greedy_integer_optimal, problem)
-    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}}
+    # variance_table's passes over rna's answer: the rounding, and the
+    # variance of the answer clipped to N
+    bounds = dict(zip(rows.labels, rows.lists[1]))
+    timed("round_allocation", round_allocation, result.x, n, bounds)
+    N, S = formats.population_maps_from_rows(rows)
+    clipped = dict(zip(rows.labels, map(min, result.x.values(), rows.lists[1])))
+    timed("srswor_variance", srswor_variance, N, S, clipped)
+    n_high = round(HIGH_SHARE * problem.sum_b)
+    high = formats.problem_from_rows(rows, float(n_high))
+    for name, solver in zip(HIGH_SOLVERS, (rna, sga, coma)):
+        results[name] = timed(name, solver, high, calls=calls)
+    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_high": n_high}
 
 
 def child(src: str, args: list[str]) -> float:
@@ -138,6 +158,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 for layer, t in report["s"].items():
                     samples[name][layer].append(t)
                 iterations[name] = report["iterations"]
+                n_high = report["n_high"]
                 out = work / f"{name}_{K}.json"
                 samples[name]["cli_import"].append(child(src, ["-c", "import stratalloc.cli"]))
                 samples[name]["cli_allocate"].append(child(src, [
@@ -153,6 +174,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         for name in sources:
             results[name][str(K)] = {
                 "n": n,
+                "n_high": n_high,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
                 "iterations": iterations[name],
                 "allocate_sha256": digests[name],
@@ -185,9 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
-        "timing each layer once (build, build_records, rna, sga and coma as the median of "
-        f"max(1, {SOLVE_CALL_UNITS} // K) calls), then the import, allocate, verify and roundcmp children. "
-        "Unscaled medians in seconds; iterations is r* of each solver."
+        "timing each layer once (build, build_records, and rna, sga and coma at n and at n_high = "
+        f"round({HIGH_SHARE} * sum(N)), as the median of max(1, {SOLVE_CALL_UNITS} // K) calls), then the "
+        "import, allocate, verify and roundcmp children. Unscaled medians in seconds; iterations is r* of "
+        "each solver at n, and under the @0.95 names at n_high."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import attrgetter, lt, mul, neg, not_, truediv
+from operator import attrgetter, ge, le, lt, mul, neg, not_, truediv
 
 Label = Hashable
 
@@ -465,21 +465,29 @@ def srswor_variance(
 ) -> float:
     """Design variance of the stratified SRSWOR total under allocation x.
 
-    Computes sum_w (N_w S_w)**2 / x_w - sum_w (N_w S_w)**2 / N_w. Requires
-    0 < x_w <= N_w for every stratum; equals 0 exactly at the census x = N.
+    Computes sum_w (N_w S_w)**2 / x_w - sum_w (N_w S_w)**2 / N_w, each sum
+    correctly rounded. Requires 0 < x_w <= N_w and S_w >= 0 for every
+    stratum; equals 0 exactly at the census x = N.
     """
-    if not (set(N) == set(S) == set(x)):
+    if not (N.keys() == S.keys() == x.keys()):
         raise ValueError("N, S and x must cover the same labels")
-    pos, neg = [], []
-    for w in N:
-        Nw, Sw, xw = N[w], S[w], x[w]
-        if not (Nw > 0):
-            raise ValueError(f"stratum {w!r}: N must be positive")
-        if Sw < 0:
-            raise ValueError(f"stratum {w!r}: S must be nonnegative")
-        if not (0 < xw <= Nw):
-            raise ValueError(f"stratum {w!r}: need 0 < x <= N, got x={xw!r}, N={Nw!r}")
-        d2 = (Nw * Sw) ** 2
-        pos.append(d2 / xw)
-        neg.append(d2 / Nw)
-    return math.fsum(pos) - math.fsum(neg)
+    Nv = list(N.values())
+    Sv = list(map(S.__getitem__, N))
+    xv = list(map(x.__getitem__, N))
+    # each check is False on nan
+    if not (
+        all(map(lt, repeat(0), Nv))
+        and all(map(ge, Sv, repeat(0.0)))
+        and all(map(lt, repeat(0), xv))
+        and all(map(le, xv, Nv))
+    ):
+        # the first stratum that fails, for the message
+        for w, Nw, Sw, xw in zip(N, Nv, Sv, xv):
+            if not (Nw > 0):
+                raise ValueError(f"stratum {w!r}: N must be positive")
+            if not (Sw >= 0):
+                raise ValueError(f"stratum {w!r}: S must be nonnegative")
+            if not (0 < xw <= Nw):
+                raise ValueError(f"stratum {w!r}: need 0 < x <= N, got x={xw!r}, N={Nw!r}")
+    d2 = list(map(pow, map(mul, Nv, Sv), repeat(2)))
+    return math.fsum(map(truediv, d2, xv)) - math.fsum(map(truediv, d2, Nv))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, le, sub
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
@@ -52,42 +54,39 @@ def round_allocation(
 
     Floors every value, then grants the remaining n - sum(floors) units one
     at a time by decreasing fractional part, skipping strata already at
-    their bound; ties go to the earlier stratum in the mapping order. Every
-    result entry differs from x_w by less than 1 and respects 0 <= x <= b.
+    their bound; ties keep the mapping order. Every result entry differs
+    from x_w by less than 1 and respects 0 <= x <= b.
     """
-    if n != int(n) or n <= 0:
+    if not (0 < n < math.inf and n == int(n)):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    if set(x) != set(b):
+    if x.keys() != b.keys():
         raise ValueError("allocation and bounds must cover the same labels")
     total = math.fsum(x.values())
     if abs(total - n) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"allocation total {total!r} does not match n = {n}")
-    labels = list(x)
-    floors: dict[Label, int] = {}
-    fracs: dict[Label, float] = {}
-    for w in labels:
-        xv = x[w]
-        bv = b[w]
-        if not (0 <= xv <= bv + 1e-9 * max(1.0, bv)):
-            raise ValueError(f"stratum {w!r}: allocation {xv!r} outside [0, {bv!r}]")
-        f = min(math.floor(xv), int(math.floor(bv)))
-        floors[w] = f
-        fracs[w] = xv - f
-    leftover = n - sum(floors.values())
+    xs = list(x.values())
+    bs = list(map(b.__getitem__, x))
+    if not (all(map(le, repeat(0), xs)) and all(map(le, xs, bs))):
+        # some x_w is outside [0, b_w]; up to a relative 1e-9 above b_w passes
+        for w, xv, bv in zip(x, xs, bs):
+            if not (0 <= xv <= bv + 1e-9 * max(1.0, bv)):
+                raise ValueError(f"stratum {w!r}: allocation {xv!r} outside [0, {bv!r}]")
+    floors = list(map(math.floor, xs))
+    caps = list(map(math.floor, bs))
+    if not all(map(le, floors, caps)):  # x_w within the tolerance above a b_w just below a whole number
+        floors = list(map(min, floors, caps))
+    fracs = list(map(sub, xs, floors))
+    leftover = n - sum(floors)
     if leftover < 0:
         raise ValueError("floored allocation already exceeds n")
-    order = sorted(range(len(labels)), key=lambda i: (-fracs[labels[i]], i))
-    for i in order:
-        if leftover == 0:
-            break
-        w = labels[i]
-        if floors[w] + 1 <= b[w]:
-            floors[w] += 1
-            leftover -= 1
-    if leftover > 0:
+    # the strata below their bound, by decreasing fractional part; the sort
+    # is stable, so ties keep the mapping order
+    candidates = compress(range(len(xs)), map(le, map(add, floors, repeat(1)), bs))
+    granted = sorted(candidates, key=fracs.__getitem__, reverse=True)[:leftover]
+    if len(granted) < leftover:
         raise ValueError("not enough capacity under the bounds to place all units")
-    return floors
+    return dict(zip(x, map(add, floors, map(set(granted).__contains__, range(len(xs))))))
 
 
 def variance_table(
@@ -102,61 +101,36 @@ def variance_table(
     integer problem, and reports the three design variances with their
     ratios. Fractions where n < K are reported as skipped (NaN metrics).
     At f = 1 all three variances are exactly 0 and the ratios are reported
-    as 1. If rounding zeroes out a stratum, d2_rounded is +inf.
+    as 1. If rounding zeroes out a stratum, d2_rounded is +inf. Every
+    fraction is checked before the first is solved.
     """
-    if set(N) != set(S):
+    if N.keys() != S.keys():
         raise ValueError("N and S must cover the same labels")
     strata = StrataColumns.survey(list(N), list(N.values()), list(map(S.__getitem__, N)))
+    fractions = list(fractions)
+    for f in fractions:
+        if not (0 < f <= 1):
+            raise ValueError(f"sampling fraction must be in (0, 1], got {f!r}")
+    b = dict(zip(N, map(float, N.values())))
     total_N = math.fsum(N.values())
     K = len(strata.labels)
     reports = []
     for f in fractions:
-        if not (0 < f <= 1):
-            raise ValueError(f"sampling fraction must be in (0, 1], got {f!r}")
         n = round(f * total_N)
         if n < K:
-            reports.append(
-                VarianceReport(
-                    sample_fraction=f,
-                    n=n,
-                    d2_continuous=math.nan,
-                    d2_rounded=math.nan,
-                    d2_integer=math.nan,
-                    ratio_cont_over_int=math.nan,
-                    ratio_rounded_over_int=math.nan,
-                    skipped=True,
-                )
-            )
+            reports.append(VarianceReport(f, n, *[math.nan] * 5, skipped=True))
             continue
         problem = AllocationProblem(strata=strata, n=float(n))
         cont = rna(problem)
-        # guard against x exceeding N by one ulp in the variance domain check
-        x_cont = {w: min(cont.x[w], float(N[w])) for w in N}
-        d2c = srswor_variance(N, S, x_cont)
-        rounded = round_allocation(cont.x, n, {w: float(N[w]) for w in N})
-        if any(v == 0 for v in rounded.values()):
-            d2r = math.inf
-        else:
-            d2r = srswor_variance(N, S, {w: float(v) for w, v in rounded.items()})
-        integer = greedy_integer_optimal(problem)
-        d2i = srswor_variance(N, S, integer.x)
-        if d2i > 0:
-            ratio_ci = d2c / d2i
-            ratio_ri = d2r / d2i
-        else:
-            ratio_ci = 1.0
-            ratio_ri = 1.0
-        reports.append(
-            VarianceReport(
-                sample_fraction=f,
-                n=n,
-                d2_continuous=d2c,
-                d2_rounded=d2r,
-                d2_integer=d2i,
-                ratio_cont_over_int=ratio_ci,
-                ratio_rounded_over_int=ratio_ri,
-            )
-        )
+        x = cont.x
+        if not all(map(le, x.values(), b.values())):  # x_w above N_w by an ulp fails the variance's check
+            x = dict(zip(N, map(min, x.values(), b.values())))
+        d2c = srswor_variance(N, S, x)
+        rounded = round_allocation(cont.x, n, b)
+        d2r = math.inf if 0 in rounded.values() else srswor_variance(N, S, rounded)
+        d2i = srswor_variance(N, S, greedy_integer_optimal(problem).x)
+        ratio_ci, ratio_ri = (d2c / d2i, d2r / d2i) if d2i > 0 else (1.0, 1.0)
+        reports.append(VarianceReport(f, n, d2c, d2r, d2i, ratio_ci, ratio_ri))
     return reports
 
 

@@ -339,6 +339,8 @@ class TestSrsworVariance:
             srswor_variance({"u": 0}, {"u": 2.0}, {"u": 1.0})
         with pytest.raises(ValueError, match="^stratum 'u': S must be nonnegative$"):
             srswor_variance({"u": 10}, {"u": -0.5}, {"u": 1.0})
+        with pytest.raises(ValueError, match="^stratum 'u': S must be nonnegative$"):
+            srswor_variance({"u": 10}, {"u": math.nan}, {"u": 5.0})
         with pytest.raises(ValueError, match=r"^stratum 'u': need 0 < x <= N, got x=11.0, N=10$"):
             srswor_variance({"u": 10}, {"u": 2.0}, {"u": 11.0})
 
