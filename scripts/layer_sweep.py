@@ -23,7 +23,11 @@ within a repeat, so a drift of the host's speed reaches all of them. The
 output holds the median of every layer per source and K, r* per solver, the
 sha256 of each source's allocation JSON and roundcmp CSV, and the median
 time of perfbench's reference loop (``ops.reference_loop``) measured
-before each worker, which tells how fast the host ran.
+before each worker, which tells how fast the host ran. Under ``bytecode``
+it records, per source after the sweep, the children's
+``sys.flags.dont_write_bytecode`` and whether ``<src>/stratalloc/__pycache__``
+exists: with the flag set and no cache, every child compiles the package
+from source, which ``cli_import`` and the other children then include.
 """
 
 from __future__ import annotations
@@ -132,6 +136,16 @@ def child(src: str, args: list[str]) -> float:
     return time.perf_counter() - start
 
 
+def bytecode(src: str) -> dict[str, bool]:
+    """Whether a child run on src writes no bytecode, and whether src holds
+    the package's bytecode cache."""
+    flag = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+    ).stdout
+    return {"dont_write_bytecode": bool(int(flag)), "pycache": (Path(src) / "stratalloc" / "__pycache__").is_dir()}
+
+
 def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -> dict:
     sys.path.insert(0, str(PERFBENCH))
     import gen
@@ -183,7 +197,11 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         print(f"K={K}: " + "; ".join(
             f"{name} allocate {results[name][str(K)]['median_s']['cli_allocate']:.3f} s" for name in sources),
             file=sys.stderr)
-    return {"reference_loop_median_s": statistics.median(refs), "results": results}
+    return {
+        "reference_loop_median_s": statistics.median(refs),
+        "bytecode": {name: bytecode(src) for name, src in sources.items()},
+        "results": results,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

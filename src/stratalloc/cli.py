@@ -14,13 +14,13 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
 
-from . import bench as bench_mod
 from . import formats
 from .algorithms import SOLVERS
 from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, is_optimal_takeall
-from .oracles import LabelMismatchError, bisection_multiplier, kkt_verify
-from .popgen import lognormal_population, power_population, table1_problem
-from .rounding import variance_table, write_variance_csv
+
+# oracles, rounding, popgen and bench are imported by the commands that run
+# them, so that a command compiles and loads only the modules it needs
+
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
@@ -49,6 +49,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if problem.is_census:
         print("note: n equals the total bound; trivial census allocation", file=sys.stderr)
     if args.algorithm == "bisection":
+        from .oracles import bisection_multiplier
+
         result = bisection_multiplier(problem, tol=args.tol)
     else:
         result = SOLVERS[args.algorithm](problem)
@@ -58,6 +60,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracles import LabelMismatchError, kkt_verify
+
     rows = _read_rows(args.input)
     problem = formats.problem_from_rows(rows, args.n)
     with open(args.allocation, encoding="utf-8") as fp:
@@ -85,6 +89,8 @@ KINDS = ("table1", "power", "lognormal")
 
 def _population(args: argparse.Namespace) -> tuple[str, StrataColumns]:
     """The strata of the population named by --kind, with its id stem."""
+    from .popgen import lognormal_population, power_population, table1_problem
+
     if args.kind == "table1":
         return "table1", table1_problem().columns
     if args.kind == "power":
@@ -109,10 +115,12 @@ def _bench_problems(args: argparse.Namespace) -> list[tuple[str, AllocationProbl
 def cmd_bench(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.kind is None):
         raise ValueError("bench needs exactly one of --input or --kind")
+    from .bench import run_bench, write_bench_csv
+
     problems = _bench_problems(args)
-    results = bench_mod.run_bench(problems, repetitions=args.repetitions)
+    results = run_bench(problems, repetitions=args.repetitions)
     with _open_out(args.output) as fp:
-        bench_mod.write_bench_csv(results, fp)
+        write_bench_csv(results, fp)
     return 0
 
 
@@ -129,6 +137,8 @@ def cmd_genpop(args: argparse.Namespace) -> int:
 
 
 def cmd_roundcmp(args: argparse.Namespace) -> int:
+    from .rounding import variance_table, write_variance_csv
+
     rows = _read_rows(args.input)
     fractions = _check_fractions(args.fraction)
     N, S = formats.population_maps_from_rows(rows)

@@ -22,7 +22,6 @@ import math
 import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter, ge, le, lt, mul, neg, not_, truediv
@@ -173,11 +172,14 @@ class StrataColumns:
         """The columns of records already built; ``records`` is that tuple.
         S is the records' S when every one is a :class:`SurveyStratum`."""
         self = cls.__new__(cls)
-        self._records = tuple(records)
-        self.labels = tuple(map(attrgetter("label"), self._records))
-        self.lists = (list(map(attrgetter("a"), self._records)), list(map(attrgetter("b"), self._records)))
-        S = list(map(attrgetter("S"), self._records))
-        self.S = None if None in S else S
+        self._records = records = tuple(records)
+        self.labels = tuple(map(attrgetter("label"), records))
+        self.lists = (list(map(attrgetter("a"), records)), list(map(attrgetter("b"), records)))
+        self.S = None
+        # a plain Stratum has S = None, so S is read only after a first SurveyStratum
+        if records and isinstance(records[0], SurveyStratum):
+            S = list(map(attrgetter("S"), records))
+            self.S = None if None in S else S
         _check_distinct(self.labels)
         return self
 
@@ -375,6 +377,8 @@ def take_all_members(
             return flags
     else:
         flags = [True] * len(c)
+    from fractions import Fraction  # only here: it loads decimal, which no other path needs
+
     a, b = problem.columns.lists
     budget = Fraction(problem.n) - sum(Fraction(b[i]) for i in v_idx)
     denom = sum(map(Fraction, a)) - sum(Fraction(a[i]) for i in v_idx)

@@ -73,7 +73,11 @@ def round_allocation(
             if not (0 <= xv <= bv + 1e-9 * max(1.0, bv)):
                 raise ValueError(f"stratum {w!r}: allocation {xv!r} outside [0, {bv!r}]")
     floors = list(map(math.floor, xs))
-    caps = list(map(math.floor, bs))
+    try:
+        caps = list(map(math.floor, bs))
+    except OverflowError:  # x is within [0, b], so b holds inf
+        w = next(compress(x, map(math.isinf, bs)))
+        raise ValueError(f"stratum {w!r}: bound {b[w]!r} must be finite") from None
     if not all(map(le, floors, caps)):  # x_w within the tolerance above a b_w just below a whole number
         floors = list(map(min, floors, caps))
     fracs = list(map(sub, xs, floors))

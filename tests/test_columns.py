@@ -118,6 +118,15 @@ class TestStrataColumns:
         assert columns.S == [0.1, 2.5]
         assert population_maps_from_rows(columns) == ({"s0": 3, "s1": 7}, {"s0": 0.1, "s1": 2.5})
         assert StrataColumns.from_records([*survey, Stratum("w", 1.0, 2.0)]).S is None
+        assert StrataColumns.from_records([Stratum("w", 1.0, 2.0), *survey]).S is None
+
+    def test_no_records_no_problem(self):
+        # from_records reads S only after a first SurveyStratum, so empty
+        # records reach the problem's own check, not an IndexError
+        assert StrataColumns.from_records(()).S is None
+        for strata in ((), []):
+            with pytest.raises(ValueError, match="^problem needs at least one stratum$"):
+                AllocationProblem(strata, 1.0)
 
     def test_survey_matches_the_records(self):
         # a = N * S and b = N as Stratum.survey forms them, and S is kept

@@ -76,6 +76,13 @@ class TestRoundAllocation:
         with pytest.raises(ValueError, match=rf"^stratum 'a': {message} \[0, 5.0\]$"):
             round_allocation({"a": xa, "b": 3.0 - xa}, 3, {"a": 5.0, "b": 5.0})
 
+    @pytest.mark.parametrize("x", [{"u": 3.0}, {"a": 1.0, "u": 2.0}, {"a": 3.0, "u": 0.0}])
+    def test_infinite_bound_named(self, x):
+        # x is inside [0, inf], and the bound used to reach math.floor as OverflowError
+        b = {"a": 5.0, "u": math.inf}
+        with pytest.raises(ValueError, match=r"^stratum 'u': bound inf must be finite$"):
+            round_allocation(x, 3, {w: b[w] for w in x})
+
     def test_stays_within_one_of_input(self):
         # integer bounds, the population case; fractional bounds can make
         # the within-one contract infeasible and raise instead
