@@ -15,12 +15,15 @@ srswor_variance on rna's answer, all at the same n; then rna, sga and coma
 again at n = round(0.95 * sum(N)) (``rna@0.95`` and so on), where sga and
 coma take about one step per stratum; see ``worker`` for how often each is
 called) and records each solver's iteration count r* at both n, then four
-child processes, each timed from spawn to exit:
+child processes, each timed from spawn to exit, with its peak RSS read by
+``os.wait4`` in a small helper process that starts it:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
 command pays), the CLI ``allocate`` and ``verify`` commands, and
-``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources alternate
-within a repeat, so a drift of the host's speed reaches all of them. The
-output holds the median of every layer per source and K, r* per solver, the
+``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources run in
+turn within a repeat, in reverse order on every other repeat, so a drift of
+the host's speed reaches all of them alike. The output holds the median of
+every layer and child time (``median_s``) and of every child's peak RSS
+(``peak_rss_mb``) per source and K, r* per solver, the
 sha256 of each source's allocation JSON and roundcmp CSV, and the median
 time of perfbench's reference loop (``ops.reference_loop``) measured
 before each worker, which tells how fast the host ran. Under ``bytecode``
@@ -126,14 +129,33 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_high": n_high}
 
 
-def child(src: str, args: list[str]) -> float:
-    """Wall time of one Python child from spawn to exit. The child is waited
-    for without a timeout: with one, subprocess polls for its exit at steps
-    growing to 50 ms, which rounds the time up to that grid."""
+# Children are started by this small helper process, not by the sweep:
+# Linux carries a parent's peak RSS into a forked child's ru_maxrss across
+# exec, so a child of the sweep (which holds the K file's problem) would
+# report at least the sweep's own peak.
+SPAWNER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+wall = time.perf_counter() - start
+print(json.dumps([wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status)]))
+"""
+
+
+def child(src: str, args: list[str]) -> tuple[float, float]:
+    """Wall time (s) of one Python child from spawn to exit, and its peak
+    RSS (MB) from ``os.wait4``. The helper waits for the child without a
+    timeout: with one, subprocess polls for its exit at steps growing to
+    50 ms, which rounds the time up to that grid."""
     env = dict(os.environ, PYTHONPATH=src)
-    start = time.perf_counter()
-    subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
+    out = subprocess.run(
+        [sys.executable, "-c", SPAWNER, sys.executable, *args], env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    wall, rss_kib, code = json.loads(out)
+    if code != 0:
+        raise subprocess.CalledProcessError(code, args)
+    return wall, rss_kib / 1024.0
 
 
 def bytecode(src: str) -> dict[str, bool]:
@@ -160,9 +182,12 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         gen.write_survey_csv(str(path), 0, K)
         n = gen.sample_size(str(path))
         samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
+        rss = {name: {command: [] for command in CHILDREN} for name in sources}
         digests, round_digests, iterations = {}, {}, {}
-        for _ in range(repeats):
-            for name, src in sources.items():
+        fractions = [arg for f in FRACTIONS for arg in ("--fraction", f)]
+        for repeat in range(repeats):
+            # the sources run in turn, in reverse order on every other repeat
+            for name, src in list(sources.items())[:: -1 if repeat % 2 else 1]:
                 refs.append(min(reference_loop() for _ in range(3)))
                 proc = subprocess.run(
                     [sys.executable, __file__, "--worker", str(path), str(n)],
@@ -174,22 +199,28 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 iterations[name] = report["iterations"]
                 n_high = report["n_high"]
                 out = work / f"{name}_{K}.json"
-                samples[name]["cli_import"].append(child(src, ["-c", "import stratalloc.cli"]))
-                samples[name]["cli_allocate"].append(child(src, [
-                    "-m", "stratalloc.cli", "allocate", "--input", str(path), "--n", str(n), "--output", str(out)]))
-                samples[name]["cli_verify"].append(child(src, [
-                    "-m", "stratalloc.cli", "verify", "--input", str(path), "--n", str(n), "--allocation", str(out)]))
-                digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
                 report_csv = work / f"{name}_{K}_roundcmp.csv"
-                fractions = [arg for f in FRACTIONS for arg in ("--fraction", f)]
-                samples[name]["cli_roundcmp"].append(child(src, [
-                    "-m", "stratalloc.cli", "roundcmp", "--input", str(path), *fractions, "--output", str(report_csv)]))
+                commands = {
+                    "cli_import": ["-c", "import stratalloc.cli"],
+                    "cli_allocate": [
+                        "-m", "stratalloc.cli", "allocate", "--input", str(path), "--n", str(n), "--output", str(out)],
+                    "cli_verify": [
+                        "-m", "stratalloc.cli", "verify", "--input", str(path), "--n", str(n), "--allocation", str(out)],
+                    "cli_roundcmp": [
+                        "-m", "stratalloc.cli", "roundcmp", "--input", str(path), *fractions, "--output", str(report_csv)],
+                }
+                for command, args in commands.items():
+                    wall, peak = child(src, args)
+                    samples[name][command].append(wall)
+                    rss[name][command].append(peak)
+                digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
                 round_digests[name] = hashlib.sha256(report_csv.read_bytes()).hexdigest()
         for name in sources:
             results[name][str(K)] = {
                 "n": n,
                 "n_high": n_high,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
+                "peak_rss_mb": {command: statistics.median(v) for command, v in rss[name].items()},
                 "iterations": iterations[name],
                 "allocate_sha256": digests[name],
                 "roundcmp_sha256": round_digests[name],
@@ -224,11 +255,13 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
     }
     report["method"] = (
-        f"{args.repeats} repeats per K; each repeat runs every source once, in turn: one worker process "
+        f"{args.repeats} repeats per K; each repeat runs every source once, in turn, in reverse order on every "
+        "other repeat: one worker process "
         "timing each layer once (build, build_records, and rna, sga and coma at n and at n_high = "
         f"round({HIGH_SHARE} * sum(N)), as the median of max(1, {SOLVE_CALL_UNITS} // K) calls), then the "
-        "import, allocate, verify and roundcmp children. Unscaled medians in seconds; iterations is r* of "
-        "each solver at n, and under the @0.95 names at n_high."
+        "import, allocate, verify and roundcmp children. Unscaled medians in seconds; peak_rss_mb is the median "
+        "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @0.95 names "
+        "at n_high."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

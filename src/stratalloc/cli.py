@@ -62,10 +62,18 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .oracles import LabelMismatchError, kkt_verify
 
-    rows = _read_rows(args.input)
-    problem = formats.problem_from_rows(rows, args.n)
-    with open(args.allocation, encoding="utf-8") as fp:
-        result = formats.read_allocation_json(fp, name=args.allocation)
+    # the allocation is parsed first, so that its document is freed before
+    # the strata are read; an error in it is raised only once the strata
+    # file and n have passed, the order in which they are reported
+    failure = None
+    try:
+        with open(args.allocation, encoding="utf-8") as fp:
+            result = formats.read_allocation_json(fp, name=args.allocation)
+    except Exception as exc:
+        failure = exc
+    problem = formats.problem_from_rows(_read_rows(args.input), args.n)
+    if failure is not None:
+        raise failure
     try:
         cert = kkt_verify(problem, result, tol=args.tol)
     except LabelMismatchError:

@@ -7,10 +7,10 @@ import gc
 import json
 import math
 from collections.abc import Collection, Hashable
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, truediv
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum
 
@@ -30,6 +30,18 @@ class StrataCsvError(ValueError):
     """Malformed strata CSV; the message names the offending line."""
 
 
+# rows read and checked at a time, and entries formatted at a time: a
+# block of rows or of text is what a read or a write holds beyond its data
+BLOCK_ROWS = 2048
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    """The items in lists of BLOCK_ROWS, the last one shorter."""
+    items = iter(items)
+    while block := list(islice(items, BLOCK_ROWS)):
+        yield block
+
+
 def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     """Parse a strata CSV in either accepted header form into columns.
 
@@ -39,9 +51,12 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     are read. Header matching is case-insensitive, and one leading U+FEFF
     (a UTF-8 byte-order mark) is ignored.
 
-    The rows are checked a whole column at a time: field counts, non-empty
-    labels, numbers, then the checks of :class:`StrataColumns` (the values,
-    and distinct labels). When any of these fails, the rows are read
+    The rows are read and checked ``BLOCK_ROWS`` at a time, so the read
+    holds the columns, the set of labels seen and one block of rows, not
+    every row of the file. A block is checked a whole column at a time:
+    field counts, non-empty labels, labels not seen in an earlier block,
+    numbers, then the checks of :class:`StrataColumns` (the values, and
+    distinct labels). When any of these fails, the block's rows are read
     again one by one, and the first bad row raises
     :class:`StrataCsvError` naming its line: the first check it fails in the
     order above, and for a value the record constructors (:class:`Stratum`,
@@ -68,42 +83,59 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         raise StrataCsvError(
             f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
         )
+    parts: list[StrataColumns] = []
+    seen: set[str] = set()
+    line = 2
     # K rows are K small lists; cyclic collections while they are built
     # only scan them again (about 30% of the read at K = 1e6), so the
     # collector is paused
     collecting = gc.isenabled()
     gc.disable()
     try:
-        rows = list(reader)
+        while rows := list(islice(reader, BLOCK_ROWS)):
+            lines: Sequence[int] = range(line, line + len(rows))
+            line += len(rows)
+            if min(map(len, rows)) < 2:
+                # blank lines are ignored; the others keep their line numbers
+                kept = [i for i, raw in enumerate(rows) if len(raw) > 1 or (raw and raw[0].strip())]
+                lines, rows = [lines[i] for i in kept], [rows[i] for i in kept]
+                if not rows:
+                    continue
+            part = _checked_block(rows, seen, make is Stratum.survey)
+            if part is None:
+                # some column check failed: the row-by-row read finds and names the first bad row
+                for ln, raw in zip(lines, rows):
+                    reason = _row_error(raw, seen, make)
+                    if reason is not None:
+                        raise StrataCsvError(f"{name}: line {ln}: {reason}")
+                    seen.add(raw[0].strip())
+                raise AssertionError("a column check fails that every row passes")
+            seen.update(part.labels)
+            parts.append(part)
+            del rows  # freed before the next block is read
     finally:
         if collecting:
             gc.enable()
-    lines: Sequence[int] = range(2, len(rows) + 2)
-    if min(map(len, rows), default=2) < 2:
-        # blank lines are ignored; the others keep their line numbers
-        lines = [ln for ln, raw in zip(lines, rows) if len(raw) > 1 or (raw and raw[0].strip())]
-        rows = [rows[ln - 2] for ln in lines]
-    if not rows:
+    if not parts:
         raise StrataCsvError(f"{name}: line 2: no data rows")
-    if list(map(len, rows)).count(3) == len(rows):
-        labels = list(map(str.strip, map(itemgetter(0), rows)))
-        if "" not in labels:
-            try:
-                v1 = list(map(float, map(itemgetter(1), rows)))
-                v2 = list(map(float, map(itemgetter(2), rows)))
-                if make is Stratum:
-                    return StrataColumns(labels, v1, v2)
-                return StrataColumns.survey(labels, v1, v2)
-            except ValueError:  # a number, a record or a repeated label is rejected
-                pass
-    # some column check failed: the row-by-row read finds and names the first bad row
-    seen: set[str] = set()
-    for line, raw in zip(lines, rows):
-        reason = _row_error(raw, seen, make)
-        if reason is not None:
-            raise StrataCsvError(f"{name}: line {line}: {reason}")
-        seen.add(raw[0].strip())
-    raise AssertionError("a column check fails that every row passes")
+    del seen  # the join holds only the parts and the columns
+    return StrataColumns._joined(parts)
+
+
+def _checked_block(rows: list[list[str]], seen: set[str], survey: bool) -> StrataColumns | None:
+    """The columns of one block of rows, or None when a column check fails."""
+    if list(map(len, rows)).count(3) != len(rows):
+        return None
+    labels = tuple(map(str.strip, map(itemgetter(0), rows)))
+    if "" in labels or not seen.isdisjoint(labels):
+        return None
+    try:
+        v1 = list(map(float, map(itemgetter(1), rows)))
+        v2 = list(map(float, map(itemgetter(2), rows)))
+    except ValueError:
+        return None
+    part = StrataColumns._given(labels, v1, v2, survey)
+    return part if part._valid() else None
 
 
 def _row_error(raw: list[str], seen: set[str], make) -> str | None:
@@ -169,19 +201,28 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json_labels(labels: list) -> list[str]:
+def _json_labels(labels: Sequence) -> list[str]:
     try:
         return list(map(encode_basestring_ascii, labels))  # what json.dumps writes for a str
     except TypeError:  # some label is not a str
         return list(map(json.dumps, labels))
 
 
-def _list_block(item: str, count: int, values: tuple) -> str:
-    """A JSON list of count items at the document's indent, one formatting
-    of the item template repeated over values."""
-    if not count:
-        return "[]"
-    return "[\n    " + ",\n    ".join([item] * count) % values + "\n  ]"
+def _write_list(fp: IO[str], blocks: Iterable[str]) -> None:
+    """Write a JSON list at the document's indent from blocks of items, each
+    block its items joined by the separator; empty blocks are skipped."""
+    opening = "[\n    "
+    for block in blocks:
+        if block:
+            fp.write(opening)
+            fp.write(block)
+            opening = _SEP
+    fp.write("\n  ]" if opening is _SEP else "[]")
+
+
+def _entries(labels: list, xs: list[float]) -> str:
+    """Allocation entries, one formatting of the entry template repeated."""
+    return _SEP.join([_ENTRY] * len(labels)) % tuple(chain.from_iterable(zip(_json_labels(labels), xs)))
 
 
 def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> None:
@@ -190,37 +231,43 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     Schema: algorithm, n, s_final, iterations, take_all (labels in problem
     order), allocation (label/x pairs in problem order). The document is
     composed directly because json.dump formats floats with the shortest
-    repr, which would make byte-level comparison depend on magnitudes; each
-    list is one formatting of a repeated item template. JSON has no inf or
-    nan, so a ValueError naming the stratum and s is raised, before anything
-    is written, when a number is not finite.
+    repr, which would make byte-level comparison depend on magnitudes. The
+    lists are written ``BLOCK_ROWS`` labels at a time, each block one
+    formatting of a repeated item template, so the write holds one block
+    of text. JSON has no inf or nan, so a ValueError naming the stratum and
+    s is raised, before anything is written, when a number is not finite;
+    a label that JSON cannot encode raises json's TypeError, also before
+    anything is written.
     """
-    labels = list(result.x)
-    xs = list(result.x.values())
-    if not all(map(math.isfinite, xs)):
-        bad = next(i for i, x in enumerate(xs) if not math.isfinite(x))
+    x = result.x
+    if not all(map(math.isfinite, x.values())):
+        label, bad = next((label, v) for label, v in x.items() if not math.isfinite(v))
         raise ValueError(
-            f"cannot write the allocation as JSON: stratum {labels[bad]!r} has x = {xs[bad]!r}"
-            f" at s = {result.s_final!r}"
+            f"cannot write the allocation as JSON: stratum {label!r} has x = {bad!r} at s = {result.s_final!r}"
         )
     if not (math.isfinite(n) and math.isfinite(result.s_final)):
         raise ValueError(f"cannot write the allocation as JSON: n = {n!r}, s = {result.s_final!r}")
-    names = _json_labels(labels)
-    take_all = tuple(compress(names, map(result.take_all.__contains__, labels)))
-    entries = tuple(chain.from_iterable(zip(names, xs)))
+    if not all(map(isinstance, x, repeat(str))):
+        for label in x:
+            json.dumps(label)  # a label JSON cannot encode raises before anything is written
     fp.write(
         "{\n"
         f'  "algorithm": {json.dumps(result.algorithm)},\n'
         f'  "n": {_fmt(float(n))},\n'
         f'  "s_final": {_fmt(result.s_final)},\n'
         f'  "iterations": {int(result.iterations)},\n'
-        f'  "take_all": {_list_block("%s", len(take_all), take_all)},\n'
-        f'  "allocation": {_list_block(_ENTRY, len(names), entries)}\n'
-        "}\n"
+        '  "take_all": '
     )
+    in_take_all = result.take_all.__contains__
+    take_all = (list(compress(labels, map(in_take_all, labels))) for labels in _blocks(x))
+    _write_list(fp, (_SEP.join(_json_labels(labels)) for labels in take_all))
+    fp.write(',\n  "allocation": ')
+    _write_list(fp, map(_entries, _blocks(x), _blocks(x.values())))
+    fp.write("\n}\n")
 
 
-# one allocation entry; %.17g formats as _fmt does
+# the separator of list items, and one allocation entry; %.17g formats as _fmt does
+_SEP = ",\n    "
 _ENTRY = '{\n      "label": %s,\n      "x": %.17g\n    }'
 
 

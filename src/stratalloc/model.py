@@ -23,7 +23,7 @@ import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, ge, le, lt, mul, neg, not_, truediv
 
 Label = Hashable
@@ -110,14 +110,14 @@ class SurveyStratum(Stratum):
         return int(self.b)
 
 
-def _all_valid(a: list[float], b: list[float], S: list[float] | None) -> bool:
+def _all_valid(a: list[float], b: list[float], S: list[float] | None, product: bool) -> bool:
     return (
         all(map(math.isfinite, a))
         and all(map(math.isfinite, b))
         and min(a, default=1.0) > 0
         and min(b, default=1.0) > 0
         and all(map(math.isfinite, map(truediv, a, b)))
-        and (S is None or (all(map(float.is_integer, b)) and list(map(mul, b, S)) == a))
+        and (S is None or (all(map(float.is_integer, b)) and (not product or list(map(mul, b, S)) == a)))
     )
 
 
@@ -138,34 +138,75 @@ class StrataColumns:
     when S is given), built on first use and then kept; built by
     :meth:`from_records` it is that exact tuple.
 
-    Every stratum check is made here. The constructor checks whole columns
-    as the record constructors would; when a check fails it builds the
-    records in order, so the first rejected stratum raises its own record
-    constructor's ValueError. Labels must be distinct, in both
-    constructors.
+    Every stratum check is made here. The constructors check whole
+    columns as the record constructors would; when a check fails they
+    build the records in order, so the first rejected stratum raises its
+    own record constructor's ValueError. Labels must be distinct, in
+    every constructor.
     """
 
     def __init__(
         self, labels: Iterable[Label], a: Iterable[float], b: Iterable[float], S: Iterable[float] | None = None
     ) -> None:
-        self.labels = tuple(labels)
-        self.lists = (list(map(float, a)), list(map(float, b)))
-        self.S = None if S is None else list(map(float, S))
-        K = len(self.labels)
-        if not K == len(self.lists[0]) == len(self.lists[1]) == (K if self.S is None else len(self.S)):
-            raise ValueError("strata columns must have equal lengths")
-        self._records: tuple[Stratum, ...] | None = None
-        if not _all_valid(*self.lists, self.S):
-            self.records  # built in order: the first rejected stratum's constructor raises
-            raise AssertionError("a column check fails that every record passes")
-        _check_distinct(self.labels)
+        self._keep(tuple(labels), list(map(float, a)), list(map(float, b)), None if S is None else list(map(float, S)))
+        self._check(product=S is not None)
 
     @classmethod
     def survey(cls, labels: Iterable[Label], N: Sequence[float], S: Sequence[float]) -> StrataColumns:
         """The SRSWOR strata of N units with standard deviation S, as columns:
         a = N * S and b = N, keeping S. The columns counterpart of
         :meth:`Stratum.survey`."""
-        return cls(labels, map(mul, N, S), N, S)
+        self = cls._given(tuple(labels), list(map(float, N)), list(map(float, S)), survey=True)
+        self._check(product=False)  # a is b * S as formed here
+        return self
+
+    @classmethod
+    def _given(cls, labels: tuple, v1: list[float], v2: list[float], survey: bool) -> StrataColumns:
+        """Unchecked columns over lists of floats that the caller hands over
+        and that are kept, not copied: (v1, v2) is (a, b), or with survey
+        (N, S), giving a = N * S and b = N."""
+        self = cls.__new__(cls)
+        if survey:
+            self._keep(labels, list(map(mul, v1, v2)), v1, v2)
+        else:
+            self._keep(labels, v1, v2, None)
+        return self
+
+    def _keep(self, labels: tuple, a: list[float], b: list[float], S: list[float] | None) -> None:
+        self.labels = labels
+        self.lists = (a, b)
+        self.S = S
+        self._records: tuple[Stratum, ...] | None = None
+        K = len(labels)
+        if not K == len(a) == len(b) == (K if S is None else len(S)):
+            raise ValueError("strata columns must have equal lengths")
+
+    def _check(self, product: bool) -> None:
+        if not _all_valid(*self.lists, self.S, product):
+            self.records  # built in order: the first rejected stratum's constructor raises
+            raise AssertionError("a column check fails that every record passes")
+        _check_distinct(self.labels)
+
+    def _valid(self) -> bool:
+        """Whether columns from :meth:`_given` pass every check, decided
+        over whole columns without building a record. Survey columns skip
+        the a == b * S pass: their a is formed as b * S."""
+        return _all_valid(*self.lists, self.S, False) and len(set(self.labels)) == len(self.labels)
+
+    @classmethod
+    def _joined(cls, parts: list[StrataColumns]) -> StrataColumns:
+        """The columns of checked parts, one after another, whose labels are
+        distinct across parts: nothing is checked again."""
+        if len(parts) == 1:
+            return parts[0]
+        self = cls.__new__(cls)
+        self._keep(
+            tuple(chain.from_iterable(part.labels for part in parts)),
+            list(chain.from_iterable(part.lists[0] for part in parts)),
+            list(chain.from_iterable(part.lists[1] for part in parts)),
+            None if parts[0].S is None else list(chain.from_iterable(part.S for part in parts)),
+        )
+        return self
 
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:

@@ -264,6 +264,71 @@ class TestVerify:
         assert capsys.readouterr().err == "error: allocation labels do not match the strata file\n"
 
 
+class TestVerifyErrorOrder:
+    """verify parses the allocation before it reads the strata, but reports
+    a bad strata file or n first, as when the strata were read first."""
+
+    BAD_CSV = "label,a,b\nu,1,2\nv,oops,3\n"
+
+    @pytest.fixture
+    def allocations(self, table1_csv, tmp_path):
+        good = tmp_path / "alloc.json"
+        assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(good)]) == 0
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        return {"good": good, "invalid": broken, "missing": tmp_path / "missing.json"}
+
+    @pytest.mark.parametrize("allocation", ["good", "invalid", "missing"])
+    def test_bad_csv_reported_first(self, tmp_path, capsys, allocations, allocation):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.BAD_CSV)
+        capsys.readouterr()
+        code = main(["verify", "--input", str(bad), "--n", "2", "--allocation", str(allocations[allocation])])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 3: non-numeric value in 'oops', '3'\n"
+
+    @pytest.mark.parametrize("allocation", ["good", "invalid", "missing"])
+    def test_infeasible_n_exits_3(self, table1_csv, capsys, allocations, allocation):
+        capsys.readouterr()
+        code = main(["verify", "--input", str(table1_csv), "--n", "20001", "--allocation", str(allocations[allocation])])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: infeasible problem: n = 20001.0 exceeds the total upper bound 20000.0\n"
+        )
+
+    @pytest.mark.parametrize("allocation", ["invalid", "missing"])
+    def test_bad_n_reported_first(self, table1_csv, capsys, allocations, allocation):
+        capsys.readouterr()
+        code = main(["verify", "--input", str(table1_csv), "--n", "-1", "--allocation", str(allocations[allocation])])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be positive and finite, got -1.0\n"
+
+    def test_missing_allocation_named(self, table1_csv, capsys, allocations):
+        missing = allocations["missing"]
+        capsys.readouterr()
+        code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_invalid_allocation_named(self, table1_csv, capsys, allocations):
+        broken = allocations["invalid"]
+        capsys.readouterr()
+        code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(broken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {broken}: invalid JSON: ")
+
+    def test_allocation_parsed_before_the_strata(self, table1_csv, monkeypatch, allocations):
+        calls = []
+        for name in ("read_allocation_json", "read_strata_csv"):
+            def recorded(*args, _name=name, _read=getattr(formats, name), **kwargs):
+                calls.append(_name)
+                return _read(*args, **kwargs)
+
+            monkeypatch.setattr(formats, name, recorded)
+        assert main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(allocations["good"])]) == 0
+        assert calls == ["read_allocation_json", "read_strata_csv"]
+
+
 def test_duplicate_allocation_labels_exit_2(table1_csv, tmp_path, capsys):
     out = tmp_path / "alloc.json"
     assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)]) == 0

@@ -18,6 +18,7 @@ from stratalloc import (
     coma,
     is_optimal_takeall,
     kkt_verify,
+    model,
     rna,
     sga,
 )
@@ -137,6 +138,40 @@ class TestStrataColumns:
         assert columns.S == S
         assert columns.records == records
         assert population_maps_from_rows(columns) == population_maps_from_rows(StrataColumns.from_records(records))
+
+    def test_product_pass_only_for_given_a(self, monkeypatch):
+        # survey forms a as b * S, so only the general constructor compares them
+        products = []
+        check = model._all_valid
+
+        def recorded(a, b, S, product):
+            products.append(product)
+            return check(a, b, S, product)
+
+        monkeypatch.setattr(model, "_all_valid", recorded)
+        StrataColumns.survey(["u", "v"], [2, 3], [0.5, 0.1])
+        StrataColumns(["u", "v"], [1.0, 0.30000000000000004], [2.0, 3.0], [0.5, 0.1])
+        StrataColumns(["u", "v"], [1.0, 0.3], [2.0, 3.0])
+        assert products == [False, True, False]
+        with pytest.raises(ValueError, match=r"^stratum 'v': a = 0.3 is not N \* S for S = 0.1$"):
+            StrataColumns(["u", "v"], [1.0, 0.3], [2.0, 3.0], [0.5, 0.1])
+
+    @pytest.mark.parametrize("header", ["label,a,b", "label,N,S"])
+    def test_reader_lists_kept_not_copied(self, monkeypatch, header):
+        given = []
+        make = StrataColumns._given.__func__
+
+        def recorded(cls, labels, v1, v2, survey):
+            given.append((v1, v2))
+            return make(cls, labels, v1, v2, survey)
+
+        monkeypatch.setattr(StrataColumns, "_given", classmethod(recorded))
+        columns = read(f"{header}\nu,10,2\nv,7,0.5\n")
+        (v1, v2), = given
+        if header == "label,a,b":
+            assert columns.lists[0] is v1 and columns.lists[1] is v2
+        else:
+            assert columns.lists[1] is v1 and columns.S is v2
 
     def test_survey_raises_the_record_message(self):
         with pytest.raises(ValueError, match="^stratum 'v': N must be an integer, got 2.5$"):

@@ -1,11 +1,19 @@
+import csv
 import gc
+import hashlib
 import io
 import json
 import math
+import sys
+import tracemalloc
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
+import numpy as np
 import pytest
 
-from stratalloc import AllocationResult, Stratum, SurveyStratum, rna, table1_problem
+from stratalloc import AllocationResult, StrataColumns, Stratum, SurveyStratum, coma, formats, rna, sga, table1_problem
 from stratalloc.formats import (
     StrataCsvError,
     population_maps_from_rows,
@@ -282,4 +290,361 @@ class TestAllocationJson:
         buf = io.StringIO()
         with pytest.raises(ValueError, match=f"^cannot write the allocation as JSON: {message}$"):
             write_allocation_json(res, n, buf)
+        assert buf.getvalue() == ""
+
+
+# The reader and the writer as they were before they worked a block at a
+# time: the whole file read into rows, and the whole document composed in
+# one string. Kept as the references of the block forms.
+
+
+def whole_file_read_strata_csv(fp, name="strata csv"):
+    reader = csv.reader(fp)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise StrataCsvError(f"{name}: line 1: empty file") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
+    cols = [h.strip().lower() for h in header]
+    if cols == ["label", "a", "b"]:
+        make = Stratum
+    elif cols == ["label", "n", "s"]:
+        make = Stratum.survey
+    else:
+        raise StrataCsvError(
+            f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
+        )
+    rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if min(map(len, rows), default=2) < 2:
+        lines = [ln for ln, raw in zip(lines, rows) if len(raw) > 1 or (raw and raw[0].strip())]
+        rows = [rows[ln - 2] for ln in lines]
+    if not rows:
+        raise StrataCsvError(f"{name}: line 2: no data rows")
+    if list(map(len, rows)).count(3) == len(rows):
+        labels = list(map(str.strip, map(itemgetter(0), rows)))
+        if "" not in labels:
+            try:
+                v1 = list(map(float, map(itemgetter(1), rows)))
+                v2 = list(map(float, map(itemgetter(2), rows)))
+                if make is Stratum:
+                    return StrataColumns(labels, v1, v2)
+                return StrataColumns.survey(labels, v1, v2)
+            except ValueError:
+                pass
+    seen = set()
+    for line, raw in zip(lines, rows):
+        reason = whole_file_row_error(raw, seen, make)
+        if reason is not None:
+            raise StrataCsvError(f"{name}: line {line}: {reason}")
+        seen.add(raw[0].strip())
+    raise AssertionError("a column check fails that every row passes")
+
+
+def whole_file_row_error(raw, seen, make):
+    if len(raw) != 3:
+        return f"expected 3 fields, got {len(raw)}"
+    label = raw[0].strip()
+    if not label:
+        return "empty label"
+    if label in seen:
+        return f"duplicate label {label!r}"
+    try:
+        v1 = float(raw[1])
+        v2 = float(raw[2])
+    except ValueError:
+        return f"non-numeric value in {raw[1]!r}, {raw[2]!r}"
+    try:
+        make(label, v1, v2)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def whole_document_write_allocation_json(result, n, fp):
+    labels = list(result.x)
+    xs = list(result.x.values())
+    if not all(map(math.isfinite, xs)):
+        bad = next(i for i, x in enumerate(xs) if not math.isfinite(x))
+        raise ValueError(
+            f"cannot write the allocation as JSON: stratum {labels[bad]!r} has x = {xs[bad]!r}"
+            f" at s = {result.s_final!r}"
+        )
+    if not (math.isfinite(n) and math.isfinite(result.s_final)):
+        raise ValueError(f"cannot write the allocation as JSON: n = {n!r}, s = {result.s_final!r}")
+    try:
+        names = list(map(encode_basestring_ascii, labels))
+    except TypeError:
+        names = list(map(json.dumps, labels))
+    take_all = tuple(compress(names, map(result.take_all.__contains__, labels)))
+    entries = tuple(chain.from_iterable(zip(names, xs)))
+
+    def block(item, count, values):
+        return "[]" if not count else "[\n    " + ",\n    ".join([item] * count) % values + "\n  ]"
+
+    fp.write(
+        "{\n"
+        f'  "algorithm": {json.dumps(result.algorithm)},\n'
+        f'  "n": {format(float(n), ".17g")},\n'
+        f'  "s_final": {format(result.s_final, ".17g")},\n'
+        f'  "iterations": {int(result.iterations)},\n'
+        f'  "take_all": {block("%s", len(take_all), take_all)},\n'
+        f'  "allocation": {block(ENTRY, len(names), entries)}\n'
+        "}\n"
+    )
+
+
+ENTRY = '{\n      "label": %s,\n      "x": %.17g\n    }'
+
+
+def outcome(read, text):
+    """The columns read, floats as bits, or the type and message raised."""
+    try:
+        columns = read(io.StringIO(text), name="f.csv")
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    a, b = columns.lists
+    return (
+        columns.labels,
+        [v.hex() for v in a],
+        [v.hex() for v in b],
+        None if columns.S is None else [v.hex() for v in columns.S],
+    )
+
+
+# one fault of each kind: (the header forms it applies to, the row with
+# {label} for a fresh label; None repeats a label of an earlier block)
+FAULTS = {
+    "too_few_fields": ("both", "{label},1"),
+    "too_many_fields": ("both", "{label},1,2,3"),
+    "empty_label": ("both", " ,1,2"),
+    "duplicate_label": ("both", None),
+    "non_numeric": ("both", "{label},oops,2"),
+    "non_integer_N": ("ns", "{label},10.5,2"),
+    "zero": ("both", "{label},0,2"),
+    "negative": ("both", "{label},3,-2"),
+    "nan": ("both", "{label},nan,2"),
+    "ab_overflow": ("ab", "{label},1e300,1e-300"),
+}
+
+
+def fault_file(rng, block, form, faults):
+    """A strata file of whole blocks and a few more rows, blank lines among
+    them, with each fault placed one row before, on or one row after the
+    start of a block (raw rows, blank lines counted, as the reader slices
+    them). A duplicate repeats the label of a row at least one block
+    earlier when there is one."""
+    header = ("label,a,b", "label,N,S")[form == "ns"]
+    header = "".join(c.upper() if rng.random() < 0.3 else c for c in header)
+    if rng.random() < 0.2:
+        header = "\ufeff" + header
+    rows = [f"r{i},{int(rng.integers(2, 50))},{float(rng.uniform(0.1, 9)):.17g}" for i in range(int(rng.integers(1, 4 * block + 3)))]
+    for _ in range(int(rng.integers(0, 4))):
+        rows.insert(int(rng.integers(len(rows) + 1)), str(rng.choice(["", "  "])))
+    for kind in faults:
+        where = min(len(rows), max(0, block * int(rng.integers(0, len(rows) // block + 1)) + int(rng.integers(-1, 2))))
+        _, template = FAULTS[kind]
+        if template is None:
+            earlier = [r for r in rows[: max(0, where - block)] if r.strip()] or [r for r in rows[:where] if r.strip()]
+            if not earlier:
+                continue
+            line = str(rng.choice(earlier))
+        else:
+            line = template.format(label=f"x{len(rows)}")
+        rows.insert(where, line)
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+class TestBlockedRead:
+    """The block reader gives what the whole-file reader gave: the same
+    columns, bit for bit, or the same error type and message."""
+
+    def test_fuzz_around_block_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(181)
+        kinds = {form: [k for k, (f, _) in FAULTS.items() if f in ("both", form)] for form in ("ab", "ns")}
+        failed = 0
+        for trial in range(2400):
+            block = int(rng.choice([1, 2, 3, 5, 8]))
+            monkeypatch.setattr(formats, "BLOCK_ROWS", block)
+            form = ("ab", "ns")[trial % 2]
+            faults = [] if trial % 6 == 0 else list(rng.choice(kinds[form], size=int(rng.integers(1, 3))))
+            text = fault_file(rng, block, form, faults)
+            want = outcome(whole_file_read_strata_csv, text)
+            assert outcome(read_strata_csv, text) == want, (block, text)
+            failed += isinstance(want[0], type)
+        assert 1500 < failed < 2400  # most files hold a fault; the others read
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["duplicate_label", "non_integer_N", "empty_label", "too_many_fields"])
+    def test_faults_at_a_real_block_boundary(self, kind, offset):
+        rows = [f"r{i},{i % 50 + 2},{i % 7 + 0.5}" for i in range(2 * formats.BLOCK_ROWS + 5)]
+        _, template = FAULTS[kind]
+        line = "r3,10,2" if template is None else template.format(label="x")
+        rows.insert(formats.BLOCK_ROWS + offset, line)
+        text = "label,N,S\n" + "\n".join(rows) + "\n"
+        want = outcome(whole_file_read_strata_csv, text)
+        assert want[1].startswith(f"f.csv: line {formats.BLOCK_ROWS + offset + 2}: ")
+        assert outcome(read_strata_csv, text) == want
+
+    def test_columns_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 4)
+        text = "label,N,S\n" + "".join(f"s{i},{i + 2},{0.1 * i + 0.3!r}\n" for i in range(11))
+        columns = parse(text)
+        assert columns.labels == tuple(f"s{i}" for i in range(11))
+        assert columns.S == [0.1 * i + 0.3 for i in range(11)]
+        assert outcome(read_strata_csv, text) == outcome(whole_file_read_strata_csv, text)
+
+    def test_blank_blocks_skipped(self, monkeypatch):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 2)
+        assert parse("label,a,b\n\n\n\n \nu,1,2\n\n\n").labels == ("u",)
+        with pytest.raises(StrataCsvError, match="^test.csv: line 2: no data rows$"):
+            parse("label,a,b\n\n\n\n \n")
+
+    @pytest.mark.parametrize(
+        "last,message",
+        [
+            ("x,10.5,2", "stratum 'x': N must be an integer, got 10.5"),
+            ("r0,10,2", "duplicate label 'r0'"),
+            ("r99998,10,2", "duplicate label 'r99998'"),
+            ("x,oops,2", "non-numeric value in 'oops', '2'"),
+            ("x,0,2", "stratum 'x': a must be positive and finite, got 0.0"),
+        ],
+        ids=["fractional_N", "duplicate_first_row", "duplicate_previous_row", "non_numeric", "zero_N"],
+    )
+    def test_last_row_builds_one_block_of_records(self, built_records, last, message):
+        # the row-by-row read covers the bad row's block only
+        text = "label,N,S\n" + "".join(f"r{i},{i % 50 + 2},{i % 7 + 0.5}\n" for i in range(99_999)) + last + "\n"
+        with pytest.raises(StrataCsvError, match=f"^f.csv: line 100001: {message}$"):
+            read_strata_csv(io.StringIO(text), name="f.csv")
+        assert len(built_records) <= formats.BLOCK_ROWS
+
+
+def traced_peak(fn, *args):
+    """(memory held after fn, the peak above the start) in bytes, traced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, current - start, peak - start
+
+
+class HashSink:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+def survey_result(K):
+    x = {f"s{i}": 1.0 + i * 0.37 for i in range(K)}
+    return AllocationResult(
+        x=x, take_all=frozenset(list(x)[::7]), s_final=0.123456789, iterations=3, trace=(), algorithm="rna",
+    )
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def survey_file(path, K):
+        # the form of perfbench's survey files: short labels, integer N, 17-digit S
+        with path.open("w", encoding="utf-8", newline="") as fp:
+            write_ns_csv(((f"s{i}", i % 1997 + 2, 0.1 + (i % 997) * 0.0123456789) for i in range(K)), fp)
+
+    @pytest.mark.parametrize("K", [20_000, 100_000])
+    def test_read_holds_the_columns_the_labels_and_one_block(self, tmp_path, K):
+        # beyond its columns, the read holds the set of labels seen, which
+        # grows 4 or 2 times over when it fills (both tables are alive while
+        # it grows), and one block of rows
+        path = tmp_path / "survey.csv"
+        self.survey_file(path, K)
+        with path.open(encoding="utf-8", newline="") as fp:
+            columns, kept, peak = traced_peak(read_strata_csv, fp)
+        seen = set()
+        for block in range(0, K, formats.BLOCK_ROWS):
+            seen.update(columns.labels[block : block + formats.BLOCK_ROWS])
+        assert peak - kept <= 1.5 * sys.getsizeof(seen) + 1_000_000, (kept, peak, sys.getsizeof(seen))
+        if K == 100_000:
+            assert peak <= 1.5 * kept, (kept, peak)
+
+    def test_write_peak_does_not_grow_with_k(self):
+        peaks = {}
+        for K in (10_000, 100_000):
+            result = survey_result(K)
+            sink = HashSink()
+            _, _, peaks[K] = traced_peak(write_allocation_json, result, 1e6, sink)
+            want = HashSink()
+            whole_document_write_allocation_json(result, 1e6, want)
+            assert sink.digest.hexdigest() == want.digest.hexdigest()
+        assert peaks[100_000] < 3_000_000, peaks
+        assert peaks[100_000] < 1.5 * peaks[10_000], peaks
+
+
+class TestBlockedWrite:
+    """The block writer writes the bytes of the whole-document writer."""
+
+    @staticmethod
+    def both(result, n):
+        got, want = io.StringIO(), io.StringIO()
+        write_allocation_json(result, n, got)
+        whole_document_write_allocation_json(result, n, want)
+        return got.getvalue(), want.getvalue()
+
+    @pytest.mark.parametrize("block", [1, 3, 7, formats.BLOCK_ROWS])
+    @pytest.mark.parametrize("solver", [rna, sga, coma])
+    def test_solvers(self, monkeypatch, block, solver):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", block)
+        rows = parse("label,N,S\n" + "".join(f"s{i},{i % 40 + 2},{1.5 ** (i % 23)}\n" for i in range(60)))
+        for share in (0.1, 0.5, 0.95):
+            p = problem_from_rows(rows, float(round(share * sum(rows.lists[1]))))
+            got, want = self.both(solver(p), p.n)
+            assert got == want
+
+    @pytest.mark.parametrize("block", [1, 3, formats.BLOCK_ROWS])
+    def test_int_and_mixed_labels(self, monkeypatch, block):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", block)
+        p = table1_problem()  # labels 1 to 20
+        got, want = self.both(rna(p), p.n)
+        assert got == want and '"label": 20,' in got
+        mixed = AllocationResult(
+            x={"u": 1.0, 2: 2.5, "vé": 3.0, (4, 5): 1.0}, take_all=frozenset({2, "vé"}),
+            s_final=0.5, iterations=1, trace=(), algorithm="sga",
+        )
+        got, want = self.both(mixed, 7.5)
+        assert got == want and '"v\\u00e9"' in got
+
+    def test_label_json_cannot_encode_writes_nothing(self, monkeypatch):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 2)
+        x = {f"s{i}": 1.0 for i in range(5)}
+        x[object()] = 1.0
+        result = AllocationResult(x=x, take_all=frozenset(), s_final=0.5, iterations=1, trace=(), algorithm="rna")
+        for write in (write_allocation_json, whole_document_write_allocation_json):
+            buf = io.StringIO()
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                write(result, 6.0, buf)
+            assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("block", [1, 4, formats.BLOCK_ROWS])
+    def test_empty_take_all(self, monkeypatch, block):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", block)
+        result = AllocationResult(
+            x={f"s{i}": 0.5 for i in range(9)}, take_all=frozenset(), s_final=0.25, iterations=1, trace=(),
+            algorithm="rna",
+        )
+        got, want = self.both(result, 4.5)
+        assert got == want and '"take_all": [],' in got
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_x_in_a_later_block_writes_nothing(self, monkeypatch, value):
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 4)
+        x = {f"s{i}": 1.0 for i in range(20)}
+        x["s13"] = value
+        result = AllocationResult(x=x, take_all=frozenset(), s_final=0.5, iterations=1, trace=(), algorithm="rna")
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^cannot write the allocation as JSON: stratum 's13' has x = {value!r} at s = 0.5$"):
+            write_allocation_json(result, 20.0, buf)
         assert buf.getvalue() == ""
