@@ -9,12 +9,14 @@ For every K the input is perfbench's seeded survey file
 Each repeat runs, for every source in turn, one worker process that times
 the layers in process (CSV read, problem build from the columns, problem
 build from ``Stratum`` records as library callers do (``build_records``),
-rna, sga, coma, JSON write of rna's answer, JSON read, kkt_verify,
-is_optimal_takeall, greedy_integer_optimal, and round_allocation and
-srswor_variance on rna's answer, all at the same n; then rna, sga and coma
+rna, sga, coma, v_allocation on rna's take-all set, bisection_multiplier,
+JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall,
+greedy_integer_optimal, and round_allocation and srswor_variance on rna's
+answer, all at the same n; then rna, sga and coma
 again at n = round(0.95 * sum(N)) (``rna@0.95`` and so on), where sga and
 coma take about one step per stratum; see ``worker`` for how often each is
-called) and records each solver's iteration count r* at both n, then four
+called) and records each solver's iteration count r* at both n (and
+bisection_multiplier's probe count), then four
 child processes, each timed from spawn to exit, with its peak RSS read by
 ``os.wait4`` in a small helper process that starts it:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
@@ -55,7 +57,8 @@ SOLVERS = ("rna", "sga", "coma")
 HIGH_SHARE = 0.95
 HIGH_SOLVERS = tuple(f"{name}@{HIGH_SHARE}" for name in SOLVERS)
 LAYERS = (
-    "read_strata_csv", "build", "build_records", *SOLVERS, *HIGH_SOLVERS, "write_allocation_json",
+    "read_strata_csv", "build", "build_records", *SOLVERS, "v_allocation", "bisection_multiplier", *HIGH_SOLVERS,
+    "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
     "round_allocation", "srswor_variance",
 )
@@ -68,13 +71,15 @@ SOLVE_CALL_UNITS = 10_000
 def worker(csv_path: str, n: float) -> dict[str, dict]:
     """The time of every layer, and r* of each solver at n and at the high
     n, on the stratalloc package on sys.path. A layer is timed once, except
-    the solve path (build, build_records and the solvers at both n): it is
+    the solve path (build, build_records, the solvers at both n,
+    v_allocation and bisection_multiplier): it is
     the median of ``SOLVE_CALL_UNITS // K`` calls when that is more than
     one, since at small K one call takes microseconds and the first one runs
     cold."""
     from stratalloc import (
         AllocationProblem,
         Stratum,
+        bisection_multiplier,
         coma,
         formats,
         greedy_integer_optimal,
@@ -84,6 +89,7 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         round_allocation,
         sga,
         srswor_variance,
+        v_allocation,
     )
 
     out: dict[str, float] = {}
@@ -107,6 +113,8 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     )
     results = {name: timed(name, solver, problem, calls=calls) for name, solver in zip(SOLVERS, (rna, sga, coma))}
     result = results["rna"]
+    timed("v_allocation", v_allocation, problem, result.take_all, calls=calls)
+    results["bisection_multiplier"] = timed("bisection_multiplier", bisection_multiplier, problem, calls=calls)
     buf = io.StringIO()
     timed("write_allocation_json", formats.write_allocation_json, result, problem.n, buf)
     back = timed("read_allocation_json", formats.read_allocation_json, io.StringIO(buf.getvalue()))
@@ -257,11 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     report["method"] = (
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn, in reverse order on every "
         "other repeat: one worker process "
-        "timing each layer once (build, build_records, and rna, sga and coma at n and at n_high = "
-        f"round({HIGH_SHARE} * sum(N)), as the median of max(1, {SOLVE_CALL_UNITS} // K) calls), then the "
+        "timing each layer once (build, build_records, v_allocation, bisection_multiplier, and rna, sga and "
+        f"coma at n and at n_high = round({HIGH_SHARE} * sum(N)), as the median of max(1, {SOLVE_CALL_UNITS} // K) "
+        "calls), then the "
         "import, allocate, verify and roundcmp children. Unscaled medians in seconds; peak_rss_mb is the median "
         "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @0.95 names "
-        "at n_high."
+        "at n_high, and bisection_multiplier's probe count at n."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

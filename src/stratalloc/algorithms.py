@@ -27,33 +27,34 @@ Each iteration appends an :class:`~stratalloc.model.IterationRecord`; the
 final record has an empty ``added`` tuple. The number of iterations r* equals
 ``len(trace)``. The recorded s values are non-decreasing.
 
-The final allocation is rebuilt from the discovered V with correctly rounded
-sums (:func:`~stratalloc.model.v_allocation`), so results are bit-identical
-across the three solvers and across input permutations of the same strata.
+Every exact s(V) is summed from one pair of term lists, which
+``model._s_terms`` builds from the positions of V: n and -b_w on V (the
+budget B) and a_w off V (the denominator A). ``model._scale`` divides
+their correctly rounded sums, with s(W) = 0. It gives rna's s at every
+iteration, so rna's trace holds each s(V_r) rounded once. It also gives
+the s of the final allocation, which :func:`~stratalloc.model.v_allocation`
+rebuilds from V, so results are bit-identical across the solvers and
+across input permutations. The rational tie-break sums the same terms as
+fractions.
 
-rna forms each s(V) from two correctly rounded sums, so its trace holds the
-exact s(V_r) of each iteration rounded once. sga and coma take one stratum
-per iteration and carry the numerator B and denominator A of s as
-compensated (value, error) pairs. Admitting stratum w subtracts b_w from B
-and a_w from A, each by one Kahan-Babuska-Neumaier step written inline in
-the walk: a step is a handful of float operations, and a helper call per
-subtraction would cost more than they do. Since its last exact sum, a pair
+sga and coma carry B and A as compensated (value, error) pairs. Admitting
+stratum w subtracts b_w from B and a_w from A, each by one
+Kahan-Babuska-Neumaier step written inline: a helper call per step would
+cost more than its few float operations. Since its last exact sum, a pair
 is off by less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its
-value at that sum. When B or A falls below (K + 2)**2 * 2**-61 times its
-value at the last exact sum, the pair no longer guarantees the relative
-2**-44 that the filter needs, and both are summed again with
-``math.fsum``.
+value at that sum. When B or A falls below (K + 2)**2 * 2**-61 times that
+value, the pair no longer guarantees the relative 2**-44 that the filter
+needs, and both are summed again from the terms.
 
-The solvers read the problem's columns as lists (``columns.lists``): every
-pass over a column is one C-level map, compress or fsum. numpy arrays would
-save time only on the large compares, and their per-call cost is more than a
-whole pass at K = 20, where library callers solve many small problems.
+The solvers read the columns as lists (``columns.lists``): at K = 20,
+where library callers solve many small problems, numpy's per-call cost
+is more than a whole C-level pass over a list.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import compress
 from operator import truediv
 
 from .model import (
@@ -64,6 +65,8 @@ from .model import (
     AllocationProblem,
     AllocationResult,
     IterationRecord,
+    _s_terms,
+    _scale,
     take_all_members,
     v_allocation,
 )
@@ -81,16 +84,12 @@ def _batch_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], 
     # rna: every stratum tested at once; the hits are the next V, and only
     # the strata new to it are recorded
     labels = problem.labels
-    a, b = problem.columns.lists
     every = range(problem.size)
     in_v = [False] * problem.size
-    spent = [problem.n]  # n and the negated bounds of V: the budget is their sum
-    dropped: list[float] = []  # the negated weights of V
-    denom = problem.sum_a
     taken: list[int] = []
     trace: list[IterationRecord] = []
     while True:
-        s = math.fsum(spent) / denom
+        s = _scale(problem, taken)
         hits = take_all_members(problem, c, taken, s, every)
         picked = [i for i in compress(every, hits) if not in_v[i]]
         trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, picked))))
@@ -98,9 +97,6 @@ def _batch_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], 
             return taken, trace
         in_v = hits
         taken += picked
-        spent += [-b[i] for i in picked]
-        dropped += [-a[i] for i in picked]
-        denom = math.fsum(chain(a, dropped))
 
 
 def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], list[IterationRecord]]:
@@ -110,6 +106,7 @@ def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int],
     a, b = problem.columns.lists
     order = sorted(range(K), key=c.__getitem__, reverse=True)
     shrink = (K + 2) ** 2 * 2.0**-61
+    # s(emptyset)'s pairs, cheaper at K <= 200 than a first refresh of the terms
     budget, budget_c = problem.n, 0.0
     denom = problem.sum_a
     denom_c = math.fsum([*a, -denom])
@@ -118,8 +115,7 @@ def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int],
     trace: list[IterationRecord] = []
     for r, i in enumerate(order, start=1):
         if budget + budget_c < budget_min or denom + denom_c < denom_min:
-            budget, budget_c = _exact_pair([problem.n, *(-b[j] for j in taken)])
-            denom, denom_c = _exact_pair([*a, *(-a[j] for j in taken)])
+            (budget, budget_c), (denom, denom_c) = map(_exact_pair, _s_terms(problem, taken))
             budget_min, denom_min = shrink * budget, shrink * denom
         s = (budget + budget_c) / (denom + denom_c)
         # the float filter of take_all_members, inlined for one candidate

@@ -60,7 +60,9 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     again one by one, and the first bad row raises
     :class:`StrataCsvError` naming its line: the first check it fails in the
     order above, and for a value the record constructors (:class:`Stratum`,
-    :meth:`Stratum.survey`) reject, that constructor's message.
+    :meth:`Stratum.survey`) reject, that constructor's message. A line the
+    csv module cannot read (a field longer than ``csv.field_size_limit()``)
+    raises :class:`StrataCsvError` naming it as soon as it is read.
 
     The process-wide cyclic garbage collector is paused while the rows are
     read, and then set back to the state it had when the read began. A
@@ -72,6 +74,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         header = next(reader)
     except StopIteration:
         raise StrataCsvError(f"{name}: line 1: empty file") from None
+    except csv.Error as exc:  # see the loop below
+        raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
     if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         header[0] = header[0].removeprefix("\ufeff")
     cols = [h.strip().lower() for h in header]
@@ -113,6 +117,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
             seen.update(part.labels)
             parts.append(part)
             del rows  # freed before the next block is read
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
     finally:
         if collecting:
             gc.enable()
@@ -293,7 +299,7 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
     """
     try:
         doc = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise ValueError(f"{name}: invalid JSON: {exc}") from None
     try:
         algorithm = _typed(doc["algorithm"], (str,), name, "algorithm", "a string")

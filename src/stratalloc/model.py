@@ -24,7 +24,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import attrgetter, ge, le, lt, mul, neg, not_, truediv
+from operator import attrgetter, ge, le, lt, mul, truediv
 
 Label = Hashable
 
@@ -39,6 +39,14 @@ class InfeasibleSubsetError(ValueError):
 
 # the largest finite float; an int at most this converts to a finite float
 _FLOAT_MAX = sys.float_info.max
+
+
+def _shown(value: float) -> str:
+    # repr(value), but not for an int past the floats: its repr can run to
+    # thousands of digits, and past sys.get_int_max_str_digits() it raises
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return "an int too large for a float"
+    return repr(value)
 
 
 @dataclass(frozen=True, init=False)
@@ -63,13 +71,12 @@ class Stratum:
 
     def __init__(self, label: Label, a: float, b: float) -> None:
         if not (0 < a <= _FLOAT_MAX and 0 < b <= _FLOAT_MAX and a / b <= _FLOAT_MAX):
-            # one condition at a time, for the message
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError(f"stratum {label!r}: a must be positive and finite, got {a!r}")
-            if not (math.isfinite(b) and b > 0):
-                raise ValueError(f"stratum {label!r}: b must be positive and finite, got {b!r}")
-            if not math.isfinite(a / b):
-                raise ValueError(f"stratum {label!r}: a/b overflows")
+            # one condition at a time, for the message; an int too large for a float fails as inf
+            if not 0 < a <= _FLOAT_MAX:
+                raise ValueError(f"stratum {label!r}: a must be positive and finite, got {_shown(a)}")
+            if not 0 < b <= _FLOAT_MAX:
+                raise ValueError(f"stratum {label!r}: b must be positive and finite, got {_shown(b)}")
+            raise ValueError(f"stratum {label!r}: a/b overflows")
         attrs = self.__dict__
         attrs["label"] = label
         attrs["a"] = a
@@ -78,7 +85,12 @@ class Stratum:
     @staticmethod
     def survey(label: Label, N: float, S: float) -> SurveyStratum:
         """The SRSWOR stratum of N units with standard deviation S: a = N * S, b = N."""
-        return SurveyStratum(label, N * S, float(N), S)
+        try:
+            a, b = N * S, float(N)
+        except OverflowError:  # N or S is an int too large for a float
+            name = "S" if -_FLOAT_MAX <= N <= _FLOAT_MAX else "N"
+            raise ValueError(f"stratum {label!r}: {name} is too large for a float") from None
+        return SurveyStratum(label, a, b, S)
 
     @property
     def c(self) -> float:
@@ -121,6 +133,18 @@ def _all_valid(a: list[float], b: list[float], S: list[float] | None, product: b
     )
 
 
+def _floats(values: Iterable[float], labels: tuple[Label, ...], name: str) -> list[float]:
+    # values as floats; an int too large for a float raises the ValueError naming its stratum
+    floats: list[float] = []
+    try:
+        floats.extend(map(float, values))
+    except OverflowError:  # extend keeps the floats made before the value that failed
+        if len(floats) >= len(labels):
+            raise ValueError("strata columns must have equal lengths") from None
+        raise ValueError(f"stratum {labels[len(floats)]!r}: {name} is too large for a float") from None
+    return floats
+
+
 def _check_distinct(labels: tuple[Label, ...]) -> None:
     if len(set(labels)) != len(labels):
         raise ValueError("stratum labels must be distinct")
@@ -148,7 +172,9 @@ class StrataColumns:
     def __init__(
         self, labels: Iterable[Label], a: Iterable[float], b: Iterable[float], S: Iterable[float] | None = None
     ) -> None:
-        self._keep(tuple(labels), list(map(float, a)), list(map(float, b)), None if S is None else list(map(float, S)))
+        labels = tuple(labels)
+        S = None if S is None else _floats(S, labels, "S")
+        self._keep(labels, _floats(a, labels, "a"), _floats(b, labels, "b"), S)
         self._check(product=S is not None)
 
     @classmethod
@@ -156,7 +182,8 @@ class StrataColumns:
         """The SRSWOR strata of N units with standard deviation S, as columns:
         a = N * S and b = N, keeping S. The columns counterpart of
         :meth:`Stratum.survey`."""
-        self = cls._given(tuple(labels), list(map(float, N)), list(map(float, S)), survey=True)
+        labels = tuple(labels)
+        self = cls._given(labels, _floats(N, labels, "N"), _floats(S, labels, "S"), survey=True)
         self._check(product=False)  # a is b * S as formed here
         return self
 
@@ -263,8 +290,8 @@ class AllocationProblem:
         labels = columns.labels
         if not labels:
             raise ValueError("problem needs at least one stratum")
-        if not (math.isfinite(n) and n > 0):
-            raise ValueError(f"n must be positive and finite, got {n!r}")
+        if not 0 < n <= _FLOAT_MAX:  # a compare: an int too large for a float fails it too
+            raise ValueError(f"n must be positive and finite, got {_shown(n)}")
         a, b = columns.lists
         self.__dict__.update(columns=columns, labels=labels, n=n, sum_a=_total(a, "a"), sum_b=_total(b, "b"))
         if n > self.sum_b:
@@ -349,22 +376,36 @@ class AllocationResult:
         return math.fsum(self.x.values())
 
 
-def _subset_flags(problem: AllocationProblem, v: Iterable[Label]) -> tuple[frozenset, list[bool]]:
-    # the labels of v and, per stratum, whether it is in v
+def _subset(problem: AllocationProblem, v: Iterable[Label]) -> tuple[frozenset, list[int]]:
+    # the labels of V and their positions in the problem's columns, ascending
     vset = frozenset(v)
-    flags = list(map(vset.__contains__, problem.labels))
-    if flags.count(True) != len(vset):
+    idx = list(compress(range(problem.size), map(vset.__contains__, problem.labels)))
+    if len(idx) != len(vset):
         unknown = vset.difference(problem.labels)
         raise ValueError(f"labels not in problem: {sorted(map(repr, unknown))}")
-    return vset, flags
+    return vset, idx
 
 
-def _scale(problem: AllocationProblem, flags: list[bool]) -> float:
-    # s(V) from two correctly rounded sums; flags mark a proper subset V
+def _s_terms(problem: AllocationProblem, idx: Sequence[int]) -> tuple[list[float], list[float]]:
+    """s(V)'s budget and denominator terms, V the strata at positions idx:
+    n and -b_w for w in V, and a_w for w off V. ``math.fsum`` rounds each
+    list's exact sum once, whatever the order of idx; the denominator is
+    taken off V because a negated copy of a_V would be remade at every rna
+    iteration."""
     a, b = problem.columns.lists
-    budget = math.fsum([problem.n, *map(neg, compress(b, flags))])
-    denom = math.fsum(compress(a, map(not_, flags)))
-    return budget / denom
+    budget = [problem.n]
+    free = [True] * len(a)
+    for i in idx:
+        budget.append(-b[i])
+        free[i] = False
+    return budget, list(compress(a, free))
+
+
+def _scale(problem: AllocationProblem, idx: Sequence[int]) -> float:
+    # s(V) for V at positions idx, the quotient of the two correctly rounded
+    # sums; the denominator, a sum of positive a, is 0 only for V = W: s(W) = 0
+    budget, denom = map(math.fsum, _s_terms(problem, idx))
+    return budget / denom if denom else 0.0
 
 
 def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
@@ -374,10 +415,7 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
     The value may be negative when V overspends the budget; callers that
     need a feasible allocation must check the sign.
     """
-    vset, flags = _subset_flags(problem, v)
-    if len(vset) == problem.size:
-        return 0.0
-    return _scale(problem, flags)
+    return _scale(problem, _subset(problem, v)[1])
 
 
 # The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
@@ -421,8 +459,7 @@ def take_all_members(
     from fractions import Fraction  # only here: it loads decimal, which no other path needs
 
     a, b = problem.columns.lists
-    budget = Fraction(problem.n) - sum(Fraction(b[i]) for i in v_idx)
-    denom = sum(map(Fraction, a)) - sum(Fraction(a[i]) for i in v_idx)
+    budget, denom = (sum(map(Fraction, terms)) for terms in _s_terms(problem, v_idx))
     for j in compress(range(len(flags)), flags):
         i = candidates[j]
         flags[j] = Fraction(a[i]) * budget >= Fraction(b[i]) * denom
@@ -444,21 +481,16 @@ def v_allocation(
     feasible whenever the fixed-point condition of :func:`is_optimal_takeall`
     holds for V.
     """
-    vset, flags = _subset_flags(problem, v)
-    if len(vset) == problem.size:
-        if not problem.is_census:
-            raise InfeasibleSubsetError("full take-all set is only feasible when n equals sum(b)")
-        s = 0.0
-    else:
-        s = _scale(problem, flags)
-        if s <= 0:
-            raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
+    vset, idx = _subset(problem, v)
+    s = _scale(problem, idx)
+    if s <= 0 and not (len(idx) == problem.size and problem.is_census):
+        raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
     a, b = problem.columns.lists
     x = list(map(mul, a, repeat(s)))
-    for i in compress(range(problem.size), flags):
+    for i in idx:
         x[i] = b[i]
     if trace is None:
-        trace = (IterationRecord(1, s, tuple(compress(problem.labels, flags))),)
+        trace = (IterationRecord(1, s, tuple(map(problem.labels.__getitem__, idx))),)
     return AllocationResult(
         x=dict(zip(problem.labels, x)),
         take_all=vset,
@@ -477,17 +509,15 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     :func:`take_all_members` (no tolerance). For the census problem
     (n == sum(b)) only V = W passes.
     """
-    vset, flags = _subset_flags(problem, v)
+    idx = _subset(problem, v)[1]
     if problem.is_census:
-        return len(vset) == problem.size
-    if len(vset) == problem.size:
-        return False
-    s = _scale(problem, flags)
-    if s <= 0:
+        return len(idx) == problem.size
+    s = _scale(problem, idx)
+    if s <= 0:  # the full set too, at s(W) = 0
         return False
     K = problem.size
     a, b = problem.columns.lists
-    return take_all_members(problem, list(map(truediv, a, b)), list(compress(range(K), flags)), s, range(K)) == flags
+    return list(compress(range(K), take_all_members(problem, list(map(truediv, a, b)), idx, s, range(K)))) == idx
 
 
 def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:

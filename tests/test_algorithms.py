@@ -314,3 +314,41 @@ def solve_digest(solver):
 def test_pinned_solve_bits(solver):
     # any change to a step of the walks, the compensated sums included, shows here
     assert solve_digest(solver) == SOLVE_SHA256[solver.__name__]
+
+
+def scaled(problem, k, j):
+    # the problem with every a times 2**k, and every b and n times 2**j: exact in the normal range
+    a, b = problem.columns.lists
+    strata = tuple(map(Stratum, problem.labels, (math.ldexp(v, k) for v in a), (math.ldexp(v, j) for v in b)))
+    return AllocationProblem(strata, math.ldexp(problem.n, j))
+
+
+def scale_problems(near_ties):
+    yield table1_problem()
+    yield power_problem(19999.0)  # a spans 1e4..1e23, one unit below the census
+    yield record_problem(lognormal_population(0, 10), 3000.0)
+    rng = np.random.default_rng(19)
+    for frac in (0.05, 0.3, 0.6, 0.9, 0.999):  # fractional bounds
+        yield make_random_problem(rng, int(rng.integers(1, 60)), frac)
+    for p, _ in near_ties[:40]:  # a stratum within 2 ulps of its threshold: settled in rationals
+        yield p
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_power_of_two_scale_invariance(solver, near_ties):
+    # s(V) is a quotient of exact sums, and a power-of-two scale of a, b and n
+    # is exact: x scales by 2**j, every s by 2**(j - k), and V, r* and the
+    # trace labels stay, bit for bit
+    rng = np.random.default_rng(2019)
+    for p in scale_problems(near_ties):
+        base = solver(p)
+        for k, j in ((200, -200), (-200, 200), (0, 0), *rng.integers(-200, 201, (3, 2)).tolist()):
+            res = solver(scaled(p, k, j))
+            key = (p.size, k, j)
+            assert res.take_all == base.take_all, key
+            assert res.iterations == base.iterations, key
+            assert [v.hex() for v in res.x.values()] == [math.ldexp(v, j).hex() for v in base.x.values()], key
+            assert res.s_final.hex() == math.ldexp(base.s_final, j - k).hex(), key
+            assert [(rec.r, rec.s_value.hex(), rec.added) for rec in res.trace] == [
+                (rec.r, math.ldexp(rec.s_value, j - k).hex(), rec.added) for rec in base.trace
+            ], key

@@ -105,6 +105,22 @@ class TestAllocate:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a field longer than csv.field_size_limit() (131,072 characters)
+            ("label,a,b\nu,1,2\nv," + "9" * 200_000 + ",2\n", "line 3: field larger than field limit (131072)"),
+            ("label," + "a" * 200_000 + "\n", "line 1: field larger than field limit (131072)"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_unreadable_line_exit_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["allocate", "--input", str(bad), "--n", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
         "rows,name",
         [("u,1e308,1\nv,1e308,1\nw,1,10\n", "a"), ("u,1,1e308\nv,1,1e308\n", "b")],
     )
@@ -316,6 +332,14 @@ class TestVerifyErrorOrder:
         code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(broken)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {broken}: invalid JSON: ")
+
+    def test_deeply_nested_allocation_exit_2(self, table1_csv, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        capsys.readouterr()
+        code = main(["verify", "--input", str(table1_csv), "--n", "8000", "--allocation", str(deep)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: invalid JSON: maximum recursion depth exceeded")
 
     def test_allocation_parsed_before_the_strata(self, table1_csv, monkeypatch, allocations):
         calls = []

@@ -182,6 +182,8 @@ class TestStrataColumns:
             StrataColumns(["u", "v"], [1.0, 2.0], [2.0])
         with pytest.raises(ValueError, match="^strata columns must have equal lengths$"):
             StrataColumns(["u"], [1.0], [2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^strata columns must have equal lengths$"):
+            StrataColumns(["u"], [1.0, 10**400], [2.0])  # an int too large for a float past the labels
 
     def test_immutable(self):
         columns = StrataColumns(["u", "v"], [1.0, 3.0], [2.0, 4.0])
@@ -216,6 +218,23 @@ class TestStrataColumns:
     def test_constructor_raises_the_record_message(self, a, b, S, match):
         with pytest.raises(ValueError, match=match):
             StrataColumns(["u", "v"], a, b, S)
+
+    @pytest.mark.parametrize(
+        "columns,name",
+        [
+            (([1.0, 10**400], [2.0, 2.0], None), "a"),
+            (([1.0, 2.0], iter([2.0, -(10**400)]), None), "b"),
+            (([1.0, 2.0], [2, 2], [0.5, 10**400]), "S"),
+        ],
+    )
+    def test_int_too_large_for_a_float(self, columns, name):
+        with pytest.raises(ValueError, match=f"^stratum 'v': {name} is too large for a float$"):
+            StrataColumns(["u", "v"], *columns)
+
+    @pytest.mark.parametrize("N,S,name", [([2, 10**400], [0.5, 0.5], "N"), ([2, 2], [0.5, 10**400], "S")])
+    def test_survey_int_too_large_for_a_float(self, N, S, name):
+        with pytest.raises(ValueError, match=f"^stratum 'v': {name} is too large for a float$"):
+            StrataColumns.survey(["u", "v"], N, S)
 
 
 def reference_read(text, name):

@@ -69,10 +69,27 @@ class TestStratum:
         assert (st.a, st.b, st.c) == (3, 4, 0.75)
         assert type(st.a) is int and type(st.b) is int  # kept as given
         assert SurveyStratum("u", 250, 100, 2.5).N == 100
-        # an int beyond the float range fails as math.isfinite fails on it
-        for a, b in ((10**400, 10**399), (10**400, 2.0), (1.0, 10**400)):
-            with pytest.raises(OverflowError, match="int too large to convert to float"):
+        # an int beyond the float range is rejected as inf is, by the stratum's ValueError
+        big = "an int too large for a float"
+        for a, b, name in ((10**400, 10**399, "a"), (10**400, 2.0, "a"), (1.0, 10**400, "b"), (-(10**5000), 1, "a")):
+            with pytest.raises(ValueError, match=f"^stratum 'u': {name} must be positive and finite, got {big}$"):
                 Stratum("u", a, b)
+
+    @pytest.mark.parametrize(
+        "N,S,message",
+        [
+            (10**400, 1.0, "N is too large for a float"),
+            (-(10**400), 1.0, "N is too large for a float"),
+            (10.0, 10**400, "S is too large for a float"),
+            (math.nan, 10**400, "N is too large for a float"),
+            # an int N times an int S is an int a, which the record rejects
+            (10, 10**400, "a must be positive and finite, got an int too large for a float"),
+        ],
+        ids=["N", "-N", "S", "nan-S", "int-a"],
+    )
+    def test_survey_int_too_large_for_a_float(self, N, S, message):
+        with pytest.raises(ValueError, match=f"^stratum 'u': {message}$"):
+            Stratum.survey("u", N, S)
 
     def test_plain_stratum_has_no_survey_fields(self):
         st = Stratum("u", 2.0, 4.0)
@@ -174,6 +191,11 @@ class TestAllocationProblem:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AllocationProblem(strata=(), n=1.0)
+
+    @pytest.mark.parametrize("n", [10**400, -(10**5000)], ids=["big", "-huge"])
+    def test_n_int_too_large_for_a_float(self, n):
+        with pytest.raises(ValueError, match="^n must be positive and finite, got an int too large for a float$"):
+            two_stratum(n=n)
 
     def test_overflowing_sums_rejected(self):
         a_over = (Stratum(0, 1e308, 1.0), Stratum(1, 1e308, 1.0), Stratum(2, 1.0, 10.0))
