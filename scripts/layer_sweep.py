@@ -12,11 +12,12 @@ build from ``Stratum`` records as library callers do (``build_records``),
 rna, sga, coma, v_allocation on rna's take-all set, bisection_multiplier,
 JSON write of rna's answer, JSON read, kkt_verify, is_optimal_takeall,
 greedy_integer_optimal, and round_allocation and srswor_variance on rna's
-answer, all at the same n; then rna, sga and coma
-again at n = round(0.95 * sum(N)) (``rna@0.95`` and so on), where sga and
-coma take about one step per stratum; see ``worker`` for how often each is
-called) and records each solver's iteration count r* at both n (and
-bisection_multiplier's probe count), then four
+answer, all at the same n; then rna, sga and coma again at
+n = round(0.6 * sum(N)) and n = round(0.95 * sum(N)) (``rna@0.6``,
+``rna@0.95`` and so on), where sga and coma take about one step per
+stratum taken; see ``worker`` for how often each is called) and records
+each solver's iteration count r* at every n (and bisection_multiplier's
+probe count), then four
 child processes, each timed from spawn to exit, with its peak RSS read by
 ``os.wait4`` in a small helper process that starts it:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
@@ -53,29 +54,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SOLVERS = ("rna", "sga", "coma")
-# the solvers again at n = round(HIGH_SHARE * sum(N))
-HIGH_SHARE = 0.95
-HIGH_SOLVERS = tuple(f"{name}@{HIGH_SHARE}" for name in SOLVERS)
+# the solvers again at n = round(share * sum(N)) for each share, the
+# columns of the paper's running-time comparison beside the sweep's n
+SHARES = (0.6, 0.95)
+SHARE_SOLVERS = tuple(f"{name}@{share}" for share in SHARES for name in SOLVERS)
 LAYERS = (
-    "read_strata_csv", "build", "build_records", *SOLVERS, "v_allocation", "bisection_multiplier", *HIGH_SOLVERS,
+    "read_strata_csv", "build", "build_records", *SOLVERS, "v_allocation", "bisection_multiplier", *SHARE_SOLVERS,
     "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
     "round_allocation", "srswor_variance",
 )
 CHILDREN = ("cli_import", "cli_allocate", "cli_verify", "cli_roundcmp")
 FRACTIONS = ("0.1", "0.2", "0.3", "0.4", "0.5")
-# the solve path is timed over SOLVE_CALL_UNITS // K calls per worker
+# the solve path is timed over max(SOLVE_CALLS_MIN, SOLVE_CALL_UNITS // K)
+# calls per worker
 SOLVE_CALL_UNITS = 10_000
+SOLVE_CALLS_MIN = 3
 
 
 def worker(csv_path: str, n: float) -> dict[str, dict]:
-    """The time of every layer, and r* of each solver at n and at the high
-    n, on the stratalloc package on sys.path. A layer is timed once, except
-    the solve path (build, build_records, the solvers at both n,
-    v_allocation and bisection_multiplier): it is
-    the median of ``SOLVE_CALL_UNITS // K`` calls when that is more than
-    one, since at small K one call takes microseconds and the first one runs
-    cold."""
+    """The time of every layer, and r* of each solver at n and at every
+    share's n, on the stratalloc package on sys.path. A layer is timed once,
+    except the solve path (build, build_records, the solvers at every n,
+    v_allocation and bisection_multiplier): it is the median of
+    ``max(SOLVE_CALLS_MIN, SOLVE_CALL_UNITS // K)`` calls, since at small K
+    one call takes microseconds, the first one runs cold, and at large K
+    one slow stretch of the host would move a single call."""
     from stratalloc import (
         AllocationProblem,
         Stratum,
@@ -105,7 +109,7 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
 
     with open(csv_path, encoding="utf-8", newline="") as fp:
         rows = timed("read_strata_csv", formats.read_strata_csv, fp)
-    calls = max(1, SOLVE_CALL_UNITS // len(rows.labels))
+    calls = max(SOLVE_CALLS_MIN, SOLVE_CALL_UNITS // len(rows.labels))
     problem = timed("build", formats.problem_from_rows, rows, n, calls=calls)
     # the library path: one Stratum record per stratum, then the problem
     timed(
@@ -130,11 +134,13 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     N, S = formats.population_maps_from_rows(rows)
     clipped = dict(zip(rows.labels, map(min, result.x.values(), rows.lists[1])))
     timed("srswor_variance", srswor_variance, N, S, clipped)
-    n_high = round(HIGH_SHARE * problem.sum_b)
-    high = formats.problem_from_rows(rows, float(n_high))
-    for name, solver in zip(HIGH_SOLVERS, (rna, sga, coma)):
-        results[name] = timed(name, solver, high, calls=calls)
-    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_high": n_high}
+    n_shares = {}
+    for share in SHARES:
+        n_shares[str(share)] = n_share = round(share * problem.sum_b)
+        at_share = formats.problem_from_rows(rows, float(n_share))
+        for name, solver in zip(SOLVERS, (rna, sga, coma)):
+            results[f"{name}@{share}"] = timed(f"{name}@{share}", solver, at_share, calls=calls)
+    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_shares": n_shares}
 
 
 # Children are started by this small helper process, not by the sweep:
@@ -205,7 +211,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 for layer, t in report["s"].items():
                     samples[name][layer].append(t)
                 iterations[name] = report["iterations"]
-                n_high = report["n_high"]
+                n_shares = report["n_shares"]
                 out = work / f"{name}_{K}.json"
                 report_csv = work / f"{name}_{K}_roundcmp.csv"
                 commands = {
@@ -226,7 +232,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         for name in sources:
             results[name][str(K)] = {
                 "n": n,
-                "n_high": n_high,
+                "n_shares": n_shares,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
                 "peak_rss_mb": {command: statistics.median(v) for command, v in rss[name].items()},
                 "iterations": iterations[name],
@@ -266,11 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn, in reverse order on every "
         "other repeat: one worker process "
         "timing each layer once (build, build_records, v_allocation, bisection_multiplier, and rna, sga and "
-        f"coma at n and at n_high = round({HIGH_SHARE} * sum(N)), as the median of max(1, {SOLVE_CALL_UNITS} // K) "
-        "calls), then the "
+        f"coma at n and at n_shares = round(share * sum(N)) for share in {SHARES}, as the median of "
+        f"max({SOLVE_CALLS_MIN}, {SOLVE_CALL_UNITS} // K) calls), then the "
         "import, allocate, verify and roundcmp children. Unscaled medians in seconds; peak_rss_mb is the median "
-        "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @0.95 names "
-        "at n_high, and bisection_multiplier's probe count at n."
+        "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @share "
+        "names at that share's n, and bisection_multiplier's probe count at n."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

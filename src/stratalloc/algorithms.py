@@ -1,16 +1,22 @@
 """Three exact solvers for the box-constrained allocation problem.
 
 All three find the same optimal take-all set V and return identical
-allocations. They share one kernel and differ only in the order in which it
-visits strata:
+allocations. They share one kernel and one visiting order, the stable
+descending order of the priority c = a/b (ties keep input order), which
+``_solve`` computes once; they differ in how they walk it:
 
-rna   tests every stratum as a batch: all that pass the take-all test
-      form the next V and the scale s is recomputed. Strata already in V
-      pass again, since s(V) never decreases, so each iteration is one
-      compare over the whole column.
-sga   sorts strata by descending priority c = a/b once (ties keep input
-      order), then admits them one at a time while the test holds.
-coma  walks the same sorted order and stops at the first decrease of the
+rna   takes every stratum that passes the take-all test as a batch, then
+      recomputes s. The strata that pass at s are those with c_w >= 1/s,
+      a prefix of the order but for float ties in c, so V is kept as a
+      prefix order[:p]: two bisections find where the float filter's
+      thresholds TAKE_HI / s and TAKE_LO / s fall, the strata between the
+      two (the near-tie band) are decided in rationals and partitioned
+      stably, hits first, and V grows to the new prefix. Strata already in
+      V pass again, since s(V) never decreases, so only the rest is
+      searched. Where the filter does not hold (s outside [S_MIN, S_MAX])
+      every free stratum is the band.
+sga   admits strata one at a time in that order while the test holds.
+coma  walks the same order and stops at the first decrease of the
       scale sequence s(V_1), s(V_2), ... This is the same test: since
       s(V + w) - s(V) = (a_w B - b_w A) / (A (A - a_w)) with B and A the
       budget and denominator of s(V), the sign of s(V + w) - s(V) is the
@@ -30,12 +36,14 @@ final record has an empty ``added`` tuple. The number of iterations r* equals
 Every exact s(V) is summed from one pair of term lists, which
 ``model._s_terms`` builds from the positions of V: n and -b_w on V (the
 budget B) and a_w off V (the denominator A). ``model._scale`` divides
-their correctly rounded sums, with s(W) = 0. It gives rna's s at every
-iteration, so rna's trace holds each s(V_r) rounded once. It also gives
-the s of the final allocation, which :func:`~stratalloc.model.v_allocation`
-rebuilds from V, so results are bit-identical across the solvers and
-across input permutations. The rational tie-break sums the same terms as
-fractions.
+their correctly rounded sums, with s(W) = 0. rna sums the same two
+multisets at every iteration (its budget list, and the a of the order
+past V), so its trace holds each s(V_r) rounded once, as ``_scale``
+gives it. Every solver hands V, as positions, and its exact s (rna's
+last s, or one ``_scale`` for sga and coma) to the one result builder,
+``model._v_result``, which :func:`~stratalloc.model.v_allocation` also
+calls; so results are bit-identical across the solvers and across input
+permutations. The rational tie-break sums the same terms as fractions.
 
 sga and coma carry B and A as compensated (value, error) pairs. Admitting
 stratum w subtracts b_w from B and a_w from A, each by one
@@ -54,8 +62,9 @@ is more than a whole C-level pass over a list.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import truediv
+from operator import neg, truediv
 
 from .model import (
     S_MAX,
@@ -68,8 +77,8 @@ from .model import (
     _s_terms,
     _scale,
     take_all_members,
-    v_allocation,
 )
+from .model import _v_result as v_allocation  # the name perfbench's traced replay wraps
 
 __all__ = ["rna", "sga", "coma", "SOLVERS"]
 
@@ -80,31 +89,51 @@ def _exact_pair(values: list[float]) -> tuple[float, float]:
     return total, math.fsum([*values, -total])
 
 
-def _batch_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], list[IterationRecord]]:
-    # rna: every stratum tested at once; the hits are the next V, and only
-    # the strata new to it are recorded
+def _batch_walk(
+    problem: AllocationProblem, c: list[float], order: list[int]
+) -> tuple[list[int], float, list[IterationRecord]]:
+    # rna over the prefix V = order[:p] (see the module docstring); the
+    # band's partitions reorder order in place
     labels = problem.labels
-    every = range(problem.size)
-    in_v = [False] * problem.size
-    taken: list[int] = []
+    a, b = problem.columns.lists
+
+    def minus_c(i: int) -> float:  # ascending along order
+        return -c[i]
+
+    a_off = list(map(a.__getitem__, order))  # a_off[p:] is s(V)'s denominator
+    budget = [problem.n]
+    p = 0
     trace: list[IterationRecord] = []
     while True:
-        s = _scale(problem, taken)
-        hits = take_all_members(problem, c, taken, s, every)
-        picked = [i for i in compress(every, hits) if not in_v[i]]
-        trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, picked))))
-        if not picked:
-            return taken, trace
-        in_v = hits
-        taken += picked
+        denom = math.fsum(a_off[p:])
+        s = math.fsum(budget) / denom if denom else 0.0  # _scale's terms and quotient
+        if S_MIN <= s <= S_MAX:
+            q = bisect_right(order, -(TAKE_HI / s), p, key=minus_c)
+            band_end = bisect_left(order, -(TAKE_LO / s), q, key=minus_c)
+        else:  # the filter does not hold: every free stratum is decided in rationals
+            q, band_end = p, len(order)
+        if q < band_end:
+            band = order[q:band_end]
+            flags = take_all_members(problem, list(map(c.__getitem__, band)), order[:p], s, band)
+            hits = list(compress(band, flags))
+            # a hit's c is never below a miss's, so order stays sorted
+            order[q:band_end] = band = hits + [i for i, hit in zip(band, flags) if not hit]
+            a_off[q:band_end] = map(a.__getitem__, band)
+            q += len(hits)
+        trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, sorted(order[p:q])))))
+        if q == p:
+            return order[:p], s, trace
+        budget += map(neg, map(b.__getitem__, order[p:q]))
+        p = q
 
 
-def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int], list[IterationRecord]]:
-    # sga, coma: all strata in the stable descending-c order, one per iteration
+def _sorted_walk(
+    problem: AllocationProblem, c: list[float], order: list[int]
+) -> tuple[list[int], float, list[IterationRecord]]:
+    # sga, coma: all strata in order, one per iteration
     labels = problem.labels
     K = problem.size
     a, b = problem.columns.lists
-    order = sorted(range(K), key=c.__getitem__, reverse=True)
     shrink = (K + 2) ** 2 * 2.0**-61
     # s(emptyset)'s pairs, cheaper at K <= 200 than a first refresh of the terms
     budget, budget_c = problem.n, 0.0
@@ -143,16 +172,18 @@ def _sorted_walk(problem: AllocationProblem, c: list[float]) -> tuple[list[int],
             denom_c += denom - (t + v)
         denom = t
         taken.append(i)
-    return taken, trace
+    return taken, _scale(problem, taken), trace
 
 
 def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> AllocationResult:
+    every = range(problem.size)
     if problem.is_census:
-        return v_allocation(problem, problem.labels, algorithm=algorithm)
+        return v_allocation(problem, every, _scale(problem, every), algorithm)
     c = list(map(truediv, *problem.columns.lists))
-    taken, trace = (_batch_walk if batch else _sorted_walk)(problem, c)
-    v = frozenset(map(problem.labels.__getitem__, taken))
-    return v_allocation(problem, v, algorithm=algorithm, iterations=len(trace), trace=tuple(trace))
+    # the stable descending-c order: ties keep input order
+    order = sorted(every, key=c.__getitem__, reverse=True)
+    taken, s, trace = (_batch_walk if batch else _sorted_walk)(problem, c, order)
+    return v_allocation(problem, taken, s, algorithm, len(trace), tuple(trace))
 
 
 def rna(problem: AllocationProblem) -> AllocationResult:

@@ -62,7 +62,9 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     order above, and for a value the record constructors (:class:`Stratum`,
     :meth:`Stratum.survey`) reject, that constructor's message. A line the
     csv module cannot read (a field longer than ``csv.field_size_limit()``)
-    raises :class:`StrataCsvError` naming it as soon as it is read.
+    raises :class:`StrataCsvError` naming it as soon as it is read, and so
+    does a line the file cannot decode (a byte that is not UTF-8 in a file
+    opened as UTF-8), with that byte.
 
     The process-wide cyclic garbage collector is paused while the rows are
     read, and then set back to the state it had when the read began. A
@@ -76,6 +78,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         raise StrataCsvError(f"{name}: line 1: empty file") from None
     except csv.Error as exc:  # see the loop below
         raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _decode_error(name, reader.line_num, exc) from None
     if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         header[0] = header[0].removeprefix("\ufeff")
     cols = [h.strip().lower() for h in header]
@@ -119,6 +123,8 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
             del rows  # freed before the next block is read
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
         raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _decode_error(name, reader.line_num, exc) from None
     finally:
         if collecting:
             gc.enable()
@@ -126,6 +132,15 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
         raise StrataCsvError(f"{name}: line 2: no data rows")
     del seen  # the join holds only the parts and the columns
     return StrataColumns._joined(parts)
+
+
+def _decode_error(name: str, lines_read: int, exc: UnicodeDecodeError) -> StrataCsvError:
+    # the file decodes a chunk ahead of the reader, which has read whole
+    # lines up to lines_read: the bad byte lies that many line ends into
+    # the chunk past them
+    line = lines_read + 1 + exc.object.count(b"\n", 0, exc.start)
+    byte = exc.object[exc.start]
+    return StrataCsvError(f"{name}: line {line}: byte 0x{byte:02x} is not valid {exc.encoding} ({exc.reason})")
 
 
 def _checked_block(rows: list[list[str]], seen: set[str], survey: bool) -> StrataColumns | None:

@@ -376,14 +376,14 @@ class AllocationResult:
         return math.fsum(self.x.values())
 
 
-def _subset(problem: AllocationProblem, v: Iterable[Label]) -> tuple[frozenset, list[int]]:
-    # the labels of V and their positions in the problem's columns, ascending
+def _subset(problem: AllocationProblem, v: Iterable[Label]) -> list[int]:
+    # the positions of the labels of V in the problem's columns, ascending
     vset = frozenset(v)
     idx = list(compress(range(problem.size), map(vset.__contains__, problem.labels)))
     if len(idx) != len(vset):
         unknown = vset.difference(problem.labels)
         raise ValueError(f"labels not in problem: {sorted(map(repr, unknown))}")
-    return vset, idx
+    return idx
 
 
 def _s_terms(problem: AllocationProblem, idx: Sequence[int]) -> tuple[list[float], list[float]]:
@@ -415,7 +415,7 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
     The value may be negative when V overspends the budget; callers that
     need a feasible allocation must check the sign.
     """
-    return _scale(problem, _subset(problem, v)[1])
+    return _scale(problem, _subset(problem, v))
 
 
 # The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
@@ -466,13 +466,39 @@ def take_all_members(
     return flags
 
 
-def v_allocation(
+def _v_result(
     problem: AllocationProblem,
-    v: Iterable[Label],
-    *,
-    algorithm: str = "v_allocation",
+    idx: Sequence[int],
+    s: float,
+    algorithm: str,
     iterations: int = 1,
     trace: tuple[IterationRecord, ...] | None = None,
+) -> AllocationResult:
+    """The allocation induced by V, the strata at positions idx, with s =
+    s(V) as :func:`_scale` gives it: b_w on V and a_w * s off V. The one
+    result builder of the solvers and of :func:`v_allocation`. Without a
+    trace, the one record holds s and V's labels in the order of idx."""
+    if s <= 0 and not (len(idx) == problem.size and problem.is_census):
+        raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
+    labels = problem.labels
+    a, b = problem.columns.lists
+    x = list(map(mul, a, repeat(s)))
+    for i in idx:
+        x[i] = b[i]
+    if trace is None:
+        trace = (IterationRecord(1, s, tuple(map(labels.__getitem__, idx))),)
+    return AllocationResult(
+        x=dict(zip(labels, x)),
+        take_all=frozenset(map(labels.__getitem__, idx)),
+        s_final=s,
+        iterations=iterations,
+        trace=trace,
+        algorithm=algorithm,
+    )
+
+
+def v_allocation(
+    problem: AllocationProblem, v: Iterable[Label], *, algorithm: str = "v_allocation"
 ) -> AllocationResult:
     """Allocation induced by a take-all subset V: b_w on V, a_w * s(V) off V.
 
@@ -481,24 +507,8 @@ def v_allocation(
     feasible whenever the fixed-point condition of :func:`is_optimal_takeall`
     holds for V.
     """
-    vset, idx = _subset(problem, v)
-    s = _scale(problem, idx)
-    if s <= 0 and not (len(idx) == problem.size and problem.is_census):
-        raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
-    a, b = problem.columns.lists
-    x = list(map(mul, a, repeat(s)))
-    for i in idx:
-        x[i] = b[i]
-    if trace is None:
-        trace = (IterationRecord(1, s, tuple(map(problem.labels.__getitem__, idx))),)
-    return AllocationResult(
-        x=dict(zip(problem.labels, x)),
-        take_all=vset,
-        s_final=s,
-        iterations=iterations,
-        trace=trace,
-        algorithm=algorithm,
-    )
+    idx = _subset(problem, v)
+    return _v_result(problem, idx, _scale(problem, idx), algorithm)
 
 
 def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
@@ -509,7 +519,7 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     :func:`take_all_members` (no tolerance). For the census problem
     (n == sum(b)) only V = W passes.
     """
-    idx = _subset(problem, v)[1]
+    idx = _subset(problem, v)
     if problem.is_census:
         return len(idx) == problem.size
     s = _scale(problem, idx)

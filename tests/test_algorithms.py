@@ -8,6 +8,8 @@ from conftest import exact_fixed_point, exact_takeall, make_random_problem
 from stratalloc import (
     AllocationProblem,
     Stratum,
+    algorithms,
+    brute_force_subset,
     coma,
     is_optimal_takeall,
     kkt_verify,
@@ -228,6 +230,34 @@ PINNED = {
 }
 
 
+# Strata 2 and 1 have the same float c = a/b, and at rna's second s,
+# s({0}), stratum 1's exact a/b lies at or above 1/s and stratum 2's below
+# it; stratum 3 joins with 1 and lifts s, so 2 joins at the third. The
+# input puts 2 before 1.
+BAND_TIE = (
+    [(0, 22.09, 1.9), (2, 7.874, 21.699018055115616), (1, 8.627, 23.77412100095027),
+     (3, 3.296, 8.904954442974528), (4, 5.459, 330.3)],
+    71.5,
+)
+# rna's trace on BAND_TIE: (r, s as hex, added)
+BAND_TRACE = [
+    (1, "0x1.8299cbfc104ecp+0", (0,)),
+    (2, "0x1.60bd6ce744854p+1", (1, 3)),
+    (3, "0x1.627321f67c673p+1", (2,)),
+    (4, "0x1.64ea7a08074c2p+1", ()),
+]
+# powers of two (k, j) for a and for b and n that put every s of a problem
+# below S_MIN or above S_MAX, where the float filter does not hold
+PAST_FILTER = ((605, -405), (-505, 505))
+BAND_CASES = {"in_filter_range": (0, 0), "below_s_min": PAST_FILTER[0], "above_s_max": PAST_FILTER[1]}
+
+
+def band_case(case):
+    k, j = BAND_CASES[case]
+    strata, n = BAND_TIE
+    return scaled(AllocationProblem(tuple(Stratum(*t) for t in strata), n), k, j), k, j
+
+
 def result_key(res):
     return sorted((lb, v.hex()) for lb, v in res.x.items()), res.take_all, res.s_final.hex()
 
@@ -246,6 +276,23 @@ class TestExactTakeAll:
     def test_near_ties_match_exhaustive_rationals(self, solver, near_ties):
         wrong = [p for p, v in near_ties if solver(p).take_all != v]
         assert not wrong, f"{len(wrong)} of {len(near_ties)} near-tie problems"
+
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_band_splits_equal_float_c(self, case):
+        # rna's second iteration admits stratum 1 and not stratum 2, whose
+        # float c is the same: the band's stable partition moves 1 ahead of
+        # its input predecessor 2. Past S_MIN and S_MAX every free stratum is
+        # the band. All solvers agree with the search on V and on every bit of
+        # x, and rna's trace is the pinned one, scaled
+        p, k, j = band_case(case)
+        results = [solver(p) for solver in ALL_SOLVERS]
+        assert results[0].take_all == brute_force_subset(p) == exact_takeall(p) == frozenset({0, 1, 2, 3})
+        for res in results:
+            assert res.take_all == results[0].take_all, res.algorithm
+            assert [v.hex() for v in res.x.values()] == [v.hex() for v in results[0].x.values()], res.algorithm
+        assert [(rec.r, rec.s_value.hex(), rec.added) for rec in results[0].trace] == [
+            (r, math.ldexp(float.fromhex(s), j - k).hex(), added) for r, s, added in BAND_TRACE
+        ]
 
     @pytest.mark.parametrize("a_exp", [12, 150])
     def test_near_census_fuzz(self, a_exp):
@@ -324,14 +371,16 @@ def scaled(problem, k, j):
 
 
 def scale_problems(near_ties):
-    yield table1_problem()
-    yield power_problem(19999.0)  # a spans 1e4..1e23, one unit below the census
-    yield record_problem(lognormal_population(0, 10), 3000.0)
+    # each problem with the scales past the filter's range it stays normal at
+    yield table1_problem(), PAST_FILTER
+    yield power_problem(19999.0), ()  # a spans 1e4..1e23, one unit below the census; a/b overflows past the range
+    yield record_problem(lognormal_population(0, 10), 3000.0), PAST_FILTER
     rng = np.random.default_rng(19)
     for frac in (0.05, 0.3, 0.6, 0.9, 0.999):  # fractional bounds
-        yield make_random_problem(rng, int(rng.integers(1, 60)), frac)
+        yield make_random_problem(rng, int(rng.integers(1, 60)), frac), PAST_FILTER
     for p, _ in near_ties[:40]:  # a stratum within 2 ulps of its threshold: settled in rationals
-        yield p
+        yield p, PAST_FILTER
+    yield band_case("in_filter_range")[0], PAST_FILTER  # rna's band holds two strata of equal float c
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
@@ -340,9 +389,9 @@ def test_power_of_two_scale_invariance(solver, near_ties):
     # is exact: x scales by 2**j, every s by 2**(j - k), and V, r* and the
     # trace labels stay, bit for bit
     rng = np.random.default_rng(2019)
-    for p in scale_problems(near_ties):
+    for p, past in scale_problems(near_ties):
         base = solver(p)
-        for k, j in ((200, -200), (-200, 200), (0, 0), *rng.integers(-200, 201, (3, 2)).tolist()):
+        for k, j in ((200, -200), (-200, 200), (0, 0), *past, *rng.integers(-200, 201, (3, 2)).tolist()):
             res = solver(scaled(p, k, j))
             key = (p.size, k, j)
             assert res.take_all == base.take_all, key
@@ -352,3 +401,25 @@ def test_power_of_two_scale_invariance(solver, near_ties):
             assert [(rec.r, rec.s_value.hex(), rec.added) for rec in res.trace] == [
                 (rec.r, math.ldexp(rec.s_value, j - k).hex(), rec.added) for rec in base.trace
             ], key
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_one_result_build_per_solve(solver, monkeypatch):
+    # the solvers build their result through the module attribute
+    # algorithms.v_allocation, the name perfbench's traced replay wraps
+    calls = []
+    build = algorithms.v_allocation
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    census = table1_problem()
+    census = AllocationProblem(census.strata, census.sum_b)
+    problems = [table1_problem(), census, band_case("in_filter_range")[0]]
+    expected = [result_key(solver(p)) for p in problems]
+    monkeypatch.setattr(algorithms, "v_allocation", counted)
+    for p, key in zip(problems, expected):
+        calls.clear()
+        assert result_key(solver(p)) == key
+        assert calls == [p]

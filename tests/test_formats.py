@@ -112,6 +112,23 @@ class TestReadStrataCsv:
         with pytest.raises(StrataCsvError, match="line 3"):
             parse("label,N,S\nu,10,2\nv,nan,1\n")
 
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"label,N,\xffS\nu,10,2\n", 1),
+            (b"label,N,S\nu,10,2\nv,1\xff,2\nw,3,4\n", 3),
+            # past the first chunk the file decodes: the line still counts from the reader's
+            (b"label,N,S\n" + b"".join(b"r%d,10,2\n" % i for i in range(3000)) + b"x,\xff,2\n", 3002),
+        ],
+        ids=["header", "data_row", "later_chunk"],
+    )
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = f"^bad.csv: line {line}: byte 0xff is not valid utf-8 \\(invalid start byte\\)$"
+        with open(path, encoding="utf-8", newline="") as fp, pytest.raises(StrataCsvError, match=message):
+            read_strata_csv(fp, name="bad.csv")
+
 
 class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False])
