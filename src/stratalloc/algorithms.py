@@ -1,21 +1,19 @@
 """Three exact solvers for the box-constrained allocation problem.
 
-All three find the same optimal take-all set V and return identical
-allocations. They share one kernel and one visiting order, the stable
-descending order of the priority c = a/b (ties keep input order), which
-``_solve`` computes once; they differ in how they walk it:
+All three find the same optimal take-all set V, a prefix of one priority
+order: descending exact a/b, exact ties in input order. ``_solve`` sorts
+once by the float c = a/b, which is monotone in a/b, so only runs of equal
+float c can be out of that order. They differ in how they walk it:
 
 rna   takes every stratum that passes the take-all test as a batch, then
-      recomputes s. The strata that pass at s are those with c_w >= 1/s,
-      a prefix of the order but for float ties in c, so V is kept as a
-      prefix order[:p]: two bisections find where the float filter's
-      thresholds TAKE_HI / s and TAKE_LO / s fall, the strata between the
-      two (the near-tie band) are decided in rationals and partitioned
-      stably, hits first, and V grows to the new prefix. Strata already in
-      V pass again, since s(V) never decreases, so only the rest is
-      searched. Where the filter does not hold (s outside [S_MIN, S_MAX])
-      every free stratum is the band.
-sga   admits strata one at a time in that order while the test holds.
+      recomputes s. Two bisections find where the filter's thresholds
+      TAKE_HI / s and TAKE_LO / s fall in the order; the strata between them
+      (the near-tie band, all the rest past [S_MIN, S_MAX]) are put in exact
+      order and decided in rationals, and V = order[:p] grows to the band's
+      last hit. V's strata pass again, as s(V) never decreases.
+sga   admits strata one at a time in that order while the test holds. When
+      rationals reject a stratum whose float c the next one shares, the rest
+      of that run is put in exact order and its head is tested instead.
 coma  walks the same order and stops at the first decrease of the
       scale sequence s(V_1), s(V_2), ... This is the same test: since
       s(V + w) - s(V) = (a_w B - b_w A) / (A (A - a_w)) with B and A the
@@ -27,7 +25,9 @@ coma  walks the same order and stops at the first decrease of the
 The take-all test c_w * s(V) >= 1 is decided exactly by
 :func:`~stratalloc.model.take_all_members`: a float filter settles all but
 near-ties, which are settled in rationals. The same predicate backs
-:func:`~stratalloc.model.is_optimal_takeall`.
+:func:`~stratalloc.model.is_optimal_takeall`. The filter reads c alone, so
+a run of equal float c that 1/s(V) splits is settled in rationals, the only
+place where ``_exact_order`` sorts strata by exact a/b.
 
 Each iteration appends an :class:`~stratalloc.model.IterationRecord`; the
 final record has an empty ``added`` tuple. The number of iterations r* equals
@@ -35,15 +35,14 @@ final record has an empty ``added`` tuple. The number of iterations r* equals
 
 Every exact s(V) is summed from one pair of term lists, which
 ``model._s_terms`` builds from the positions of V: n and -b_w on V (the
-budget B) and a_w off V (the denominator A). ``model._scale`` divides
-their correctly rounded sums, with s(W) = 0. rna sums the same two
-multisets at every iteration (its budget list, and the a of the order
-past V), so its trace holds each s(V_r) rounded once, as ``_scale``
-gives it. Every solver hands V, as positions, and its exact s (rna's
-last s, or one ``_scale`` for sga and coma) to the one result builder,
-``model._v_result``, which :func:`~stratalloc.model.v_allocation` also
-calls; so results are bit-identical across the solvers and across input
-permutations. The rational tie-break sums the same terms as fractions.
+budget B) and a_w off V (the denominator A). ``model._scale`` divides their
+correctly rounded sums, with s(W) = 0. rna sums the same two multisets at
+every iteration (its budget list, and the a of the order past V), so its
+trace holds each s(V_r) rounded once, as ``_scale`` gives it. Every solver
+hands V, as positions, and its exact s (rna's last s, or one ``_scale`` for
+sga and coma) to the one result builder, ``model._v_result``, which
+:func:`~stratalloc.model.v_allocation` also calls; so results are
+bit-identical across the solvers and across input permutations.
 
 sga and coma carry B and A as compensated (value, error) pairs. Admitting
 stratum w subtracts b_w from B and a_w from A, each by one
@@ -53,17 +52,12 @@ is off by less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its
 value at that sum. When B or A falls below (K + 2)**2 * 2**-61 times that
 value, the pair no longer guarantees the relative 2**-44 that the filter
 needs, and both are summed again from the terms.
-
-The solvers read the columns as lists (``columns.lists``): at K = 20,
-where library callers solve many small problems, numpy's per-call cost
-is more than a whole C-level pass over a list.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from operator import neg, truediv
 
 from .model import (
@@ -89,11 +83,21 @@ def _exact_pair(values: list[float]) -> tuple[float, float]:
     return total, math.fsum([*values, -total])
 
 
+def _exact_order(a: list[float], b: list[float], c: list[float], order: list[int], lo: int, hi: int) -> list[int]:
+    # order[lo:hi], sorted by exact a/b (descending, stable) if a float c repeats in it
+    run = order[lo:hi]
+    if len(set(map(c.__getitem__, run))) < len(run):
+        from fractions import Fraction  # only here and in take_all_members: it loads decimal
+
+        order[lo:hi] = run = sorted(run, key=lambda i: Fraction(a[i]) / Fraction(b[i]), reverse=True)
+    return run
+
+
 def _batch_walk(
     problem: AllocationProblem, c: list[float], order: list[int]
 ) -> tuple[list[int], float, list[IterationRecord]]:
     # rna over the prefix V = order[:p] (see the module docstring); the
-    # band's partitions reorder order in place
+    # band's exact sorts reorder order in place
     labels = problem.labels
     a, b = problem.columns.lists
 
@@ -112,14 +116,10 @@ def _batch_walk(
             band_end = bisect_left(order, -(TAKE_LO / s), q, key=minus_c)
         else:  # the filter does not hold: every free stratum is decided in rationals
             q, band_end = p, len(order)
-        if q < band_end:
-            band = order[q:band_end]
-            flags = take_all_members(problem, list(map(c.__getitem__, band)), order[:p], s, band)
-            hits = list(compress(band, flags))
-            # a hit's c is never below a miss's, so order stays sorted
-            order[q:band_end] = band = hits + [i for i, hit in zip(band, flags) if not hit]
+        if q < band_end:  # in exact order the band's hits are a prefix of it
+            band = _exact_order(a, b, c, order, q, band_end)
             a_off[q:band_end] = map(a.__getitem__, band)
-            q += len(hits)
+            q += take_all_members(problem, list(map(c.__getitem__, band)), order[:p], s, band).count(True)
         trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, sorted(order[p:q])))))
         if q == p:
             return order[:p], s, trace
@@ -152,6 +152,9 @@ def _sorted_walk(
             take = c[i] > 1.0 / s
         else:
             take = take_all_members(problem, [c[i]], taken, s, [i])[0]
+            if not take and r < K and c[order[r]] == c[i]:  # the run's exact head decides for all of it
+                i = _exact_order(a, b, c, order, r - 1, bisect_right(order, -c[i], r, key=lambda j: -c[j]))[0]
+                take = take_all_members(problem, [c[i]], taken, s, [i])[0]
         trace.append(IterationRecord(r, s, (labels[i],) if take else ()))
         if not take:
             break
@@ -180,7 +183,6 @@ def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> Allocatio
     if problem.is_census:
         return v_allocation(problem, every, _scale(problem, every), algorithm)
     c = list(map(truediv, *problem.columns.lists))
-    # the stable descending-c order: ties keep input order
     order = sorted(every, key=c.__getitem__, reverse=True)
     taken, s, trace = (_batch_walk if batch else _sorted_walk)(problem, c, order)
     return v_allocation(problem, taken, s, algorithm, len(trace), tuple(trace))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, compress, repeat
@@ -83,10 +84,11 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
 
     Tries the proper subsets V of the strata by cardinality, taken from both
     ends in turn (0, K - 1, 1, K - 2, ...), then by stratum position, and
-    returns the first with s(V) > 0 whose membership is
-    consistent: w in V exactly when c_w * s(V) >= 1. s(V) is the quotient of
-    two correctly rounded sums. Intended for small instances (refuses more
-    than 20 strata); in tie-free problems the subset is unique.
+    returns the first with s(V) > 0 whose membership is consistent: w in V
+    exactly when c_w * s(V) >= 1. s(V) is the quotient of two correctly
+    rounded sums, and a c_w * s(V) within 2**-30 of 1 is decided in
+    rationals of those sums. Intended for small instances (refuses more than
+    20 strata); the consistent subset is unique.
     """
     K = problem.size
     if K > _BRUTE_FORCE_MAX:
@@ -95,14 +97,25 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
         return frozenset(problem.labels)
     a, b = problem.columns.lists
     c = list(map(truediv, a, b))
+    by_c = sorted(range(K), key=c.__getitem__)
+    ascending = sorted(c)
     # sizes from both ends in turn, 0, K - 1, 1, K - 2, ...: large take-all
     # sets are found without first trying the many middle-sized subsets
     sizes = [k for pair in zip(range(K), reversed(range(K))) for k in pair][:K]
     for size in sizes:
         for v in combinations(range(K), size):
             # s(V) = (n - sum_V b) / (sum a - sum_V a), each sum correctly rounded
-            s = math.fsum([problem.n, *(-b[i] for i in v)]) / math.fsum([*a, *(-a[i] for i in v)])
-            if s > 0 and tuple(compress(range(K), map(ge, map(mul, c, repeat(s)), repeat(1.0)))) == v:
+            s = math.fsum(budget := [problem.n, *(-b[i] for i in v)]) / math.fsum(denom := [*a, *(-a[i] for i in v)])
+            if s <= 0:
+                continue
+            inside = list(map(ge, map(mul, c, repeat(s)), repeat(1.0)))
+            near = by_c[bisect_left(ascending, (1 - 2**-30) / s) : bisect_right(ascending, (1 + 2**-30) / s)]
+            if near:  # decided in rationals of the two sums
+                from fractions import Fraction  # only here: verify's imports stay as they are
+                exact_budget, exact_denom = sum(map(Fraction, budget)), sum(map(Fraction, denom))
+                for w in near:
+                    inside[w] = Fraction(a[w]) * exact_budget >= Fraction(b[w]) * exact_denom
+            if tuple(compress(range(K), inside)) == v:
                 return frozenset(map(problem.labels.__getitem__, v))
     raise RuntimeError("no subset satisfies the fixed-point condition")
 

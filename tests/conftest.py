@@ -54,6 +54,11 @@ def near_ties():
     return near_tie_problems(seed=7, count=150)
 
 
+@pytest.fixture(scope="session")
+def split_runs():
+    return split_run_problems(seed=23, count=40)
+
+
 def exact_fixed_point(problem: AllocationProblem, v) -> bool:
     """The fixed-point test in rationals: B > 0, and w in V exactly when
     a_w * B >= b_w * A, with B = n - sum_V b and A = sum_{W minus V} a."""
@@ -112,6 +117,55 @@ def near_tie_problems(seed: int, count: int):
             continue
         problem = AllocationProblem(tuple(map(Stratum, range(K), a, b)), n)
         out.append((problem, exact_takeall(problem)))
+    return out
+
+
+def split_run_problems(seed: int, count: int):
+    """Random (problem, exact V) pairs in which 1/s(V) splits a run of
+    strata of equal float c = a/b.
+
+    A run of 3..7 strata shares one float c0 ~ U(0.5, 5) while their exact
+    a/b differ, with b ~ U(1, 100). Up to two strata with c = c0 * U(2, 4)
+    and up to two with c = c0 * U(0.2, 0.5) join it. V is the strata above
+    and the run's k largest exact a/b (k in 1..m - 1), and n is the smallest
+    float at which the exact threshold A/B lies between the k-th and the
+    (k + 1)-th; a draw with no such float is dropped. In input order the run
+    alternates non-member, member, ..., so a non-member comes first; the
+    other strata go in at random places.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        c0 = float(rng.uniform(0.5, 5.0))
+        m = int(rng.integers(3, 8))
+        run: dict[Fraction, tuple[float, float]] = {}
+        while len(run) < m:
+            bw = float(rng.uniform(1.0, 100.0))
+            aw = c0 * bw * (1.0 + float(rng.uniform(-1.0, 1.0)) * 2.0**-52)
+            if aw / bw == c0:
+                run[Fraction(aw) / Fraction(bw)] = (aw, bw)
+        ratios = sorted(run, reverse=True)
+        k = int(rng.integers(1, m))
+        members, others = [run[r] for r in ratios[:k]], [run[r] for r in ratios[k:]]
+        above, below = (
+            [(c0 * float(rng.uniform(*f)) * bw, bw) for bw in rng.uniform(1.0, 100.0, rng.integers(3)).tolist()]
+            for f in ((2.0, 4.0), (0.2, 0.5))
+        )
+        # w in V exactly when a_w / b_w >= A / B: B in [A / ratios[k - 1], A / ratios[k])
+        taken = sum(Fraction(bw) for _, bw in above + members)
+        denom = sum(Fraction(aw) for aw, _ in below + others)
+        lo, hi = taken + denom / ratios[k - 1], taken + denom / ratios[k]
+        n = float(lo)
+        if n < lo:
+            n = math.nextafter(n, math.inf)
+        # non-member, member, ..., then the rest of the longer side
+        rows = [row for pair in zip([(st, False) for st in others], [(st, True) for st in members]) for row in pair]
+        rows += [(st, False) for st in others[len(members):]] + [(st, True) for st in members[len(others):]]
+        for row in [(st, True) for st in above] + [(st, False) for st in below]:
+            rows.insert(int(rng.integers(len(rows) + 1)), row)
+        strata = tuple(Stratum(i, aw, bw) for i, ((aw, bw), _) in enumerate(rows))
+        if n < hi and n < math.fsum(st.b for st in strata):
+            out.append((AllocationProblem(strata, n), frozenset(i for i, (_, inside) in enumerate(rows) if inside)))
     return out
 
 

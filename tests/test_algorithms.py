@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -246,6 +247,14 @@ BAND_TRACE = [
     (3, "0x1.627321f67c673p+1", (2,)),
     (4, "0x1.64ea7a08074c2p+1", ()),
 ]
+# Strata 2 and 1 share the float c = a/b, and 1/s({0}) lies between their
+# exact a/b: the optimum is {0, 1}. With 2 before 1 in input order, the
+# float order tests 2 first, and 2 fails at s({0}).
+EQUAL_FLOAT_C = (
+    [(0, 56.71821220562006, 2.6948674738744653), (2, 3.2956212316547955, 5.561591732572603),
+     (1, 9.751665804253943, 16.45661928464921), (3, 5.458915783827469, 72.47455323943691)],
+    33.92538134936512,
+)
 # powers of two (k, j) for a and for b and n that put every s of a problem
 # below S_MIN or above S_MAX, where the float filter does not hold
 PAST_FILTER = ((605, -405), (-505, 505))
@@ -280,10 +289,11 @@ class TestExactTakeAll:
     @pytest.mark.parametrize("case", sorted(BAND_CASES))
     def test_band_splits_equal_float_c(self, case):
         # rna's second iteration admits stratum 1 and not stratum 2, whose
-        # float c is the same: the band's stable partition moves 1 ahead of
-        # its input predecessor 2. Past S_MIN and S_MAX every free stratum is
-        # the band. All solvers agree with the search on V and on every bit of
-        # x, and rna's trace is the pinned one, scaled
+        # float c is the same: the band is put in exact a/b order, which moves
+        # 1 ahead of its input predecessor 2, and its hits are a prefix. Past
+        # S_MIN and S_MAX every free stratum is the band. All solvers agree
+        # with the search on V and on every bit of x, and rna's trace is the
+        # pinned one, scaled
         p, k, j = band_case(case)
         results = [solver(p) for solver in ALL_SOLVERS]
         assert results[0].take_all == brute_force_subset(p) == exact_takeall(p) == frozenset({0, 1, 2, 3})
@@ -293,6 +303,34 @@ class TestExactTakeAll:
         assert [(rec.r, rec.s_value.hex(), rec.added) for rec in results[0].trace] == [
             (r, math.ldexp(float.fromhex(s), j - k).hex(), added) for r, s, added in BAND_TRACE
         ]
+
+    def test_equal_float_c_in_every_input_order(self):
+        # strata 2 and 1 share a float c, but only 1's exact a/b reaches
+        # 1/s({0}); in every order of the rows each solver and both searches
+        # take {0, 1}, with the same bits of x
+        strata, n = EQUAL_FLOAT_C
+        keys = set()
+        for rows in itertools.permutations(strata):
+            p = AllocationProblem(tuple(Stratum(*row) for row in rows), n)
+            assert exact_takeall(p) == brute_force_subset(p) == frozenset({0, 1}), rows
+            for solver in ALL_SOLVERS:
+                res = solver(p)
+                assert res.take_all == frozenset({0, 1}), (solver.__name__, rows)
+                keys.add(repr(result_key(res)))
+        assert len(keys) == 1
+
+    def test_split_runs_of_equal_float_c(self, split_runs):
+        # 1/s(V) splits a run of equal float c whose non-members come first
+        # in input order: every solver and both searches find the exact V,
+        # with the same bits of x in any input order
+        rng = np.random.default_rng(29)
+        for p, v in split_runs:
+            assert exact_takeall(p) == brute_force_subset(p) == v
+            base = result_key(rna(p))
+            for perm in (range(p.size), reversed(range(p.size)), *(rng.permutation(p.size) for _ in range(2))):
+                shuffled = AllocationProblem(tuple(p.strata[int(i)] for i in perm), p.n)
+                for solver in ALL_SOLVERS:
+                    assert result_key(solver(shuffled)) == base, (solver.__name__, p)
 
     @pytest.mark.parametrize("a_exp", [12, 150])
     def test_near_census_fuzz(self, a_exp):
@@ -370,7 +408,7 @@ def scaled(problem, k, j):
     return AllocationProblem(strata, math.ldexp(problem.n, j))
 
 
-def scale_problems(near_ties):
+def scale_problems(near_ties, split_runs):
     # each problem with the scales past the filter's range it stays normal at
     yield table1_problem(), PAST_FILTER
     yield power_problem(19999.0), ()  # a spans 1e4..1e23, one unit below the census; a/b overflows past the range
@@ -381,15 +419,17 @@ def scale_problems(near_ties):
     for p, _ in near_ties[:40]:  # a stratum within 2 ulps of its threshold: settled in rationals
         yield p, PAST_FILTER
     yield band_case("in_filter_range")[0], PAST_FILTER  # rna's band holds two strata of equal float c
+    for p, _ in split_runs[:10]:  # sga and coma put the split run in exact order after a rejection
+        yield p, PAST_FILTER
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
-def test_power_of_two_scale_invariance(solver, near_ties):
+def test_power_of_two_scale_invariance(solver, near_ties, split_runs):
     # s(V) is a quotient of exact sums, and a power-of-two scale of a, b and n
     # is exact: x scales by 2**j, every s by 2**(j - k), and V, r* and the
     # trace labels stay, bit for bit
     rng = np.random.default_rng(2019)
-    for p, past in scale_problems(near_ties):
+    for p, past in scale_problems(near_ties, split_runs):
         base = solver(p)
         for k, j in ((200, -200), (-200, 200), (0, 0), *past, *rng.integers(-200, 201, (3, 2)).tolist()):
             res = solver(scaled(p, k, j))
