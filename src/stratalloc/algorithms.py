@@ -22,12 +22,13 @@ coma  walks the same order and stops at the first decrease of the
       the test rejects the last free stratum there too unless n = sum(b).
       So coma and sga take the same steps.
 
-The take-all test c_w * s(V) >= 1 is decided exactly by
-:func:`~stratalloc.model.take_all_members`: a float filter settles all but
-near-ties, which are settled in rationals. The same predicate backs
-:func:`~stratalloc.model.is_optimal_takeall`. The filter reads c alone, so
-a run of equal float c that 1/s(V) splits is settled in rationals, the only
-place where ``_exact_order`` sorts strata by exact a/b.
+The take-all test c_w * s(V) >= 1 is decided exactly. A float filter on c
+settles all but near-ties, and :func:`~stratalloc.model.take_all_members`
+settles only those, in rationals; both walks and
+:func:`~stratalloc.model.is_optimal_takeall` take the same two steps. The
+filter reads c alone, so a run of equal float c that 1/s(V) splits is
+settled in rationals, the only place where ``_exact_order`` sorts strata by
+exact a/b.
 
 Each iteration appends an :class:`~stratalloc.model.IterationRecord`; the
 final record has an empty ``added`` tuple. The number of iterations r* equals
@@ -51,7 +52,8 @@ cost more than its few float operations. Since its last exact sum, a pair
 is off by less than 2**-53 of its value plus (K + 1)**2 * 2**-106 of its
 value at that sum. When B or A falls below (K + 2)**2 * 2**-61 times that
 value, the pair no longer guarantees the relative 2**-44 that the filter
-needs, and both are summed again from the terms.
+needs, and each is set again to the first two of ``model._exact_parts``
+over its terms.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .model import (
     AllocationProblem,
     AllocationResult,
     IterationRecord,
+    _exact_parts,
     _s_terms,
     _scale,
     take_all_members,
@@ -75,12 +78,6 @@ from .model import (
 from .model import _v_result as v_allocation  # the name perfbench's traced replay wraps
 
 __all__ = ["rna", "sga", "coma", "SOLVERS"]
-
-
-def _exact_pair(values: list[float]) -> tuple[float, float]:
-    # the correctly rounded sum and its correctly rounded remainder
-    total = math.fsum(values)
-    return total, math.fsum([*values, -total])
 
 
 def _exact_order(a: list[float], b: list[float], c: list[float], order: list[int], lo: int, hi: int) -> list[int]:
@@ -111,15 +108,14 @@ def _batch_walk(
     while True:
         denom = math.fsum(a_off[p:])
         s = math.fsum(budget) / denom if denom else 0.0  # _scale's terms and quotient
-        if S_MIN <= s <= S_MAX:
-            q = bisect_right(order, -(TAKE_HI / s), p, key=minus_c)
-            band_end = bisect_left(order, -(TAKE_LO / s), q, key=minus_c)
-        else:  # the filter does not hold: every free stratum is decided in rationals
-            q, band_end = p, len(order)
+        # past [S_MIN, S_MAX] the thresholds 0 and inf make every free stratum the band
+        lo, hi = (TAKE_LO / s, TAKE_HI / s) if S_MIN <= s <= S_MAX else (0.0, math.inf)
+        q = bisect_right(order, -hi, p, key=minus_c)
+        band_end = bisect_left(order, -lo, q, key=minus_c)
         if q < band_end:  # in exact order the band's hits are a prefix of it
             band = _exact_order(a, b, c, order, q, band_end)
             a_off[q:band_end] = map(a.__getitem__, band)
-            q += take_all_members(problem, list(map(c.__getitem__, band)), order[:p], s, band).count(True)
+            q += take_all_members(problem, order[:p], band).count(True)
         trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, sorted(order[p:q])))))
         if q == p:
             return order[:p], s, trace
@@ -130,31 +126,31 @@ def _batch_walk(
 def _sorted_walk(
     problem: AllocationProblem, c: list[float], order: list[int]
 ) -> tuple[list[int], float, list[IterationRecord]]:
-    # sga, coma: all strata in order, one per iteration
+    # sga, coma: all strata in order, one per iteration, with V = order[:p]
     labels = problem.labels
     K = problem.size
     a, b = problem.columns.lists
     shrink = (K + 2) ** 2 * 2.0**-61
     # s(emptyset)'s pairs, cheaper at K <= 200 than a first refresh of the terms
     budget, budget_c = problem.n, 0.0
-    denom = problem.sum_a
-    denom_c = math.fsum([*a, -denom])
+    denom, denom_c = problem.sum_a, math.fsum([*a, -problem.sum_a])
     budget_min, denom_min = shrink * budget, shrink * denom
-    taken: list[int] = []
+    p = 0
     trace: list[IterationRecord] = []
     for r, i in enumerate(order, start=1):
         if budget + budget_c < budget_min or denom + denom_c < denom_min:
-            (budget, budget_c), (denom, denom_c) = map(_exact_pair, _s_terms(problem, taken))
+            # B and A are positive while a stratum is free, so each has two parts at least
+            (budget, budget_c, *_), (denom, denom_c, *_) = map(_exact_parts, _s_terms(problem, order[:p]))
             budget_min, denom_min = shrink * budget, shrink * denom
         s = (budget + budget_c) / (denom + denom_c)
-        # the float filter of take_all_members, inlined for one candidate
+        # the float filter, as in is_optimal_takeall, for one candidate
         if S_MIN <= s <= S_MAX and not TAKE_LO / s < c[i] < TAKE_HI / s:
             take = c[i] > 1.0 / s
         else:
-            take = take_all_members(problem, [c[i]], taken, s, [i])[0]
+            take = take_all_members(problem, order[:p], [i])[0]
             if not take and r < K and c[order[r]] == c[i]:  # the run's exact head decides for all of it
                 i = _exact_order(a, b, c, order, r - 1, bisect_right(order, -c[i], r, key=lambda j: -c[j]))[0]
-                take = take_all_members(problem, [c[i]], taken, s, [i])[0]
+                take = take_all_members(problem, order[:p], [i])[0]
         trace.append(IterationRecord(r, s, (labels[i],) if take else ()))
         if not take:
             break
@@ -174,8 +170,8 @@ def _sorted_walk(
         else:
             denom_c += denom - (t + v)
         denom = t
-        taken.append(i)
-    return taken, _scale(problem, taken), trace
+        p = r
+    return order[:p], _scale(problem, order[:p]), trace
 
 
 def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> AllocationResult:

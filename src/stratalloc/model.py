@@ -24,7 +24,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import attrgetter, ge, le, lt, mul, truediv
+from operator import and_, attrgetter, ge, gt, le, lt, mul, neg, truediv
 
 Label = Hashable
 
@@ -389,9 +389,9 @@ def _subset(problem: AllocationProblem, v: Iterable[Label]) -> list[int]:
 def _s_terms(problem: AllocationProblem, idx: Sequence[int]) -> tuple[list[float], list[float]]:
     """s(V)'s budget and denominator terms, V the strata at positions idx:
     n and -b_w for w in V, and a_w for w off V. ``math.fsum`` rounds each
-    list's exact sum once, whatever the order of idx; the denominator is
-    taken off V because a negated copy of a_V would be remade at every rna
-    iteration."""
+    list's exact sum once, whatever the order of idx. The denominator lists
+    the a off V: the exact sum of every a and a negated copy of a_V, from
+    K - |V| terms instead of K + |V|."""
     a, b = problem.columns.lists
     budget = [problem.n]
     free = [True] * len(a)
@@ -399,6 +399,17 @@ def _s_terms(problem: AllocationProblem, idx: Sequence[int]) -> tuple[list[float
         budget.append(-b[i])
         free[i] = False
     return budget, list(compress(a, free))
+
+
+def _exact_parts(values: list[float]) -> list[float]:
+    """Floats whose exact sum is that of values: the correctly rounded sum,
+    then the correctly rounded sum of each remainder, ending at the first
+    0.0. Each part is at most half an ulp of the one before, so a few parts
+    hold any sum: its rational form is a few Fractions, not one per value."""
+    parts = [math.fsum(values)]
+    while parts[-1]:
+        parts.append(math.fsum([*values, *map(neg, parts)]))
+    return parts
 
 
 def _scale(problem: AllocationProblem, idx: Sequence[int]) -> float:
@@ -420,50 +431,35 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
 
 # The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
 # belongs to the optimal V exactly when a_w * B >= b_w * A, i.e. when
-# c_w * s(V) >= 1. If B and A are each known to a relative error below
-# 2**-44 and s lies in [S_MIN, S_MAX] (so that TAKE_LO / s and TAKE_HI / s
-# are normal), the rounded thresholds lo = TAKE_LO / s and hi = TAKE_HI / s
-# are within a relative 2**-42 of TAKE_LO / s(V) and TAKE_HI / s(V):
-# c_w >= hi or c_w <= lo decides. Only a c_w between them is settled in
-# rationals. Comparing c_w with a quotient, never forming c_w * s, keeps the
-# filter free of overflow.
+# c_w * s(V) >= 1. Callers run a float filter first. If B and A are each
+# known to a relative error below 2**-44 and s lies in [S_MIN, S_MAX] (so
+# that TAKE_LO / s and TAKE_HI / s are normal), the rounded thresholds
+# lo = TAKE_LO / s and hi = TAKE_HI / s are within a relative 2**-42 of
+# TAKE_LO / s(V) and TAKE_HI / s(V): c_w >= hi or c_w <= lo decides. Only a
+# c_w strictly between them (any c_w, with s outside that range) goes to
+# :func:`take_all_members`, in rationals. Comparing c_w with a quotient,
+# never forming c_w * s, keeps the filter free of overflow.
 TAKE_LO = 1.0 - 2.0**-40
 TAKE_HI = 1.0 + 2.0**-40
 S_MIN = 2.0**-1000
 S_MAX = 2.0**1000
 
 
-def take_all_members(
-    problem: AllocationProblem,
-    c: list[float],
-    v_idx: Sequence[int],
-    s: float,
-    candidates: Sequence[int],
-) -> list[bool]:
+def take_all_members(problem: AllocationProblem, v_idx: Sequence[int], candidates: Sequence[int]) -> list[bool]:
     """Which candidate strata w have c_w * s(V) >= 1, decided exactly.
 
-    Strata are positions in the problem's columns: ``candidates`` lists
-    them and ``c`` holds their priorities a/b, aligned with it; ``v_idx`` is
-    the current V, and ``s`` approximates s(V) from a budget and denominator
-    each accurate to a relative 2**-44. Returns one flag per candidate: one
-    C-level compare over c, plus rationals for the candidates between the
-    two thresholds.
+    Strata are positions in the problem's columns: ``candidates`` lists the
+    strata to decide and ``v_idx`` is the current V. Returns one flag per
+    candidate, a_w * B >= b_w * A in rationals, where B and A are each the
+    sum of the few floats that :func:`_exact_parts` gives for s(V)'s term
+    lists. No float filter runs here: callers hand over only the strata
+    that theirs leaves open.
     """
-    if S_MIN <= s <= S_MAX:
-        flags = list(map(lt, repeat(TAKE_LO / s), c))
-        # done when every hit clears hi, so that no c_w lies between the two
-        if min(compress(c, flags), default=math.inf) >= TAKE_HI / s:
-            return flags
-    else:
-        flags = [True] * len(c)
     from fractions import Fraction  # only here: it loads decimal, which no other path needs
 
     a, b = problem.columns.lists
-    budget, denom = (sum(map(Fraction, terms)) for terms in _s_terms(problem, v_idx))
-    for j in compress(range(len(flags)), flags):
-        i = candidates[j]
-        flags[j] = Fraction(a[i]) * budget >= Fraction(b[i]) * denom
-    return flags
+    budget, denom = (sum(map(Fraction, _exact_parts(terms))) for terms in _s_terms(problem, v_idx))
+    return [Fraction(a[i]) * budget >= Fraction(b[i]) * denom for i in candidates]
 
 
 def _v_result(
@@ -515,9 +511,9 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     """Fixed-point test for the optimal take-all set.
 
     V is optimal iff membership matches the threshold test everywhere:
-    w in V exactly when c_w * s(V) >= 1, decided exactly by
-    :func:`take_all_members` (no tolerance). For the census problem
-    (n == sum(b)) only V = W passes.
+    w in V exactly when c_w * s(V) >= 1, decided exactly (no tolerance) by
+    the float filter and, in its near-tie band, :func:`take_all_members`.
+    For the census problem (n == sum(b)) only V = W passes.
     """
     idx = _subset(problem, v)
     if problem.is_census:
@@ -526,8 +522,15 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     if s <= 0:  # the full set too, at s(W) = 0
         return False
     K = problem.size
-    a, b = problem.columns.lists
-    return list(compress(range(K), take_all_members(problem, list(map(truediv, a, b)), idx, s, range(K)))) == idx
+    c = list(map(truediv, *problem.columns.lists))
+    # past [S_MIN, S_MAX] the thresholds 0 and inf make every stratum the band
+    lo, hi = (TAKE_LO / s, TAKE_HI / s) if S_MIN <= s <= S_MAX else (0.0, math.inf)
+    flags = list(map(lt, repeat(lo), c))  # c_w > lo: in V unless the band's test says no
+    if min(compress(c, flags), default=math.inf) < hi:  # the band is not empty
+        band = list(compress(range(K), map(and_, flags, map(gt, repeat(hi), c))))
+        for i, take in zip(band, take_all_members(problem, idx, band)):
+            flags[i] = take
+    return list(compress(range(K), flags)) == idx
 
 
 def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import time
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from conftest import exact_fixed_point, exact_takeall, make_random_problem
 from stratalloc import (
     AllocationProblem,
+    StrataColumns,
     Stratum,
     algorithms,
     brute_force_subset,
@@ -22,6 +25,8 @@ from stratalloc import (
     sga,
     table1_problem,
 )
+from stratalloc import model
+from stratalloc.model import S_MIN, TAKE_HI, TAKE_LO
 
 ALL_SOLVERS = [rna, sga, coma]
 
@@ -352,6 +357,77 @@ class TestExactTakeAll:
                 assert result_key(solver(shuffled)) == base, trial
             assert exact_fixed_point(p, base[1]), trial
             assert kkt_verify(p, rna(p)).valid, trial
+
+
+def near_tie_survey(K=2000, p=1200):
+    # a seeded survey problem whose n puts the p-th stratum of the descending
+    # c order at its threshold: n = sum of b over order[:p] + sum of a over
+    # order[p:] / c_w, so c_w * s(V) rounds to 1
+    rng = np.random.default_rng(22)
+    columns = StrataColumns.survey(range(K), rng.integers(10, 2000, K).tolist(), rng.lognormal(0, 1, K).tolist())
+    a, b = columns.lists
+    c = list(map(truediv, a, b))
+    order = sorted(range(K), key=c.__getitem__, reverse=True)
+    n = math.fsum(b[i] for i in order[:p]) + math.fsum(a[i] for i in order[p:]) / c[order[p - 1]]
+    return AllocationProblem(columns, n), c
+
+
+class TestTakeAllBand:
+    def test_near_tie_hands_over_only_the_band(self, monkeypatch):
+        # is_optimal_takeall settles every stratum outside the filter's band
+        # itself: the exact step sees only the strata strictly between the
+        # thresholds, and at least the one at the boundary. The solvers agree
+        # with it and with each other, on every bit of x
+        p, c = near_tie_survey()
+        results = [solver(p) for solver in ALL_SOLVERS]
+        v = results[0].take_all
+        for res in results:
+            assert res.take_all == v, res.algorithm
+            assert [x.hex() for x in res.x.values()] == [x.hex() for x in results[0].x.values()], res.algorithm
+        assert exact_fixed_point(p, v)
+        handed = []
+        kernel = model.take_all_members
+
+        def spy(*args):  # the candidates come last
+            handed.append(list(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(model, "take_all_members", spy)
+        assert is_optimal_takeall(p, v)
+        s = s_of(p, v)
+        band = [i for i in range(p.size) if TAKE_LO / s < c[i] < TAKE_HI / s]
+        assert band and handed == [band]
+
+    @pytest.mark.parametrize("k,j", [(0, 0), *PAST_FILTER])
+    def test_exact_tie_is_taken(self, k, j):
+        # c_1 * s({0}) = 1 exactly: the test is a_w * B >= b_w * A, so 1
+        # joins V, in the filter's range of s and past it. x is the same
+        # either way; V, r* and is_optimal_takeall show the tie rule
+        p = scaled(small([4, 1, 1], [1, 1, 10], 3), k, j)
+        for solver in ALL_SOLVERS:
+            assert solver(p).take_all == frozenset({0, 1}), solver.__name__
+        assert is_optimal_takeall(p, {0, 1})
+        assert not is_optimal_takeall(p, {0})
+
+    def test_rational_cliff_past_s_min(self):
+        # s is about 6e-304, below S_MIN, so the float filter does not hold
+        # and every free stratum goes to the exact step; its rationals are a
+        # few parts per sum, so each solve stays fast
+        rng = np.random.default_rng(2)
+        K = 2000
+        a = (rng.uniform(1, 100, K) * 1e290).tolist()
+        b = (rng.uniform(10, 1000, K) * 1e-14).tolist()
+        p = AllocationProblem(tuple(map(Stratum, range(K), a, b)), math.fsum(b) / 2)
+        results = []
+        for solver in ALL_SOLVERS:
+            start = time.perf_counter()
+            results.append(solver(p))
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, (solver.__name__, elapsed)
+        assert 0 < results[0].s_final < S_MIN
+        for res in results:
+            assert result_key(res) == result_key(results[0]), res.algorithm
+        assert is_optimal_takeall(p, results[0].take_all)
 
 
 def record_problem(columns, n):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stratalloc import (
     table1_problem,
     v_allocation,
 )
+from stratalloc.model import _exact_parts
 
 
 def two_stratum(n=3.0):
@@ -241,6 +243,36 @@ class TestSOf:
             n=1e16 + 4,
         )
         assert s_of(p, {"big", "one"}) == 3.0
+
+
+def wide_values(rng, k):
+    # floats of both signs with binary exponents across -1000..1000, each
+    # with its negation or a near-negation to cancel, and subnormals
+    wide = [math.ldexp(m, int(e)) for m, e in zip(rng.uniform(-1, 1, k), rng.integers(-1000, 1001, k))]
+    cancel = [-v * (1 + math.ldexp(1, -int(d))) for v, d in zip(wide, rng.integers(1, 53, k))]
+    cancel += [-v for v in wide[: k // 2]]
+    subnormal = [math.ldexp(int(m), -1074) for m in rng.integers(-(2**30), 2**30, k)]
+    values = wide + cancel + subnormal
+    return [values[i] for i in rng.permutation(len(values))]
+
+
+class TestExactParts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parts_sum_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(50):
+            values = wide_values(rng, int(rng.integers(1, 30)))
+            parts = _exact_parts(values)
+            assert sum(map(Fraction, parts)) == sum(map(Fraction, values)), trial
+            # the list ends at its first 0.0, each part at most half an ulp of the one before
+            assert parts[-1] == 0.0 and all(parts[:-1]), trial
+            assert all(abs(q) <= math.ulp(p) / 2 for p, q in zip(parts, parts[1:])), trial
+            total = math.fsum(values)
+            assert (parts + [0.0])[:2] == [total, math.fsum([*values, -total])], trial
+
+    def test_exact_sum_of_zero(self):
+        assert _exact_parts([1e300, -1e300, 5e-324, -5e-324]) == [0.0]
+        assert _exact_parts([1e300, 1.0, -1e300]) == [1.0, 0.0]
 
 
 class TestVAllocation:
