@@ -7,10 +7,10 @@ float c can be out of that order. They differ in how they walk it:
 
 rna   takes every stratum that passes the take-all test as a batch, then
       recomputes s. Two bisections find where the filter's thresholds
-      TAKE_HI / s and TAKE_LO / s fall in the order; the strata between them
-      (the near-tie band, all the rest past [S_MIN, S_MAX]) are put in exact
-      order and decided in rationals, and V = order[:p] grows to the band's
-      last hit. V's strata pass again, as s(V) never decreases.
+      hi and lo fall in the order; the strata between them (the near-tie
+      band) are put in exact order and decided in rationals, and
+      V = order[:p] grows to the band's last hit. V's strata pass again, as
+      s(V) never decreases.
 sga   admits strata one at a time in that order while the test holds. When
       rationals reject a stratum whose float c the next one shares, the rest
       of that run is put in exact order and its head is tested instead.
@@ -63,10 +63,10 @@ from bisect import bisect_left, bisect_right
 from operator import neg, truediv
 
 from .model import (
-    S_MAX,
-    S_MIN,
     TAKE_HI,
     TAKE_LO,
+    TINY,
+    _FLOAT_MAX,
     AllocationProblem,
     AllocationResult,
     IterationRecord,
@@ -106,10 +106,10 @@ def _batch_walk(
     p = 0
     trace: list[IterationRecord] = []
     while True:
-        denom = math.fsum(a_off[p:])
-        s = math.fsum(budget) / denom if denom else 0.0  # _scale's terms and quotient
-        # past [S_MIN, S_MAX] the thresholds 0 and inf make every free stratum the band
-        lo, hi = (TAKE_LO / s, TAKE_HI / s) if S_MIN <= s <= S_MAX else (0.0, math.inf)
+        B, A = math.fsum(budget), math.fsum(a_off[p:])
+        s = B / A if A else 0.0  # _scale's terms and quotient
+        ratio = min(A / B, _FLOAT_MAX)  # the thresholds of is_optimal_takeall
+        lo, hi = TAKE_LO * ratio - TINY, TAKE_HI * ratio + TINY
         q = bisect_right(order, -hi, p, key=minus_c)
         band_end = bisect_left(order, -lo, q, key=minus_c)
         if q < band_end:  # in exact order the band's hits are a prefix of it
@@ -142,10 +142,13 @@ def _sorted_walk(
             # B and A are positive while a stratum is free, so each has two parts at least
             (budget, budget_c, *_), (denom, denom_c, *_) = map(_exact_parts, _s_terms(problem, order[:p]))
             budget_min, denom_min = shrink * budget, shrink * denom
-        s = (budget + budget_c) / (denom + denom_c)
+        B, A = budget + budget_c, denom + denom_c
+        s, ratio = B / A, A / B
+        if ratio > _FLOAT_MAX:  # min(A / B, _FLOAT_MAX): a call per step costs more
+            ratio = _FLOAT_MAX
         # the float filter, as in is_optimal_takeall, for one candidate
-        if S_MIN <= s <= S_MAX and not TAKE_LO / s < c[i] < TAKE_HI / s:
-            take = c[i] > 1.0 / s
+        if not TAKE_LO * ratio - TINY < c[i] < TAKE_HI * ratio + TINY:
+            take = c[i] > ratio
         else:
             take = take_all_members(problem, order[:p], [i])[0]
             if not take and r < K and c[order[r]] == c[i]:  # the run's exact head decides for all of it

@@ -430,19 +430,20 @@ def s_of(problem: AllocationProblem, v: Iterable[Label]) -> float:
 
 
 # The take-all test. With B = n - sum_V b and A = sum_{W\V} a, stratum w
-# belongs to the optimal V exactly when a_w * B >= b_w * A, i.e. when
-# c_w * s(V) >= 1. Callers run a float filter first. If B and A are each
-# known to a relative error below 2**-44 and s lies in [S_MIN, S_MAX] (so
-# that TAKE_LO / s and TAKE_HI / s are normal), the rounded thresholds
-# lo = TAKE_LO / s and hi = TAKE_HI / s are within a relative 2**-42 of
-# TAKE_LO / s(V) and TAKE_HI / s(V): c_w >= hi or c_w <= lo decides. Only a
-# c_w strictly between them (any c_w, with s outside that range) goes to
-# :func:`take_all_members`, in rationals. Comparing c_w with a quotient,
-# never forming c_w * s, keeps the filter free of overflow.
+# belongs to the optimal V exactly when a_w * B >= b_w * A, i.e. c_w >= A / B.
+# Callers run a float filter first. B and A are each known to a relative
+# 2**-44 (sums of floats, exact where subnormal). With r = min(A / B,
+# _FLOAT_MAX), c_w >= hi = TAKE_HI * r + TINY or c_w <= lo = TAKE_LO * r - TINY
+# decides, at every scale: each rounding of c_w, A / B and the products is off
+# by a relative 2**-53 where normal, which the factors' 2**-40 cover, and by at
+# most 2**-1075 where subnormal, which TINY (16 least subnormals) covers. The
+# cap keeps lo finite where the rounded A / B overflows, as an exact A / B just
+# below 2**1024 can with an exact a/b above it. Only a c_w strictly between lo
+# and hi goes to :func:`take_all_members`, in rationals. Comparing c_w with a
+# quotient, never forming c_w * s, keeps the filter free of overflow.
 TAKE_LO = 1.0 - 2.0**-40
 TAKE_HI = 1.0 + 2.0**-40
-S_MIN = 2.0**-1000
-S_MAX = 2.0**1000
+TINY = 2.0**-1070
 
 
 def take_all_members(problem: AllocationProblem, v_idx: Sequence[int], candidates: Sequence[int]) -> list[bool]:
@@ -518,13 +519,13 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
     idx = _subset(problem, v)
     if problem.is_census:
         return len(idx) == problem.size
-    s = _scale(problem, idx)
-    if s <= 0:  # the full set too, at s(W) = 0
+    B, A = map(math.fsum, _s_terms(problem, idx))
+    if B <= 0 or not A:  # s(V) <= 0, and the full set at s(W) = 0
         return False
     K = problem.size
     c = list(map(truediv, *problem.columns.lists))
-    # past [S_MIN, S_MAX] the thresholds 0 and inf make every stratum the band
-    lo, hi = (TAKE_LO / s, TAKE_HI / s) if S_MIN <= s <= S_MAX else (0.0, math.inf)
+    ratio = min(A / B, _FLOAT_MAX)
+    lo, hi = TAKE_LO * ratio - TINY, TAKE_HI * ratio + TINY
     flags = list(map(lt, repeat(lo), c))  # c_w > lo: in V unless the band's test says no
     if min(compress(c, flags), default=math.inf) < hi:  # the band is not empty
         band = list(compress(range(K), map(and_, flags, map(gt, repeat(hi), c))))

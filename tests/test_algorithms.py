@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import time
+from fractions import Fraction
 from operator import truediv
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import exact_fixed_point, exact_takeall, make_random_problem
 from stratalloc import (
     AllocationProblem,
+    InfeasibleSubsetError,
     StrataColumns,
     Stratum,
     algorithms,
@@ -26,7 +28,7 @@ from stratalloc import (
     table1_problem,
 )
 from stratalloc import model
-from stratalloc.model import S_MIN, TAKE_HI, TAKE_LO
+from stratalloc.model import TAKE_HI, TAKE_LO, TINY
 
 ALL_SOLVERS = [rna, sga, coma]
 
@@ -261,7 +263,8 @@ EQUAL_FLOAT_C = (
     33.92538134936512,
 )
 # powers of two (k, j) for a and for b and n that put every s of a problem
-# below S_MIN or above S_MAX, where the float filter does not hold
+# below 2**-1000 or above 2**1000: the filter's thresholds, from A/B, lie
+# near the top of the floats or near the subnormals
 PAST_FILTER = ((605, -405), (-505, 505))
 BAND_CASES = {"in_filter_range": (0, 0), "below_s_min": PAST_FILTER[0], "above_s_max": PAST_FILTER[1]}
 
@@ -286,6 +289,81 @@ class TestExactTakeAll:
         for solver in ALL_SOLVERS:
             assert solver(p).take_all == frozenset(expected), solver.__name__
 
+    def test_underflowing_c(self):
+        # u = 0 and v = 1: both a/b underflow to 0.0, and so does A/B. v's
+        # exact a/b reaches A/B at s(emptyset), and u's stays below it at
+        # s({v}). x is not asserted: x_u = a_u * s({v}) overflows to inf
+        p = small([1e-300, 3e-300], [1e30, 1e30], 1.5e30)
+        assert exact_takeall(p) == frozenset({1})
+        for solver in ALL_SOLVERS:
+            assert solver(p).take_all == frozenset({1}), solver.__name__
+        assert is_optimal_takeall(p, {1})
+        assert not is_optimal_takeall(p, set())
+
+    def test_overflowing_threshold(self):
+        # v and w both have the float c = FLOAT_MAX. At V = {v}, A = a_w + a_u
+        # rounds up to 2**1023 and B = n - b_v = 0.5 + 3 * 2**-56 down to 0.5,
+        # so A/B overflows though w's exact a/b reaches it. The filter caps
+        # A/B at FLOAT_MAX, which leaves w to rationals; rejecting every
+        # stratum at an A/B of inf would stop sga and coma at {v}
+        v = (0, float.fromhex("0x1.9ffffffffffffp+971"), float.fromhex("0x1.ap-53"))
+        w = (1, float.fromhex("0x1.fffffffffffffp+1022"), 0.5)
+        u = (2, 2.0**969, 1.0)
+        p = AllocationProblem(tuple(Stratum(*t) for t in (v, w, u)), float.fromhex("0x1.0000000000002p-1"))
+        assert exact_takeall(p) == frozenset({0, 1})
+        results = [solver(p) for solver in ALL_SOLVERS]
+        for res in results:
+            assert result_key(res) == result_key(results[0]), res.algorithm
+        assert results[0].take_all == frozenset({0, 1})
+        assert is_optimal_takeall(p, {0, 1})
+        assert not is_optimal_takeall(p, {0})
+
+    def test_scale_fuzz(self):
+        # K from 1 to 8; a and b each at a power of two up to 2**+-900, spread
+        # by up to 2**+-40 within a draw, and in a fifth of the draws some a or
+        # b down to 2**-1030; n a share of sum(b), down to 1e-20 of it. In
+        # every draw that passes validation, is_optimal_takeall accepts the
+        # exact V, and every solver that returns takes that V, with the same
+        # bits of x. A solver may raise only where s(emptyset) underflows
+        rng = np.random.default_rng(23)
+        checked, failures = 0, []
+        for draw in range(500):
+            K = int(rng.integers(1, 9))
+            spread = int(rng.choice([0, 4, 40]))
+            a, b = (
+                np.ldexp(rng.uniform(1, 2, K), int(rng.integers(-900, 901)) + rng.integers(-spread, spread + 1, K)).tolist()
+                for _ in range(2)
+            )
+            if rng.random() < 0.2:
+                for i in rng.choice(K, int(rng.integers(1, K + 1)), replace=False).tolist():
+                    (a if rng.random() < 0.5 else b)[i] = math.ldexp(rng.uniform(1, 2), int(rng.integers(-1030, -1019)))
+            share = [rng.uniform(0.01, 0.99), 1 - 10 ** -rng.uniform(3, 6), 10 ** -rng.uniform(1, 20)][int(rng.integers(3))]
+            try:
+                p = AllocationProblem(tuple(map(Stratum, range(K), a, b)), math.fsum(b) * share)
+            except ValueError:  # an a/b that overflows, or an n of 0.0
+                continue
+            checked += 1
+            # the one prefix of the exact a/b order that passes the rational test
+            order = sorted(range(K), key=lambda i: Fraction(a[i]) / Fraction(b[i]), reverse=True)
+            (v,) = (frozenset(order[:r]) for r in range(K + 1) if exact_fixed_point(p, order[:r]))
+            if not is_optimal_takeall(p, v):
+                failures.append((draw, "is_optimal_takeall"))
+            keys = set()
+            for solver in ALL_SOLVERS:
+                try:
+                    res = solver(p)
+                except InfeasibleSubsetError:
+                    if s_of(p, ()) != 0.0:
+                        failures.append((draw, solver.__name__, "raised"))
+                    continue
+                if res.take_all != v:
+                    failures.append((draw, solver.__name__))
+                keys.add(repr(result_key(res)))
+            if len(keys) > 1:
+                failures.append((draw, "bits"))
+        assert checked > 350
+        assert not failures, failures[:10]
+
     @pytest.mark.parametrize("solver", ALL_SOLVERS)
     def test_near_ties_match_exhaustive_rationals(self, solver, near_ties):
         wrong = [p for p, v in near_ties if solver(p).take_all != v]
@@ -295,10 +373,10 @@ class TestExactTakeAll:
     def test_band_splits_equal_float_c(self, case):
         # rna's second iteration admits stratum 1 and not stratum 2, whose
         # float c is the same: the band is put in exact a/b order, which moves
-        # 1 ahead of its input predecessor 2, and its hits are a prefix. Past
-        # S_MIN and S_MAX every free stratum is the band. All solvers agree
-        # with the search on V and on every bit of x, and rna's trace is the
-        # pinned one, scaled
+        # 1 ahead of its input predecessor 2, and its hits are a prefix. The
+        # thresholds scale with A/B, so the band is the same at every scale.
+        # All solvers agree with the search on V and on every bit of x, and
+        # rna's trace is the pinned one, scaled
         p, k, j = band_case(case)
         results = [solver(p) for solver in ALL_SOLVERS]
         assert results[0].take_all == brute_force_subset(p) == exact_takeall(p) == frozenset({0, 1, 2, 3})
@@ -394,15 +472,16 @@ class TestTakeAllBand:
 
         monkeypatch.setattr(model, "take_all_members", spy)
         assert is_optimal_takeall(p, v)
-        s = s_of(p, v)
-        band = [i for i in range(p.size) if TAKE_LO / s < c[i] < TAKE_HI / s]
+        B, A = map(math.fsum, model._s_terms(p, sorted(v)))  # labels are positions
+        ratio = min(A / B, model._FLOAT_MAX)
+        band = [i for i in range(p.size) if TAKE_LO * ratio - TINY < c[i] < TAKE_HI * ratio + TINY]
         assert band and handed == [band]
 
     @pytest.mark.parametrize("k,j", [(0, 0), *PAST_FILTER])
     def test_exact_tie_is_taken(self, k, j):
         # c_1 * s({0}) = 1 exactly: the test is a_w * B >= b_w * A, so 1
-        # joins V, in the filter's range of s and past it. x is the same
-        # either way; V, r* and is_optimal_takeall show the tie rule
+        # joins V, at unit scale and with s past 2**-1000 and 2**1000. x is
+        # the same either way; V, r* and is_optimal_takeall show the tie rule
         p = scaled(small([4, 1, 1], [1, 1, 10], 3), k, j)
         for solver in ALL_SOLVERS:
             assert solver(p).take_all == frozenset({0, 1}), solver.__name__
@@ -410,21 +489,36 @@ class TestTakeAllBand:
         assert not is_optimal_takeall(p, {0})
 
     def test_rational_cliff_past_s_min(self):
-        # s is about 6e-304, below S_MIN, so the float filter does not hold
-        # and every free stratum goes to the exact step; its rationals are a
-        # few parts per sum, so each solve stays fast
+        # s is about 6e-304, below 2**-1000, and A/B about 2**1000. The
+        # filter's thresholds come from A/B, so it holds at this scale too and
+        # sends only near-ties to rationals: each solve takes at most 4 times
+        # as long as on its twin with every b times 1e3, where s is above
+        # 2**-1000 (the best of 3 runs each)
         rng = np.random.default_rng(2)
         K = 2000
         a = (rng.uniform(1, 100, K) * 1e290).tolist()
         b = (rng.uniform(10, 1000, K) * 1e-14).tolist()
         p = AllocationProblem(tuple(map(Stratum, range(K), a, b)), math.fsum(b) / 2)
+        b_twin = [v * 1e3 for v in b]
+        twin = AllocationProblem(tuple(map(Stratum, range(K), a, b_twin)), math.fsum(b_twin) / 2)
+
+        def best_of_3(solver, problem):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                res = solver(problem)
+                times.append(time.perf_counter() - start)
+            return res, min(times)
+
         results = []
         for solver in ALL_SOLVERS:
-            start = time.perf_counter()
-            results.append(solver(p))
-            elapsed = time.perf_counter() - start
+            res, elapsed = best_of_3(solver, p)
+            twin_res, twin_elapsed = best_of_3(solver, twin)
+            assert twin_res.s_final > 2.0**-1000
             assert elapsed < 1.0, (solver.__name__, elapsed)
-        assert 0 < results[0].s_final < S_MIN
+            assert elapsed <= 4 * twin_elapsed, (solver.__name__, elapsed, twin_elapsed)
+            results.append(res)
+        assert 0 < results[0].s_final < 2.0**-1000
         for res in results:
             assert result_key(res) == result_key(results[0]), res.algorithm
         assert is_optimal_takeall(p, results[0].take_all)
@@ -485,7 +579,7 @@ def scaled(problem, k, j):
 
 
 def scale_problems(near_ties, split_runs):
-    # each problem with the scales past the filter's range it stays normal at
+    # each problem with the scales past 2**-1000 and 2**1000 it stays normal at
     yield table1_problem(), PAST_FILTER
     yield power_problem(19999.0), ()  # a spans 1e4..1e23, one unit below the census; a/b overflows past the range
     yield record_problem(lognormal_population(0, 10), 3000.0), PAST_FILTER

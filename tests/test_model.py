@@ -342,6 +342,16 @@ class TestFixedPoint:
         assert not is_optimal_takeall(p, {0, 1})
         assert not is_optimal_takeall(p, set())
 
+    def test_underflowing_scale(self):
+        # s(emptyset) = 1e-300 / 2e100 underflows to 0.0 and A/B overflows;
+        # c = 1e100 for both strata lies far below A/B = 2e400, so V is empty
+        p = AllocationProblem(
+            strata=(Stratum(label=0, a=1e100, b=1.0), Stratum(label=1, a=1e100, b=1.0)),
+            n=1e-300,
+        )
+        assert is_optimal_takeall(p, set())
+        assert not is_optimal_takeall(p, {0})
+
 
 class TestObjective:
     def test_hand_value(self):
