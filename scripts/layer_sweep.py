@@ -15,7 +15,9 @@ greedy_integer_optimal, and round_allocation and srswor_variance on rna's
 answer, all at the same n; then rna, sga and coma again at
 n = round(0.6 * sum(N)) and n = round(0.95 * sum(N)) (``rna@0.6``,
 ``rna@0.95`` and so on), where sga and coma take about one step per
-stratum taken; see ``worker`` for how often each is called) and records
+stratum taken, and at each share the first read of ``trace`` on a fresh sga
+result (``sga_trace@0.6``, ``sga_trace@0.95``), which builds its iteration
+records; see ``worker`` for how often each is called) and records
 each solver's iteration count r* at every n (and bisection_multiplier's
 probe count), then four
 child processes, each timed from spawn to exit, with its peak RSS read by
@@ -58,9 +60,11 @@ SOLVERS = ("rna", "sga", "coma")
 # columns of the paper's running-time comparison beside the sweep's n
 SHARES = (0.6, 0.95)
 SHARE_SOLVERS = tuple(f"{name}@{share}" for share in SHARES for name in SOLVERS)
+# the first read of result.trace, which builds the records of a solver's trace
+TRACE_READS = tuple(f"sga_trace@{share}" for share in SHARES)
 LAYERS = (
     "read_strata_csv", "build", "build_records", *SOLVERS, "v_allocation", "bisection_multiplier", *SHARE_SOLVERS,
-    "write_allocation_json",
+    *TRACE_READS, "write_allocation_json",
     "read_allocation_json", "kkt_verify", "is_optimal_takeall", "greedy_integer_optimal",
     "round_allocation", "srswor_variance",
 )
@@ -76,10 +80,10 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     """The time of every layer, and r* of each solver at n and at every
     share's n, on the stratalloc package on sys.path. A layer is timed once,
     except the solve path (build, build_records, the solvers at every n,
-    v_allocation and bisection_multiplier): it is the median of
-    ``max(SOLVE_CALLS_MIN, SOLVE_CALL_UNITS // K)`` calls, since at small K
-    one call takes microseconds, the first one runs cold, and at large K
-    one slow stretch of the host would move a single call."""
+    the first trace reads, v_allocation and bisection_multiplier): it is
+    the median of ``max(SOLVE_CALLS_MIN, SOLVE_CALL_UNITS // K)`` calls,
+    since at small K one call takes microseconds, the first one runs cold,
+    and at large K one slow stretch of the host would move a single call."""
     from stratalloc import (
         AllocationProblem,
         Stratum,
@@ -140,6 +144,13 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         at_share = formats.problem_from_rows(rows, float(n_share))
         for name, solver in zip(SOLVERS, (rna, sga, coma)):
             results[f"{name}@{share}"] = timed(f"{name}@{share}", solver, at_share, calls=calls)
+        reads = []
+        for _ in range(calls):  # each read on a fresh result, the solve untimed
+            fresh = sga(at_share)
+            start = time.perf_counter()
+            fresh.trace
+            reads.append(time.perf_counter() - start)
+        out[f"sga_trace@{share}"] = statistics.median(reads)
     return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_shares": n_shares}
 
 
@@ -272,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.repeats} repeats per K; each repeat runs every source once, in turn, in reverse order on every "
         "other repeat: one worker process "
         "timing each layer once (build, build_records, v_allocation, bisection_multiplier, and rna, sga and "
-        f"coma at n and at n_shares = round(share * sum(N)) for share in {SHARES}, as the median of "
+        f"coma at n and at n_shares = round(share * sum(N)) for share in {SHARES}, and the first read of "
+        "result.trace on a fresh sga result at each share (sga_trace@share), as the median of "
         f"max({SOLVE_CALLS_MIN}, {SOLVE_CALL_UNITS} // K) calls), then the "
         "import, allocate, verify and roundcmp children. Unscaled medians in seconds; peak_rss_mb is the median "
         "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @share "

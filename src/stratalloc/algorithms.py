@@ -30,9 +30,13 @@ filter reads c alone, so a run of equal float c that 1/s(V) splits is
 settled in rationals, the only place where ``_exact_order`` sorts strata by
 exact a/b.
 
-Each iteration appends an :class:`~stratalloc.model.IterationRecord`; the
-final record has an empty ``added`` tuple. The number of iterations r* equals
-``len(trace)``. The recorded s values are non-decreasing.
+Each iteration appends its s(V) to one list and, for rna, where V's prefix
+of the order ends after it to another; sga and coma take one stratum per
+iteration, so theirs ends at r. ``model._v_result`` keeps these columns,
+and the result builds its :class:`~stratalloc.model.IterationRecord`
+trace on first read; the final record has an empty ``added`` tuple. The
+number of iterations r* equals ``len(trace)``. The recorded s values are
+non-decreasing.
 
 Every exact s(V) is summed from one pair of term lists, which
 ``model._s_terms`` builds from the positions of V: n and -b_w on V (the
@@ -69,7 +73,6 @@ from .model import (
     _FLOAT_MAX,
     AllocationProblem,
     AllocationResult,
-    IterationRecord,
     _exact_parts,
     _s_terms,
     _scale,
@@ -92,10 +95,9 @@ def _exact_order(a: list[float], b: list[float], c: list[float], order: list[int
 
 def _batch_walk(
     problem: AllocationProblem, c: list[float], order: list[int]
-) -> tuple[list[int], float, list[IterationRecord]]:
+) -> tuple[list[int], float, list[float], list[int]]:
     # rna over the prefix V = order[:p] (see the module docstring); the
-    # band's exact sorts reorder order in place
-    labels = problem.labels
+    # band's exact sorts reorder order in place, past p only
     a, b = problem.columns.lists
 
     def minus_c(i: int) -> float:  # ascending along order
@@ -104,7 +106,8 @@ def _batch_walk(
     a_off = list(map(a.__getitem__, order))  # a_off[p:] is s(V)'s denominator
     budget = [problem.n]
     p = 0
-    trace: list[IterationRecord] = []
+    s_values: list[float] = []
+    ends: list[int] = []
     while True:
         B, A = math.fsum(budget), math.fsum(a_off[p:])
         s = B / A if A else 0.0  # _scale's terms and quotient
@@ -116,18 +119,19 @@ def _batch_walk(
             band = _exact_order(a, b, c, order, q, band_end)
             a_off[q:band_end] = map(a.__getitem__, band)
             q += take_all_members(problem, order[:p], band).count(True)
-        trace.append(IterationRecord(len(trace) + 1, s, tuple(map(labels.__getitem__, sorted(order[p:q])))))
+        s_values.append(s)
+        ends.append(q)
         if q == p:
-            return order[:p], s, trace
+            return order[:p], s, s_values, ends
         budget += map(neg, map(b.__getitem__, order[p:q]))
         p = q
 
 
 def _sorted_walk(
     problem: AllocationProblem, c: list[float], order: list[int]
-) -> tuple[list[int], float, list[IterationRecord]]:
-    # sga, coma: all strata in order, one per iteration, with V = order[:p]
-    labels = problem.labels
+) -> tuple[list[int], float, list[float], range]:
+    # sga, coma: all strata in order, one per iteration, with V = order[:p];
+    # iteration r ends V's prefix at r, the rejecting one's slicing past V
     K = problem.size
     a, b = problem.columns.lists
     shrink = (K + 2) ** 2 * 2.0**-61
@@ -136,7 +140,7 @@ def _sorted_walk(
     denom, denom_c = problem.sum_a, math.fsum([*a, -problem.sum_a])
     budget_min, denom_min = shrink * budget, shrink * denom
     p = 0
-    trace: list[IterationRecord] = []
+    s_values: list[float] = []
     for r, i in enumerate(order, start=1):
         if budget + budget_c < budget_min or denom + denom_c < denom_min:
             # B and A are positive while a stratum is free, so each has two parts at least
@@ -154,7 +158,7 @@ def _sorted_walk(
             if not take and r < K and c[order[r]] == c[i]:  # the run's exact head decides for all of it
                 i = _exact_order(a, b, c, order, r - 1, bisect_right(order, -c[i], r, key=lambda j: -c[j]))[0]
                 take = take_all_members(problem, order[:p], [i])[0]
-        trace.append(IterationRecord(r, s, (labels[i],) if take else ()))
+        s_values.append(s)
         if not take:
             break
         # compensated (Kahan-Babuska-Neumaier) subtractions of b_i and a_i:
@@ -174,7 +178,7 @@ def _sorted_walk(
             denom_c += denom - (t + v)
         denom = t
         p = r
-    return order[:p], _scale(problem, order[:p]), trace
+    return order[:p], _scale(problem, order[:p]), s_values, range(1, len(s_values) + 1)
 
 
 def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> AllocationResult:
@@ -183,8 +187,8 @@ def _solve(problem: AllocationProblem, algorithm: str, batch: bool) -> Allocatio
         return v_allocation(problem, every, _scale(problem, every), algorithm)
     c = list(map(truediv, *problem.columns.lists))
     order = sorted(every, key=c.__getitem__, reverse=True)
-    taken, s, trace = (_batch_walk if batch else _sorted_walk)(problem, c, order)
-    return v_allocation(problem, taken, s, algorithm, len(trace), tuple(trace))
+    taken, s, s_values, ends = (_batch_walk if batch else _sorted_walk)(problem, c, order)
+    return v_allocation(problem, taken, s, algorithm, (s_values, ends))
 
 
 def rna(problem: AllocationProblem) -> AllocationResult:

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import and_, attrgetter, ge, gt, le, lt, mul, neg, truediv
 
 Label = Hashable
@@ -350,6 +350,10 @@ class AllocationResult:
     for the recursive solvers, probe count for the multiplier search). trace
     holds per-iteration records for the recursive solvers and is empty for
     the oracle solvers. A frozen record built in one Python frame.
+
+    A solver's result (see :func:`_v_result`) holds its trace as columns
+    and builds the records on the first read of ``trace``, which keeps
+    them; equality, repr and pickling read it like any field.
     """
 
     x: dict[Label, float]
@@ -371,6 +375,17 @@ class AllocationResult:
         self.__dict__.update(
             x=x, take_all=take_all, s_final=s_final, iterations=iterations, trace=trace, algorithm=algorithm
         )
+
+    def __getattr__(self, name: str) -> tuple[IterationRecord, ...]:
+        # only a trace still held as _v_result's columns is missing from __dict__
+        attrs = self.__dict__
+        if name != "trace" or "_trace_columns" not in attrs:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels, idx, s_values, ends = attrs.pop("_trace_columns")
+        get = labels.__getitem__
+        added = [tuple(map(get, sorted(idx[start:end]))) for start, end in zip(chain((0,), ends), ends)]
+        attrs["trace"] = trace = tuple(map(IterationRecord, count(1), s_values, added))
+        return trace
 
     def total(self) -> float:
         return math.fsum(self.x.values())
@@ -468,13 +483,15 @@ def _v_result(
     idx: Sequence[int],
     s: float,
     algorithm: str,
-    iterations: int = 1,
-    trace: tuple[IterationRecord, ...] | None = None,
+    trace: tuple[Sequence[float], Sequence[int]] | None = None,
 ) -> AllocationResult:
     """The allocation induced by V, the strata at positions idx, with s =
     s(V) as :func:`_scale` gives it: b_w on V and a_w * s off V. The one
-    result builder of the solvers and of :func:`v_allocation`. Without a
-    trace, the one record holds s and V's labels in the order of idx."""
+    result builder of the solvers and of :func:`v_allocation`. The trace
+    comes as two columns over idx, in visiting order: each iteration's s,
+    and where V's prefix of idx ends after it (an end past len(idx) slices
+    to it); without them, one iteration holds s and all of V. The first
+    read of ``trace`` builds the records, labels in position order."""
     if s <= 0 and not (len(idx) == problem.size and problem.is_census):
         raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
     labels = problem.labels
@@ -482,16 +499,17 @@ def _v_result(
     x = list(map(mul, a, repeat(s)))
     for i in idx:
         x[i] = b[i]
-    if trace is None:
-        trace = (IterationRecord(1, s, tuple(map(labels.__getitem__, idx))),)
-    return AllocationResult(
+    s_values, ends = trace or ([s], [len(idx)])
+    result = AllocationResult.__new__(AllocationResult)
+    result.__dict__.update(
         x=dict(zip(labels, x)),
         take_all=frozenset(map(labels.__getitem__, idx)),
         s_final=s,
-        iterations=iterations,
-        trace=trace,
+        iterations=len(s_values),
+        _trace_columns=(labels, idx, s_values, ends),
         algorithm=algorithm,
     )
+    return result
 
 
 def v_allocation(

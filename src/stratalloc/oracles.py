@@ -85,10 +85,13 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
     Tries the proper subsets V of the strata by cardinality, taken from both
     ends in turn (0, K - 1, 1, K - 2, ...), then by stratum position, and
     returns the first with s(V) > 0 whose membership is consistent: w in V
-    exactly when c_w * s(V) >= 1. s(V) is the quotient of two correctly
-    rounded sums, and a c_w * s(V) within 2**-30 of 1 is decided in
-    rationals of those sums. Intended for small instances (refuses more than
-    20 strata); the consistent subset is unique.
+    exactly when c_w * s(V) >= 1, that is c_w >= A / B for s(V)'s budget B
+    and denominator A. Each is a correctly rounded sum, and a c_w within
+    2**-30 of min(A / B, the largest float), or within 2**-1060 of it where
+    that is subnormal, is decided in rationals of the two sums: no product
+    c_w * s(V) is formed, so an s(V) that overflows or underflows decides
+    nothing. Intended for small instances (refuses more than 20 strata);
+    the consistent subset is unique.
     """
     K = problem.size
     if K > _BRUTE_FORCE_MAX:
@@ -104,12 +107,14 @@ def brute_force_subset(problem: AllocationProblem) -> frozenset:
     sizes = [k for pair in zip(range(K), reversed(range(K))) for k in pair][:K]
     for size in sizes:
         for v in combinations(range(K), size):
-            # s(V) = (n - sum_V b) / (sum a - sum_V a), each sum correctly rounded
-            s = math.fsum(budget := [problem.n, *(-b[i] for i in v)]) / math.fsum(denom := [*a, *(-a[i] for i in v)])
-            if s <= 0:
+            # s(V) = B / A = (n - sum_V b) / (sum a - sum_V a), each sum correctly rounded
+            B, A = math.fsum(budget := [problem.n, *(-b[i] for i in v)]), math.fsum(denom := [*a, *(-a[i] for i in v)])
+            if B <= 0:
                 continue
-            inside = list(map(ge, map(mul, c, repeat(s)), repeat(1.0)))
-            near = by_c[bisect_left(ascending, (1 - 2**-30) / s) : bisect_right(ascending, (1 + 2**-30) / s)]
+            t = min(A / B, sys.float_info.max)  # c_w >= t, but for the near band
+            inside = list(map(ge, c, repeat(t)))
+            lo, hi = (1 - 2**-30) * t - 2**-1060, (1 + 2**-30) * t + 2**-1060
+            near = by_c[bisect_left(ascending, lo) : bisect_right(ascending, hi)]
             if near:  # decided in rationals of the two sums
                 from fractions import Fraction  # only here: verify's imports stay as they are
                 exact_budget, exact_denom = sum(map(Fraction, budget)), sum(map(Fraction, denom))

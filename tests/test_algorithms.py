@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import time
 from fractions import Fraction
 from operator import truediv
@@ -11,6 +13,7 @@ import pytest
 from conftest import exact_fixed_point, exact_takeall, make_random_problem
 from stratalloc import (
     AllocationProblem,
+    AllocationResult,
     InfeasibleSubsetError,
     StrataColumns,
     Stratum,
@@ -323,8 +326,9 @@ class TestExactTakeAll:
         # by up to 2**+-40 within a draw, and in a fifth of the draws some a or
         # b down to 2**-1030; n a share of sum(b), down to 1e-20 of it. In
         # every draw that passes validation, is_optimal_takeall accepts the
-        # exact V, and every solver that returns takes that V, with the same
-        # bits of x. A solver may raise only where s(emptyset) underflows
+        # exact V, and so do brute_force_subset and every solver that
+        # returns, with the same bits of x. A solver may raise only where
+        # s(emptyset) underflows
         rng = np.random.default_rng(23)
         checked, failures = 0, []
         for draw in range(500):
@@ -348,6 +352,8 @@ class TestExactTakeAll:
             (v,) = (frozenset(order[:r]) for r in range(K + 1) if exact_fixed_point(p, order[:r]))
             if not is_optimal_takeall(p, v):
                 failures.append((draw, "is_optimal_takeall"))
+            if brute_force_subset(p) != v:
+                failures.append((draw, "brute_force_subset"))
             keys = set()
             for solver in ALL_SOLVERS:
                 try:
@@ -633,3 +639,52 @@ def test_one_result_build_per_solve(solver, monkeypatch):
         calls.clear()
         assert result_key(solver(p)) == key
         assert calls == [p]
+
+
+def solve_mix_problem(seed, f=0.9, K=2000):
+    # the shape of perfbench's largest solve_mix instances: N uniform on
+    # [2, 2000), S lognormal with sigma 1.5, a = N * S, b = N, n = round(f * sum(N))
+    rng = np.random.default_rng(seed)
+    N = rng.integers(2, 2000, K).astype(float).tolist()
+    S = rng.lognormal(0.0, 1.5, K).tolist()
+    return AllocationProblem(StrataColumns.survey(range(K), N, S), float(round(f * math.fsum(N))))
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_trace_built_on_first_read(solver, monkeypatch):
+    # a solve builds no IterationRecord; the first read of trace builds
+    # one per iteration and keeps them, and reading it again builds none
+    built = []
+    init = model.IterationRecord.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(model.IterationRecord, "__init__", counted)
+    for seed in range(3):
+        res = solver(solve_mix_problem(seed))
+        assert built == [] and "trace" not in vars(res)
+        trace = res.trace
+        assert built == list(range(1, res.iterations + 1)) == [rec.r for rec in trace]
+        assert res.trace is trace and len(built) == res.iterations
+        built.clear()
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_lazy_trace_equals_eager_result(solver):
+    # a result whose trace is not yet read compares, copies, pickles and
+    # prints as one built with its trace by the public constructor
+    p = solve_mix_problem(0, f=0.92)
+    read = solver(p)
+    eager = AllocationResult(*(getattr(read, field.name) for field in dataclasses.fields(AllocationResult)))
+    assert "trace" in vars(eager) and read.iterations == len(eager.trace) > 1
+    assert solver(p) == eager
+    assert dataclasses.replace(solver(p)) == eager
+    assert pickle.loads(pickle.dumps(solver(p))) == eager
+    assert repr(solver(p)) == repr(eager)
+    assert eager.trace[-1].added == () and all(len(rec.added) for rec in eager.trace[:-1])
+    for res in (solver(p), read):
+        with pytest.raises(AttributeError, match="nope"):
+            getattr(res, "nope")
+        assert not hasattr(res, "_nope")

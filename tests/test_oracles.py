@@ -174,6 +174,20 @@ class TestBruteForce:
         p = small([10.0 ** (3 * w) for w in range(1, 9)], [1000] * 8, 7500)
         assert brute_force_subset(p) == rna(p).take_all == frozenset(range(1, 8))
 
+    @pytest.mark.parametrize(
+        "a,b,n,v",
+        [
+            # s(V) overflows: x off V is 1e10 - 0.5, but s({1}) = (1e10 - 0.5) / 1e-300
+            ((1e-300, 1e10), (1e10, 1.0), 1e10 + 0.5, {1}),
+            # s(V) underflows: s(emptyset) = 1e-300 / 2e100 rounds to 0.0
+            ((1e100, 1e100), (1.0, 1.0), 1e-300, set()),
+        ],
+        ids=["s_overflows", "s_underflows"],
+    )
+    def test_extreme_scales(self, a, b, n, v):
+        # decided from A / B, never from a product c_w * s(V) that leaves the floats
+        assert brute_force_subset(small(a, b, n)) == frozenset(v)
+
     def test_census(self):
         p = small([3, 4], [5, 6], 11)
         assert brute_force_subset(p) == frozenset({0, 1})
