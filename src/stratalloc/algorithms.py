@@ -139,40 +139,45 @@ def _sorted_walk(
     budget, budget_c = problem.n, 0.0
     denom, denom_c = problem.sum_a, math.fsum([*a, -problem.sum_a])
     budget_min, denom_min = shrink * budget, shrink * denom
+    take_lo, take_hi, tiny, float_max = TAKE_LO, TAKE_HI, TINY, _FLOAT_MAX  # locals: read every step
     p = 0
     s_values: list[float] = []
+    append = s_values.append
     for r, i in enumerate(order, start=1):
-        if budget + budget_c < budget_min or denom + denom_c < denom_min:
+        B, A = budget + budget_c, denom + denom_c
+        if B < budget_min or A < denom_min:
             # B and A are positive while a stratum is free, so each has two parts at least
             (budget, budget_c, *_), (denom, denom_c, *_) = map(_exact_parts, _s_terms(problem, order[:p]))
             budget_min, denom_min = shrink * budget, shrink * denom
-        B, A = budget + budget_c, denom + denom_c
+            B, A = budget + budget_c, denom + denom_c
         s, ratio = B / A, A / B
-        if ratio > _FLOAT_MAX:  # min(A / B, _FLOAT_MAX): a call per step costs more
-            ratio = _FLOAT_MAX
+        if ratio > float_max:  # min(A / B, _FLOAT_MAX): a call per step costs more
+            ratio = float_max
         # the float filter, as in is_optimal_takeall, for one candidate
-        if not TAKE_LO * ratio - TINY < c[i] < TAKE_HI * ratio + TINY:
-            take = c[i] > ratio
+        ci = c[i]
+        if not take_lo * ratio - tiny < ci < take_hi * ratio + tiny:
+            take = ci > ratio
         else:
             take = take_all_members(problem, order[:p], [i])[0]
-            if not take and r < K and c[order[r]] == c[i]:  # the run's exact head decides for all of it
-                i = _exact_order(a, b, c, order, r - 1, bisect_right(order, -c[i], r, key=lambda j: -c[j]))[0]
+            if not take and r < K and c[order[r]] == ci:  # the run's exact head decides for all of it
+                i = _exact_order(a, b, c, order, r - 1, bisect_right(order, -ci, r, key=lambda j: -c[j]))[0]
                 take = take_all_members(problem, order[:p], [i])[0]
-        s_values.append(s)
+        append(s)
         if not take:
             break
         # compensated (Kahan-Babuska-Neumaier) subtractions of b_i and a_i:
-        # each pair holds its value in the sum plus the rounding leftover
+        # each pair holds its value in the sum plus the rounding leftover;
+        # v > 0, so |x| >= |v| is x >= v or x <= -v, with no abs calls
         v = b[i]
         t = budget - v
-        if abs(budget) >= abs(v):
+        if budget >= v or budget <= -v:
             budget_c += (budget - t) - v
         else:
             budget_c += budget - (t + v)
         budget = t
         v = a[i]
         t = denom - v
-        if abs(denom) >= abs(v):
+        if denom >= v or denom <= -v:
             denom_c += (denom - t) - v
         else:
             denom_c += denom - (t + v)

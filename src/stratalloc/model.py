@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import and_, attrgetter, ge, gt, le, lt, mul, neg, truediv
@@ -49,8 +48,74 @@ def _shown(value: float) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True, init=False)
-class Stratum:
+class _DataclassFields:
+    """The ``__dataclass_fields__`` of every record class, which the
+    dataclasses functions (fields, replace, is_dataclass, asdict) read:
+    built on first read, once per class, as the fields of a dataclass made
+    over the class's field annotations. Only callers of those functions
+    read it, and they have imported dataclasses already."""
+
+    def __init__(self) -> None:
+        self.by_class: dict[type, dict] = {}
+
+    def __get__(self, record: object, cls: type) -> dict:
+        fields = self.by_class.get(cls)
+        if fields is None:
+            from dataclasses import make_dataclass
+
+            types: dict[str, object] = {}
+            for klass in reversed(cls.__mro__[:-1]):  # a subclass's annotation wins
+                types.update(klass.__annotations__)
+            spec = [(name, types[name]) for name in cls.__match_args__]
+            shadow = make_dataclass(cls.__name__, spec, init=False, repr=False, eq=False)
+            fields = self.by_class[cls] = shadow.__dataclass_fields__
+        return fields
+
+
+class _Record:
+    """A frozen record that behaves as a frozen dataclass whose fields are
+    its ``__match_args__``: equal to a record of the same class with equal
+    fields, hashed and shown by its fields, copied with new field values by
+    ``__replace__``, and immutable, raising dataclasses'
+    FrozenInstanceError. ``dataclasses`` is imported only when one of its
+    functions reads a record, or on that error. Subclasses write their
+    fields straight into the instance's ``__dict__``."""
+
+    __match_args__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the field values as a tuple: every record has two fields or more
+        cls._field_values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == other._field_values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._field_values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __replace__(self, /, **changes: object) -> _Record:
+        return type(self)(**dict(zip(self.__match_args__, self._field_values(self)), **changes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only on this error path
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Stratum(_Record):
     """One stratum: a label, a variability weight a, and an upper bound b.
 
     The one constructor checks that a, b and a/b are positive and finite
@@ -64,6 +129,7 @@ class Stratum:
     plain stratum both read None.
     """
 
+    __match_args__ = ("label", "a", "b")
     label: Label
     a: float
     b: float
@@ -98,7 +164,6 @@ class Stratum:
         return self.a / self.b
 
 
-@dataclass(frozen=True, init=False)
 class SurveyStratum(Stratum):
     """A stratum of an SRSWOR design: b = N units with standard deviation S.
 
@@ -106,6 +171,7 @@ class SurveyStratum(Stratum):
     whose a is not b * S is rejected, after the :class:`Stratum` checks.
     """
 
+    __match_args__ = ("label", "a", "b", "S")
     S: float
 
     def __init__(self, label: Label, a: float, b: float, S: float) -> None:
@@ -318,13 +384,13 @@ class AllocationProblem:
         return self.n == self.sum_b
 
 
-@dataclass(frozen=True, init=False)
-class IterationRecord:
+class IterationRecord(_Record):
     """One solver iteration: 1-based index r, the scale s(V_r), labels added.
 
     Like :class:`Stratum`, a frozen record built in one Python frame.
     """
 
+    __match_args__ = ("r", "s_value", "added")
     r: int
     s_value: float
     added: tuple[Label, ...]
@@ -336,8 +402,7 @@ class IterationRecord:
         attrs["added"] = added
 
 
-@dataclass(frozen=True, init=False)
-class AllocationResult:
+class AllocationResult(_Record):
     """A solved allocation.
 
     x maps labels to allocated values in the problem's stratum order. For
@@ -356,6 +421,7 @@ class AllocationResult:
     them; equality, repr and pickling read it like any field.
     """
 
+    __match_args__ = ("x", "take_all", "s_final", "iterations", "trace", "algorithm")
     x: dict[Label, float]
     take_all: frozenset
     s_final: float

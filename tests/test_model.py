@@ -1,12 +1,18 @@
+import copy
 import dataclasses
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stratalloc
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
@@ -160,6 +166,61 @@ def test_records_are_frozen_dataclasses(cls, values, names, text):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.extra = 1
     assert tuple(getattr(rec, name) for name in names) == values
+
+
+RECORD_DOCS = {
+    Stratum: "One stratum: a label, a variability weight a, and an upper bound b.",
+    SurveyStratum: "A stratum of an SRSWOR design: b = N units with standard deviation S.",
+    IterationRecord: "One solver iteration: 1-based index r, the scale s(V_r), labels added.",
+    AllocationResult: "A solved allocation.",
+}
+
+
+def test_record_fields_are_built_per_class():
+    # in a fresh interpreter, a subclass read after its base gets its own
+    # fields, not a cached copy of the base's
+    code = (
+        "import dataclasses\n"
+        "from stratalloc.model import Stratum, SurveyStratum\n"
+        "print([len(dataclasses.fields(cls)) for cls in (Stratum, SurveyStratum, Stratum)])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stratalloc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[3, 4, 3]\n"
+    assert [f.name for f in dataclasses.fields(SurveyStratum)] == ["label", "a", "b", "S"]
+
+
+def test_records_behave_as_frozen_dataclasses():
+    st, survey = Stratum("u", 2.0, 4.0), SurveyStratum("v", 6.0, 3.0, 2.0)
+    result = v_allocation(two_stratum(), [])
+    assert "trace" not in vars(result)
+    for cls, doc in RECORD_DOCS.items():
+        assert dataclasses.is_dataclass(cls) and cls.__doc__.splitlines()[0] == doc, cls
+    assert all(map(dataclasses.is_dataclass, (st, survey, result, result.trace[0])))
+    assert dataclasses.asdict(survey) == {"label": "v", "a": 6.0, "b": 3.0, "S": 2.0}
+    # asdict reads a trace not yet built
+    fresh = v_allocation(two_stratum(), [])
+    assert dataclasses.asdict(fresh) == {
+        "x": result.x, "take_all": frozenset(), "s_final": result.s_final, "iterations": 1,
+        "trace": ({"r": 1, "s_value": result.s_final, "added": ()},), "algorithm": "v_allocation",
+    }
+    for rec in (st, survey, result, v_allocation(two_stratum(), [])):
+        twin = copy.copy(rec)
+        assert type(twin) is type(rec) and twin == rec and repr(twin) == repr(rec)
+    assert st.__replace__(a=3.0) == Stratum("u", 3.0, 4.0)
+    assert survey.__replace__() == survey and type(survey.__replace__()) is SurveyStratum
+    if sys.version_info >= (3, 13):
+        assert copy.replace(st, b=5.0) == Stratum("u", 2.0, 5.0)
+    match st:
+        case Stratum(label, a, b):
+            assert (label, a, b) == ("u", 2.0, 4.0)
+        case _:
+            pytest.fail("no positional match")
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'a'$"):
+        st.a = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'a'$"):
+        del st.a
 
 
 class TestAllocationProblem:
