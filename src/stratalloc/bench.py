@@ -5,11 +5,10 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 from .algorithms import SOLVERS
-from .model import AllocationProblem, AllocationResult
+from .model import AllocationProblem, AllocationResult, _Record
 
 __all__ = ["BenchResult", "time_solver", "run_bench", "write_bench_csv", "SOLVERS"]
 
@@ -25,8 +24,7 @@ BENCH_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(_Record):
     """Median wall time of one solver on one problem.
 
     median_ns is the median over ``repetitions`` timed runs (warm-up runs

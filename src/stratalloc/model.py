@@ -51,43 +51,56 @@ def _shown(value: float) -> str:
 class _DataclassFields:
     """The ``__dataclass_fields__`` of every record class, which the
     dataclasses functions (fields, replace, is_dataclass, asdict) read:
-    built on first read, once per class, as the fields of a dataclass made
-    over the class's field annotations. Only callers of those functions
-    read it, and they have imported dataclasses already."""
-
-    def __init__(self) -> None:
-        self.by_class: dict[type, dict] = {}
+    built on first read from a dataclass made over the class's ``_types``
+    and ``_defaults``, and kept in the class's own ``__dict__``, which a
+    subclass does not read. Only callers of those functions read it, and
+    they have imported dataclasses already."""
 
     def __get__(self, record: object, cls: type) -> dict:
-        fields = self.by_class.get(cls)
+        fields = vars(cls).get("_shadow_fields")
         if fields is None:
             from dataclasses import make_dataclass
 
-            types: dict[str, object] = {}
-            for klass in reversed(cls.__mro__[:-1]):  # a subclass's annotation wins
-                types.update(klass.__annotations__)
-            spec = [(name, types[name]) for name in cls.__match_args__]
-            shadow = make_dataclass(cls.__name__, spec, init=False, repr=False, eq=False)
-            fields = self.by_class[cls] = shadow.__dataclass_fields__
+            types, defaults = cls._types.items(), dict(cls._defaults)
+            shadow = make_dataclass(cls.__name__, types, namespace=defaults, init=False, repr=False, eq=False)
+            fields = cls._shadow_fields = shadow.__dataclass_fields__
         return fields
 
 
 class _Record:
-    """A frozen record that behaves as a frozen dataclass whose fields are
-    its ``__match_args__``: equal to a record of the same class with equal
-    fields, hashed and shown by its fields, copied with new field values by
-    ``__replace__``, and immutable, raising dataclasses'
-    FrozenInstanceError. ``dataclasses`` is imported only when one of its
-    functions reads a record, or on that error. Subclasses write their
-    fields straight into the instance's ``__dict__``."""
+    """The one record base: a record that behaves as a frozen dataclass.
+    A class's fields (``_types``, ``__match_args__``) are its base's, then
+    the names its body annotates, with the values the body gives as
+    defaults (``_defaults``). Records are equal, hashed and shown by class and fields,
+    copied by ``__replace__``, and immutable, raising dataclasses'
+    FrozenInstanceError; ``dataclasses`` is imported only when one of its
+    functions reads a record, or on that error. The generic constructor
+    takes fields by position, then by name; a class whose records validate
+    or are built many at a time writes its own, into ``__dict__``."""
 
     __match_args__ = ()
+    _types = _defaults = {}
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        body = vars(cls)
+        own = {name: kind for name, kind in body.get("__annotations__", {}).items() if name not in cls._types}
+        cls._types = {**cls._types, **own}
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+        cls.__match_args__ = tuple(cls._types)
         # the field values as a tuple: every record has two fields or more
         cls._field_values = attrgetter(*cls.__match_args__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, attrs = self.__match_args__, self.__dict__
+        attrs.update(self._defaults)
+        attrs.update(zip(names, args))
+        attrs.update(kwargs)
+        # too many fields by position, a name not among the rest, or a field left out with no default
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]) or len(attrs) < len(names):
+            given = f"{len(args)} by position and {tuple(kwargs)} by name"
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}; got {given}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -129,7 +142,6 @@ class Stratum(_Record):
     plain stratum both read None.
     """
 
-    __match_args__ = ("label", "a", "b")
     label: Label
     a: float
     b: float
@@ -171,7 +183,6 @@ class SurveyStratum(Stratum):
     whose a is not b * S is rejected, after the :class:`Stratum` checks.
     """
 
-    __match_args__ = ("label", "a", "b", "S")
     S: float
 
     def __init__(self, label: Label, a: float, b: float, S: float) -> None:
@@ -387,10 +398,10 @@ class AllocationProblem:
 class IterationRecord(_Record):
     """One solver iteration: 1-based index r, the scale s(V_r), labels added.
 
-    Like :class:`Stratum`, a frozen record built in one Python frame.
+    Like :class:`Stratum`, built in one Python frame: the first read of a
+    trace builds many.
     """
 
-    __match_args__ = ("r", "s_value", "added")
     r: int
     s_value: float
     added: tuple[Label, ...]
@@ -414,33 +425,19 @@ class AllocationResult(_Record):
     v_allocation. iterations is the 1-based count of solver iterations (r*
     for the recursive solvers, probe count for the multiplier search). trace
     holds per-iteration records for the recursive solvers and is empty for
-    the oracle solvers. A frozen record built in one Python frame.
+    the oracle solvers.
 
     A solver's result (see :func:`_v_result`) holds its trace as columns
     and builds the records on the first read of ``trace``, which keeps
     them; equality, repr and pickling read it like any field.
     """
 
-    __match_args__ = ("x", "take_all", "s_final", "iterations", "trace", "algorithm")
     x: dict[Label, float]
     take_all: frozenset
     s_final: float
     iterations: int
     trace: tuple[IterationRecord, ...]
     algorithm: str
-
-    def __init__(
-        self,
-        x: dict[Label, float],
-        take_all: frozenset,
-        s_final: float,
-        iterations: int,
-        trace: tuple[IterationRecord, ...],
-        algorithm: str,
-    ) -> None:
-        self.__dict__.update(
-            x=x, take_all=take_all, s_final=s_final, iterations=iterations, trace=trace, algorithm=algorithm
-        )
 
     def __getattr__(self, name: str) -> tuple[IterationRecord, ...]:
         # only a trace still held as _v_result's columns is missing from __dict__
@@ -639,8 +636,8 @@ def srswor_variance(
     """Design variance of the stratified SRSWOR total under allocation x.
 
     Computes sum_w (N_w S_w)**2 / x_w - sum_w (N_w S_w)**2 / N_w, each sum
-    correctly rounded. Requires 0 < x_w <= N_w and S_w >= 0 for every
-    stratum; equals 0 exactly at the census x = N.
+    correctly rounded. Requires 0 < x_w <= N_w, S_w >= 0 and a finite
+    (N_w S_w)**2 for every stratum; equals 0 exactly at the census x = N.
     """
     if not (N.keys() == S.keys() == x.keys()):
         raise ValueError("N, S and x must cover the same labels")
@@ -662,5 +659,13 @@ def srswor_variance(
                 raise ValueError(f"stratum {w!r}: S must be nonnegative")
             if not (0 < xw <= Nw):
                 raise ValueError(f"stratum {w!r}: need 0 < x <= N, got x={xw!r}, N={Nw!r}")
-    d2 = list(map(pow, map(mul, Nv, Sv), repeat(2)))
-    return math.fsum(map(truediv, d2, xv)) - math.fsum(map(truediv, d2, Nv))
+    try:
+        d2 = list(map(pow, map(mul, Nv, Sv), repeat(2)))
+        variance = math.fsum(map(truediv, d2, xv)) - math.fsum(map(truediv, d2, Nv))
+    except OverflowError:  # a square, or a sum, past the floats
+        variance = math.inf
+    if not math.isfinite(variance):  # sought only here: the checks above pass an infinite N or S
+        for w, Nw, Sw in zip(N, Nv, Sv):
+            if not math.isfinite(Nw * Sw * (Nw * Sw)):
+                raise ValueError(f"stratum {w!r}: (N*S)**2 must be a finite float, got N={Nw!r}, S={Sw!r}")
+    return variance

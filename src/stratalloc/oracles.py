@@ -24,13 +24,12 @@ import math
 import struct
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, compress, repeat
 from math import floor, sqrt
 from operator import add, and_, eq, ge, getitem, gt, le, lt, mul, neg, not_, or_, sub, truediv
 
-from .model import AllocationProblem, AllocationResult, Label
+from .model import AllocationProblem, AllocationResult, Label, _Record
 
 __all__ = [
     "KktCertificate",
@@ -48,8 +47,7 @@ class LabelMismatchError(ValueError):
     """Raised when an allocation's labels are not the problem's."""
 
 
-@dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(_Record):
     """Checkable first-order optimality certificate.
 
     mu is the multiplier of the sum constraint; lam maps each label to the

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, le, sub
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
-from .model import AllocationProblem, Label, StrataColumns, srswor_variance
+from .model import AllocationProblem, Label, StrataColumns, _Record, srswor_variance
 from .oracles import greedy_integer_optimal
 
 __all__ = [
@@ -23,8 +22,7 @@ __all__ = [
 VARIANCE_CSV_HEADER = ("fraction", "n", "d2_cont", "d2_rounded", "d2_int", "ratio_ci", "ratio_ri")
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(_Record):
     """Variance comparison at one sampling fraction.
 
     d2_continuous, d2_rounded and d2_integer are the SRSWOR design variances

@@ -615,6 +615,16 @@ class TestRoundcmp:
         Stratum("u", 1.0, 2.0)
         assert built_records == ["u"]  # the count sees records
 
+    def test_variance_overflow_exit_2(self, tmp_path, capsys):
+        # a valid file whose (N*S)**2 overflows a float: a bare OverflowError
+        # gave a traceback and exit 1, the code of a failed verification
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,N,S\nu,1000000,1e150\nv,2000000,3e150\n")
+        code = main(["roundcmp", "--input", str(pop), "--fraction", "0.5", "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: stratum 'u': (N*S)**2 must be a finite float, got N=1000000, S=1e+150\n"
+
     def test_weight_form_needs_integer_bounds(self, tmp_path, capsys):
         pop = tmp_path / "pop.csv"
         pop.write_text("label,a,b\nu,1,2.5\n")

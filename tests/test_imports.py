@@ -3,10 +3,9 @@
 The package resolves its public names on first use, so ``import stratalloc``
 loads no submodule, and each command imports only the modules it runs:
 allocate needs no oracle, rounding, population or bench code, and none of
-fractions, decimal, statistics, heapq or numpy. The records behave as frozen
-dataclasses without importing dataclasses, so neither ``import stratalloc.cli``
-nor allocate loads dataclasses or inspect; verify and roundcmp may, through
-the oracles' own dataclasses."""
+fractions, decimal, statistics, heapq or numpy. Every record behaves as a
+frozen dataclass without importing dataclasses, so no command (import,
+allocate, verify, roundcmp) loads dataclasses or inspect."""
 
 import json
 import os
@@ -82,6 +81,7 @@ def test_each_command_loads_only_its_modules(commands):
     for name in ("import", "allocate"):
         assert {m for m in mods[name] if m.startswith("stratalloc")} == COMMON, name
         assert not mods[name] & {*NEVER, "stratalloc.oracles", "stratalloc.rounding", "decimal", "heapq"}, name
+    for name in ("import", "allocate", "verify", "roundcmp"):
         assert not mods[name] & {"dataclasses", "inspect"}, name
     assert {m for m in mods["verify"] if m.startswith("stratalloc")} == COMMON | {"stratalloc.oracles"}
     assert not mods["verify"] & {*NEVER, "stratalloc.rounding"}

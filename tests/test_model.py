@@ -16,11 +16,14 @@ import stratalloc
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
+    BenchResult,
     InfeasibleProblemError,
     InfeasibleSubsetError,
     IterationRecord,
+    KktCertificate,
     Stratum,
     SurveyStratum,
+    VarianceReport,
     is_optimal_takeall,
     objective,
     s_of,
@@ -141,8 +144,31 @@ class TestStratum:
             "AllocationResult(x={'u': 1.0}, take_all=frozenset({'u'}), s_final=0.5, iterations=1,"
             " trace=(IterationRecord(r=1, s_value=0.5, added=('u',)),), algorithm='rna')",
         ),
+        (
+            KktCertificate,
+            (0.25, {"u": 0.0}, {"stationarity": 0.0, "primal": 0.0, "complementary": 0.0}, 1e-09),
+            ("mu", "lam", "residuals", "tol"),
+            "KktCertificate(mu=0.25, lam={'u': 0.0},"
+            " residuals={'stationarity': 0.0, 'primal': 0.0, 'complementary': 0.0}, tol=1e-09)",
+        ),
+        (
+            VarianceReport,
+            (0.1, 5, 1.5, 2.0, 1.25, 1.2, 1.6, False),
+            ("sample_fraction", "n", "d2_continuous", "d2_rounded", "d2_integer", "ratio_cont_over_int",
+             "ratio_rounded_over_int", "skipped"),
+            "VarianceReport(sample_fraction=0.1, n=5, d2_continuous=1.5, d2_rounded=2.0, d2_integer=1.25,"
+            " ratio_cont_over_int=1.2, ratio_rounded_over_int=1.6, skipped=False)",
+        ),
+        (
+            BenchResult,
+            ("rna", "p1", 3, 10.0, 1200, 100, 2, 1),
+            ("algorithm", "problem_id", "K", "n", "median_ns", "repetitions", "iterations", "take_all_count"),
+            "BenchResult(algorithm='rna', problem_id='p1', K=3, n=10.0, median_ns=1200, repetitions=100,"
+            " iterations=2, take_all_count=1)",
+        ),
     ],
-    ids=["Stratum", "SurveyStratum", "IterationRecord", "AllocationResult"],
+    ids=["Stratum", "SurveyStratum", "IterationRecord", "AllocationResult", "KktCertificate", "VarianceReport",
+         "BenchResult"],
 )
 def test_records_are_frozen_dataclasses(cls, values, names, text):
     rec = cls(*values)
@@ -153,9 +179,9 @@ def test_records_are_frozen_dataclasses(cls, values, names, text):
     assert rec == cls(**dict(zip(names, values))) == dataclasses.replace(rec) == pickle.loads(pickle.dumps(rec))
     assert rec != values
     assert rec != dataclasses.replace(rec, **{names[0]: "other"})
-    if cls is AllocationResult:
+    if cls in (AllocationResult, KktCertificate):
         with pytest.raises(TypeError, match="unhashable"):
-            hash(rec)  # x is a dict
+            hash(rec)  # AllocationResult.x and KktCertificate.lam are dicts
     else:
         assert hash(rec) == hash(values) == hash(cls(*values))
     for name in names:
@@ -173,6 +199,9 @@ RECORD_DOCS = {
     SurveyStratum: "A stratum of an SRSWOR design: b = N units with standard deviation S.",
     IterationRecord: "One solver iteration: 1-based index r, the scale s(V_r), labels added.",
     AllocationResult: "A solved allocation.",
+    KktCertificate: "Checkable first-order optimality certificate.",
+    VarianceReport: "Variance comparison at one sampling fraction.",
+    BenchResult: "Median wall time of one solver on one problem.",
 }
 
 
@@ -221,6 +250,34 @@ def test_records_behave_as_frozen_dataclasses():
         st.a = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'a'$"):
         del st.a
+
+
+def test_generic_record_constructor():
+    # fields by position, then by name; a field left out takes its class default
+    values = (0.1, 5, 1.5, 2.0, 1.25, 1.2, 1.6)
+    report = VarianceReport(*values)
+    assert report.skipped is False and report == VarianceReport(*values, skipped=False)
+    assert report == VarianceReport(*values[:2], **dict(zip(VarianceReport.__match_args__[2:], values[2:])))
+    assert VarianceReport(*values, True).skipped is True
+    assert dataclasses.fields(VarianceReport)[-1].default is False
+    assert [f.default for f in dataclasses.fields(VarianceReport)[:-1]] == [dataclasses.MISSING] * 7
+    assert dataclasses.asdict(report)["skipped"] is False
+    assert dataclasses.replace(report, n=6) == VarianceReport(0.1, 6, *values[2:])
+    cert = KktCertificate(mu=1.0, lam={}, residuals={}, tol=1e-9)
+    assert dataclasses.asdict(cert) == {"mu": 1.0, "lam": {}, "residuals": {}, "tol": 1e-9} and cert.valid
+    # a field left out, an unknown name, a field given twice, one too many by position
+    fields = "('mu', 'lam', 'residuals', 'tol')"
+    for args, kwargs, given in [
+        ((1.0,), {"lam": {}}, "1 by position and ('lam',) by name"),
+        ((1.0, {}, {}, 1e-9), {"nu": 2.0}, "4 by position and ('nu',) by name"),
+        ((1.0, {}, {}, 1e-9), {"mu": 2.0}, "4 by position and ('mu',) by name"),
+        ((1.0, {}, {}, 1e-9, 0), {}, "5 by position and () by name"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            KktCertificate(*args, **kwargs)
+        assert str(err.value) == f"KktCertificate() takes the fields {fields}; got {given}"
+    with pytest.raises(TypeError, match="'nope'"):
+        dataclasses.replace(report, nope=1)
 
 
 class TestAllocationProblem:
@@ -468,6 +525,23 @@ class TestSrsworVariance:
             srswor_variance({"u": 10}, {"u": math.nan}, {"u": 5.0})
         with pytest.raises(ValueError, match=r"^stratum 'u': need 0 < x <= N, got x=11.0, N=10$"):
             srswor_variance({"u": 10}, {"u": 2.0}, {"u": 11.0})
+        # an infinite N or S passes the checks above, and gave nan; a square
+        # past the floats raised a bare OverflowError, and N*S past them gave nan
+        square = r"\(N\*S\)\*\*2 must be a finite float"
+        with pytest.raises(ValueError, match=rf"^stratum 'u': {square}, got N=2, S=inf$"):
+            srswor_variance({"u": 2}, {"u": math.inf}, {"u": 1})
+        with pytest.raises(ValueError, match=rf"^stratum 'v': {square}, got N=inf, S=1.0$"):
+            srswor_variance({"u": 2, "v": math.inf}, {"u": 1.0, "v": 1.0}, {"u": 1, "v": 1})
+        with pytest.raises(ValueError, match=rf"^stratum 'u': {square}, got N=inf, S=0.0$"):
+            srswor_variance({"u": math.inf}, {"u": 0.0}, {"u": 1})
+        with pytest.raises(ValueError, match=rf"^stratum 'v': {square}, got N=1000000.0, S=1e\+150$"):
+            srswor_variance({"u": 2, "v": 1e6}, {"u": 1.0, "v": 1e150}, {"u": 1, "v": 1})
+        with pytest.raises(ValueError, match=rf"^stratum 'u': {square}, got N=1e\+200, S=1e\+200$"):
+            srswor_variance({"u": 1e200}, {"u": 1e200}, {"u": 1})
+
+    def test_variance_past_the_floats_reads_inf(self):
+        # every square is a float, but their sum is not: fsum raised OverflowError
+        assert srswor_variance({"u": 1, "v": 1}, {"u": 1e154, "v": 1e154}, {"u": 1, "v": 1}) == math.inf
 
     def test_decreases_in_x(self):
         N = {"u": 100, "v": 50}

@@ -384,7 +384,8 @@ class TestKktVerify:
             kkt_verify(p, wrong)
 
     def test_shares_no_code_with_the_kernel(self):
-        # the oracles take only the problem and result types from model
+        # the oracles take only the problem and result types, and the record
+        # base, which holds no solver or filter code, from model
         tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
         taken = {
             alias.name
@@ -392,7 +393,7 @@ class TestKktVerify:
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
             for alias in node.names
         }
-        assert taken == {"AllocationProblem", "AllocationResult", "Label"}
+        assert taken == {"AllocationProblem", "AllocationResult", "Label", "_Record"}
         imported = {
             node.module
             for node in ast.walk(tree)
