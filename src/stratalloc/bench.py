@@ -86,7 +86,7 @@ def run_bench(problems: Sequence[tuple[str, AllocationProblem]], *, repetitions:
                     median_ns=median_ns,
                     repetitions=repetitions,
                     iterations=result.iterations,
-                    take_all_count=len(result.take_all),
+                    take_all_count=sum(result._columns()[2]),
                 )
             )
     return out

@@ -81,7 +81,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fixed_point = is_optimal_takeall(problem, result.take_all)
     for cond, r in cert.residuals.items():
         print(f"{cond} residual: {r:.3e}")
-    print(f"min bound multiplier: {min(cert.lam.values()):.3e}")
+    print(f"min bound multiplier: {cert.min_bound_multiplier:.3e}")
     print(f"take-all fixed point: {'ok' if fixed_point else 'FAIL'}")
     print(f"certificate: {'valid' if cert.valid else 'INVALID'} (tol = {cert.tol:g})")
     failed = cert.failed if fixed_point else (*cert.failed, "take-all fixed point")

@@ -253,24 +253,28 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     order), allocation (label/x pairs in problem order). The document is
     composed directly because json.dump formats floats with the shortest
     repr, which would make byte-level comparison depend on magnitudes. The
-    lists are written ``BLOCK_ROWS`` labels at a time, each block one
-    formatting of a repeated item template, so the write holds one block
-    of text. JSON has no inf or nan, so a ValueError naming the stratum and
-    s is raised, before anything is written, when a number is not finite;
-    a label that JSON cannot encode raises json's TypeError, also before
-    anything is written.
+    result is read as columns (labels, x, take-all flags), and the lists
+    are written ``BLOCK_ROWS`` labels at a time, each block one formatting
+    of a repeated item template, so the write holds one block of text.
+    JSON has no inf or nan, so a ValueError naming the stratum and s is
+    raised, before anything is written, when a number is not finite; a
+    label that JSON cannot encode raises json's TypeError, and a take_all
+    label that x does not hold a ValueError, also before anything is
+    written.
     """
-    x = result.x
-    if not all(map(math.isfinite, x.values())):
-        label, bad = next((label, v) for label, v in x.items() if not math.isfinite(v))
+    labels, xs, on = result._columns()
+    if not all(map(math.isfinite, xs)):
+        label, bad = next((label, v) for label, v in zip(labels, xs) if not math.isfinite(v))
         raise ValueError(
             f"cannot write the allocation as JSON: stratum {label!r} has x = {bad!r} at s = {result.s_final!r}"
         )
     if not (math.isfinite(n) and math.isfinite(result.s_final)):
         raise ValueError(f"cannot write the allocation as JSON: n = {n!r}, s = {result.s_final!r}")
-    if not all(map(isinstance, x, repeat(str))):
-        for label in x:
+    if not all(map(isinstance, labels, repeat(str))):
+        for label in labels:
             json.dumps(label)  # a label JSON cannot encode raises before anything is written
+    if on is None:
+        raise ValueError("cannot write the allocation as JSON: take_all holds a label that x does not")
     fp.write(
         "{\n"
         f'  "algorithm": {json.dumps(result.algorithm)},\n'
@@ -279,11 +283,10 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
         f'  "iterations": {int(result.iterations)},\n'
         '  "take_all": '
     )
-    in_take_all = result.take_all.__contains__
-    take_all = (list(compress(labels, map(in_take_all, labels))) for labels in _blocks(x))
-    _write_list(fp, (_SEP.join(_json_labels(labels)) for labels in take_all))
+    take_all = map(compress, _blocks(labels), _blocks(on))
+    _write_list(fp, (_SEP.join(_json_labels(list(block))) for block in take_all))
     fp.write(',\n  "allocation": ')
-    _write_list(fp, map(_entries, _blocks(x), _blocks(x.values())))
+    _write_list(fp, map(_entries, _blocks(labels), _blocks(xs)))
     fp.write("\n}\n")
 
 
@@ -307,7 +310,9 @@ def _typed(value, types: Collection[type], name: str, field: str, what: str):
 def read_allocation_json(fp: IO[str], name: str = "allocation json") -> AllocationResult:
     """Parse an allocation document back into an AllocationResult.
 
-    The trace is not serialized; parsed results carry an empty trace.
+    The result holds the answer as columns, as a solver's does: the
+    labels, x in their order, and V as positions among them. The trace is
+    not serialized; parsed results carry an empty trace.
     s_final and every x must be a JSON number, iterations a JSON integer,
     algorithm a string and take_all a list of labels from allocation;
     anything else raises a ValueError naming the file and the field.
@@ -322,26 +327,22 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
         take_all = doc["take_all"]
         s_final = float(_typed(doc["s_final"], _NUMBER, name, "s_final", "a number"))
         iterations = _typed(doc["iterations"], (int,), name, "iterations", "an integer")
-        labels = list(map(itemgetter("label"), entries))
+        labels = tuple(map(itemgetter("label"), entries))
         xs = list(map(itemgetter("x"), entries))
         if not _NUMBER.issuperset(map(type, xs)):
             for label, xv in zip(labels, xs):
                 _typed(xv, _NUMBER, name, f"allocation: x of label {label!r}", "a number")
-        x = dict(zip(labels, map(float, xs)))
+        xs = list(map(float, xs))
+        seen = set(labels)  # for the checks below only
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: missing or malformed field: {exc}") from None
-    if len(x) != len(entries):
+    if len(seen) != len(labels):
         raise ValueError(f"{name}: duplicate labels in allocation")
     if not isinstance(take_all, list):
         raise ValueError(f"{name}: take_all must be a list of labels, got {take_all!r}")
     for label in take_all:
-        if not (isinstance(label, Hashable) and label in x):
+        if not (isinstance(label, Hashable) and label in seen):
             raise ValueError(f"{name}: take_all: {label!r} is not a label in allocation")
-    return AllocationResult(
-        x=x,
-        take_all=frozenset(take_all),
-        s_final=s_final,
-        iterations=iterations,
-        trace=(),
-        algorithm=algorithm,
-    )
+    del seen
+    v = list(compress(range(len(labels)), map(frozenset(take_all).__contains__, labels)))
+    return AllocationResult._from_columns(labels, xs, v, s_final, iterations, algorithm)

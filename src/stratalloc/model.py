@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import and_, attrgetter, ge, gt, le, lt, mul, neg, truediv
@@ -76,10 +76,16 @@ class _Record:
     FrozenInstanceError; ``dataclasses`` is imported only when one of its
     functions reads a record, or on that error. The generic constructor
     takes fields by position, then by name; a class whose records validate
-    or are built many at a time writes its own, into ``__dict__``."""
+    or are built many at a time writes its own, into ``__dict__``.
+
+    A record may hold a field as columns in place of its value: ``_views``
+    maps such a field to the function that builds the value from them. The
+    first read of a field missing from ``__dict__`` builds it, keeps it in
+    ``__dict__`` and returns it; so equality, repr, pickling and the
+    dataclasses functions read it like any field."""
 
     __match_args__ = ()
-    _types = _defaults = {}
+    _types = _defaults = _views = {}
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls) -> None:
@@ -116,6 +122,14 @@ class _Record:
 
     def __replace__(self, /, **changes: object) -> _Record:
         return type(self)(**dict(zip(self.__match_args__, self._field_values(self)), **changes))
+
+    def __getattr__(self, name: str) -> object:
+        # only a name found neither in __dict__ nor on the class reaches here
+        view = self._views.get(name)
+        if view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = view(self)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         from dataclasses import FrozenInstanceError  # only on this error path
@@ -427,9 +441,12 @@ class AllocationResult(_Record):
     holds per-iteration records for the recursive solvers and is empty for
     the oracle solvers.
 
-    A solver's result (see :func:`_v_result`) holds its trace as columns
-    and builds the records on the first read of ``trace``, which keeps
-    them; equality, repr and pickling read it like any field.
+    A solver's result (see :func:`_v_result`) and a parsed one (see
+    :func:`~stratalloc.formats.read_allocation_json`) hold the answer as
+    columns: the labels, x as a list in their order, and V as positions
+    among them, with a solver's trace as columns over those positions. The
+    first read of ``x``, ``take_all`` or ``trace`` builds it from them and
+    keeps it. :meth:`_columns` gives the columns of any result.
     """
 
     x: dict[Label, float]
@@ -439,19 +456,62 @@ class AllocationResult(_Record):
     trace: tuple[IterationRecord, ...]
     algorithm: str
 
-    def __getattr__(self, name: str) -> tuple[IterationRecord, ...]:
-        # only a trace still held as _v_result's columns is missing from __dict__
-        attrs = self.__dict__
-        if name != "trace" or "_trace_columns" not in attrs:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels, idx, s_values, ends = attrs.pop("_trace_columns")
-        get = labels.__getitem__
+    @classmethod
+    def _from_columns(
+        cls,
+        labels: tuple[Label, ...],
+        xs: list[float],
+        v: Sequence[int],
+        s_final: float,
+        iterations: int,
+        algorithm: str,
+        trace: tuple[Sequence[float], Sequence[int]] | None = None,
+    ) -> AllocationResult:
+        """The result over columns that are kept, not copied: labels, x over
+        them in that order, and V as distinct positions among them. The
+        trace comes as two columns over v, in visiting order: each
+        iteration's s, and where V's prefix of v ends after it (an end past
+        len(v) slices to it); without them it is empty."""
+        result = cls.__new__(cls)
+        attrs = result.__dict__
+        attrs.update(_labels=labels, _xs=xs, _v=v, s_final=s_final, iterations=iterations, algorithm=algorithm)
+        if trace is None:
+            attrs["trace"] = ()
+        else:
+            attrs["_trace_columns"] = trace
+        return result
+
+    def _x_view(self) -> dict[Label, float]:
+        return dict(zip(self._labels, self._xs))
+
+    def _take_all_view(self) -> frozenset:
+        return frozenset(map(self._labels.__getitem__, self._v))
+
+    def _trace_view(self) -> tuple[IterationRecord, ...]:
+        # each iteration adds V's positions from the last end to its own, labels in position order
+        (s_values, ends), idx, get = self._trace_columns, self._v, self._labels.__getitem__
         added = [tuple(map(get, sorted(idx[start:end]))) for start, end in zip(chain((0,), ends), ends)]
-        attrs["trace"] = trace = tuple(map(IterationRecord, count(1), s_values, added))
-        return trace
+        return tuple(map(IterationRecord, count(1), s_values, added))
+
+    _views = {"x": _x_view, "take_all": _take_all_view, "trace": _trace_view}
+
+    def _columns(self) -> tuple[Collection[Label], Collection[float], Iterable[bool] | None]:
+        """The result as columns: its labels, x over them in that order, and
+        whether each is in V, as a list. A result built from x and take_all
+        gives x's keys and values and an iterator of the flags, or None for
+        them when take_all holds a label that x does not."""
+        attrs = self.__dict__
+        if "_xs" in attrs:
+            labels = attrs["_labels"]
+            on = [False] * len(labels)
+            for i in attrs["_v"]:
+                on[i] = True
+            return labels, attrs["_xs"], on
+        x, take_all = self.x, self.take_all
+        return x.keys(), x.values(), map(take_all.__contains__, x) if x.keys() >= take_all else None
 
     def total(self) -> float:
-        return math.fsum(self.x.values())
+        return math.fsum(self._columns()[1])
 
 
 def _subset(problem: AllocationProblem, v: Iterable[Label]) -> list[int]:
@@ -550,29 +610,18 @@ def _v_result(
 ) -> AllocationResult:
     """The allocation induced by V, the strata at positions idx, with s =
     s(V) as :func:`_scale` gives it: b_w on V and a_w * s off V. The one
-    result builder of the solvers and of :func:`v_allocation`. The trace
-    comes as two columns over idx, in visiting order: each iteration's s,
-    and where V's prefix of idx ends after it (an end past len(idx) slices
-    to it); without them, one iteration holds s and all of V. The first
-    read of ``trace`` builds the records, labels in position order."""
+    result builder of the solvers and of :func:`v_allocation`. It keeps x
+    as a list in problem order and V as idx, and the trace as two columns
+    over idx, in visiting order (see :meth:`AllocationResult._from_columns`);
+    without them, one iteration holds s and all of V."""
     if s <= 0 and not (len(idx) == problem.size and problem.is_census):
         raise InfeasibleSubsetError(f"s(V) = {s} is not positive")
-    labels = problem.labels
     a, b = problem.columns.lists
     x = list(map(mul, a, repeat(s)))
     for i in idx:
         x[i] = b[i]
     s_values, ends = trace or ([s], [len(idx)])
-    result = AllocationResult.__new__(AllocationResult)
-    result.__dict__.update(
-        x=dict(zip(labels, x)),
-        take_all=frozenset(map(labels.__getitem__, idx)),
-        s_final=s,
-        iterations=len(s_values),
-        _trace_columns=(labels, idx, s_values, ends),
-        algorithm=algorithm,
-    )
-    return result
+    return AllocationResult._from_columns(problem.labels, x, idx, s, len(s_values), algorithm, (s_values, ends))
 
 
 def v_allocation(

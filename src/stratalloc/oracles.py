@@ -60,12 +60,35 @@ class KktCertificate(_Record):
     :func:`kkt_verify`). They are the one rule: a condition has failed when
     its residual is not within tol, so a nan fails, and the certificate is
     valid when none has.
+
+    :func:`kkt_verify` keeps lam as a list over the problem's labels, and
+    the first read of ``lam`` builds the dict from it;
+    :attr:`min_bound_multiplier` reads the list.
     """
 
     mu: float
     lam: dict[Label, float]
     residuals: dict[str, float]
     tol: float
+
+    @classmethod
+    def _from_columns(
+        cls, mu: float, labels: tuple[Label, ...], lam: list[float], residuals: dict[str, float], tol: float
+    ) -> KktCertificate:
+        """The certificate with lam kept as a list over labels."""
+        cert = cls.__new__(cls)
+        cert.__dict__.update(mu=mu, _labels=labels, _lam=lam, residuals=residuals, tol=tol)
+        return cert
+
+    def _lam_view(self) -> dict[Label, float]:
+        return dict(zip(self._labels, self._lam))
+
+    _views = {"lam": _lam_view}
+
+    @property
+    def min_bound_multiplier(self) -> float:
+        """min(lam.values()), without building lam where it is a list."""
+        return min(self.__dict__.get("_lam") or self.lam.values())
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -132,7 +155,9 @@ def kkt_verify(
 
     Never raises on a bad allocation; a certificate that fails is the answer.
     An allocation whose labels, or take-all labels, are not the problem's
-    raises :class:`LabelMismatchError` before any arithmetic.
+    raises :class:`LabelMismatchError` before any arithmetic. x is read
+    from the result's columns when its labels are the problem's, in the
+    problem's order, and through the x dict in any other order.
     The multiplier construction: mu = s(V)**(-2) from the claimed take-all
     set V, except in the census case where any mu up to min c_w**2 keeps the
     bound multipliers nonnegative, and mu = min c_w**2 with s = inf is used.
@@ -161,19 +186,20 @@ def kkt_verify(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     labels = problem.labels
-    if tuple(result.x) == labels:  # in problem order, as the solvers write it
-        x = list(result.x.values())
-    elif len(result.x) == problem.size and all(map(result.x.__contains__, labels)):
+    K = problem.size
+    held, x, on = result._columns()
+    if tuple(held) != labels:  # another order, or other labels: read through the x dict
+        if len(held) != K or not all(map(result.x.__contains__, labels)):
+            raise LabelMismatchError("result labels do not match the problem")
         x = list(map(result.x.__getitem__, labels))
-    else:
-        raise LabelMismatchError("result labels do not match the problem")
-    v = result.take_all
-    on = list(map(v.__contains__, labels))
-    if on.count(True) != len(v):
+        if on is not None:
+            on = map(result.take_all.__contains__, labels)
+    if on is None:  # take_all holds a label that x does not
         raise LabelMismatchError("take-all labels do not match the problem")
+    on = list(on)  # the flags may come as an iterator
     off = list(map(not_, on))
     a, b = problem.columns.lists
-    census = len(v) == problem.size
+    census = on.count(True) == K
     if census:
         c = list(map(truediv, a, b))
         mu = min(map(mul, c, c))
@@ -183,14 +209,14 @@ def kkt_verify(
         s = math.fsum([problem.n, *map(neg, compress(b, on))]) / math.fsum(compress(a, off))
         ss = s * s
         mu = 1.0 / ss if s > 0 and ss else math.inf
+    lam = [0.0] * K
     if not (s > 0 and all(map(math.isfinite, x)) and min(x) > 0):
-        lam = dict.fromkeys(labels, 0.0)
         residuals = dict.fromkeys(("stationarity", "primal", "complementary"), math.inf)
-        return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+        return KktCertificate._from_columns(mu, labels, lam, residuals, tol)
     b_on = list(compress(b, on))
     c_on = list(map(truediv, compress(a, on), b_on))
-    lam = dict.fromkeys(labels, 0.0)
-    lam.update(zip(compress(labels, on), map(sub, map(mul, c_on, c_on), repeat(mu))))
+    for i, lam_w in zip(compress(range(K), on), map(sub, map(mul, c_on, c_on), repeat(mu))):
+        lam[i] = lam_w  # c_w**2 - mu on V
     # off V, |a_w * s / x_w - 1|; on V, 1 - c_w * s (lam_w >= 0 in scale-free
     # form), which mu = min c**2 makes 0 in the census case
     stat = list(map(abs, map(sub, map(truediv, map(mul, compress(a, off), repeat(s)), compress(x, off)), repeat(1.0))))
@@ -206,7 +232,7 @@ def kkt_verify(
         total = math.inf
     primal = max(abs(total - problem.n) / max(1.0, problem.n), _worst(bound))
     residuals = {"stationarity": _worst(stat), "primal": primal, "complementary": _worst(comp)}
-    return KktCertificate(mu=mu, lam=lam, residuals=residuals, tol=tol)
+    return KktCertificate._from_columns(mu, labels, lam, residuals, tol)
 
 
 def _worst(terms: list[float]) -> float:

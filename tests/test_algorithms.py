@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import pickle
@@ -20,6 +21,7 @@ from stratalloc import (
     algorithms,
     brute_force_subset,
     coma,
+    formats,
     is_optimal_takeall,
     kkt_verify,
     lognormal_population,
@@ -671,20 +673,52 @@ def test_trace_built_on_first_read(solver, monkeypatch):
         built.clear()
 
 
+# the fields a solver's result builds on first read
+VIEWS = {"x", "take_all", "trace"}
+
+
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
 def test_lazy_trace_equals_eager_result(solver):
-    # a result whose trace is not yet read compares, copies, pickles and
-    # prints as one built with its trace by the public constructor
+    # a result whose x, take_all and trace are not yet read compares,
+    # copies, pickles, prints and converts as one built with them by the
+    # public constructor, and is as unhashable
     p = solve_mix_problem(0, f=0.92)
     read = solver(p)
     eager = AllocationResult(*(getattr(read, field.name) for field in dataclasses.fields(AllocationResult)))
-    assert "trace" in vars(eager) and read.iterations == len(eager.trace) > 1
-    assert solver(p) == eager
-    assert dataclasses.replace(solver(p)) == eager
-    assert pickle.loads(pickle.dumps(solver(p))) == eager
-    assert repr(solver(p)) == repr(eager)
+    assert VIEWS <= vars(eager).keys() and read.iterations == len(eager.trace) > 1
+    assert list(eager.x) == list(p.labels) and 0 < len(eager.take_all) < p.size
+
+    def unread():
+        res = solver(p)
+        assert not VIEWS & vars(res).keys()
+        return res
+
+    assert unread() == eager and eager == unread()
+    assert dataclasses.replace(unread()) == eager
+    assert unread().__replace__() == eager  # what copy.replace calls
+    assert pickle.loads(pickle.dumps(unread())) == eager
+    assert repr(unread()) == repr(eager)
+    assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(unread())
     assert eager.trace[-1].added == () and all(len(rec.added) for rec in eager.trace[:-1])
-    for res in (solver(p), read):
+    for res in (unread(), read):
         with pytest.raises(AttributeError, match="nope"):
             getattr(res, "nope")
         assert not hasattr(res, "_nope")
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_write_and_verify_build_no_view(solver):
+    # the allocate and verify paths read the result's columns: writing it
+    # and checking it, as written and as read back, builds no K-entry dict
+    p = solve_mix_problem(1, f=0.6)
+    res = solver(p)
+    buf = io.StringIO()
+    formats.write_allocation_json(res, p.n, buf)
+    back = formats.read_allocation_json(io.StringIO(buf.getvalue()))
+    for result in (res, back):
+        cert = kkt_verify(p, result)
+        assert cert.valid and cert.min_bound_multiplier == 0.0
+        assert not {"x", "take_all"} & vars(result).keys() and "lam" not in vars(cert)
+    assert back == dataclasses.replace(res, trace=())

@@ -189,6 +189,23 @@ class TestVerify:
         assert "valid" in printed
         assert "ok" in printed
 
+    @pytest.mark.parametrize("n", ["8000", "20000"], ids=["partial", "census"])
+    def test_reversed_entries_verify_alike(self, table1_csv, tmp_path, capsys, n):
+        # an allocation whose entries are not in the strata file's order is
+        # read by label, and prints what the file's own order prints
+        out, reversed_out = tmp_path / "alloc.json", tmp_path / "reversed.json"
+        main(["allocate", "--input", str(table1_csv), "--n", n, "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["allocation"].reverse()
+        doc["take_all"].reverse()
+        reversed_out.write_text(json.dumps(doc))
+        printed = []
+        for path in (out, reversed_out):
+            capsys.readouterr()
+            assert main(["verify", "--input", str(table1_csv), "--n", n, "--allocation", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "certificate: valid" in printed[0]
+
     def test_rejects_tampered_allocation(self, table1_csv, tmp_path, capsys):
         out = tmp_path / "alloc.json"
         main(["allocate", "--input", str(table1_csv), "--n", "8000", "--output", str(out)])

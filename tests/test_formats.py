@@ -284,6 +284,34 @@ class TestAllocationJson:
         assert (back.s_final, type(back.s_final), back.iterations, back.algorithm) == (0.0, float, 7, "sga")
         assert back.x == {"u": 0.5, "v": 1.5} and back.take_all == frozenset({"v"})
 
+    @pytest.mark.parametrize(
+        "fields,x,take_all",
+        [
+            ({"take_all": ["v", "v"]}, {"u": 0.5, "v": 1.5}, {"v"}),
+            ({"allocation": [{"label": "u", "x": 0.5, "note": 1}, {"label": "v", "x": 1.5}]}, {"u": 0.5, "v": 1.5}, {"v"}),
+            ({"allocation": [], "take_all": []}, {}, set()),
+        ],
+        ids=["take_all_repeats_a_label", "entry_with_extra_key", "empty_allocation"],
+    )
+    def test_accepted_edge_cases(self, fields, x, take_all):
+        back = read_allocation_json(io.StringIO(self.scalar_doc(**fields)))
+        assert back.x == x and back.take_all == frozenset(take_all)
+
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            (["u"], "missing or malformed field: unhashable type"),
+            ({"u": 1}, "missing or malformed field: unhashable type"),
+            ("u", "duplicate labels in allocation"),
+        ],
+        ids=["list_label", "object_label", "repeated_label"],
+    )
+    def test_rejected_labels(self, label, message):
+        entries = [{"label": "u", "x": 0.5}, {"label": label, "x": 1.5}]
+        text = self.scalar_doc(allocation=entries, take_all=[])
+        with pytest.raises(ValueError, match="^alloc.json: " + message):
+            read_allocation_json(io.StringIO(text), name="alloc.json")
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_x_not_written(self, value):
         res = AllocationResult(
@@ -292,6 +320,17 @@ class TestAllocationJson:
         )
         buf = io.StringIO()
         with pytest.raises(ValueError, match="stratum 'u' has x = (inf|nan) at s = inf"):
+            write_allocation_json(res, 2.0, buf)
+        assert buf.getvalue() == ""
+
+    def test_take_all_label_not_in_x_not_written(self):
+        # the reader would reject such a document
+        res = AllocationResult(
+            x={"u": 0.5, "v": 1.5}, take_all=frozenset({"v", "w"}), s_final=0.5,
+            iterations=2, trace=(), algorithm="rna",
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="^cannot write the allocation as JSON: take_all holds a label that x does not$"):
             write_allocation_json(res, 2.0, buf)
         assert buf.getvalue() == ""
 

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import itertools
 import math
+import pickle
 from itertools import compress
 from operator import mul
 from pathlib import Path
@@ -275,6 +277,33 @@ class TestKktVerify:
         for st in p.strata:
             if st.label not in res.take_all:
                 assert cert.lam[st.label] == 0.0
+
+    def test_lazy_lam_equals_eager_certificate(self):
+        # a certificate whose lam is not yet read compares, copies, pickles,
+        # prints and converts as one built with lam by the public
+        # constructor; min_bound_multiplier reads min(lam.values()) from
+        # the list, which is below 0 for a V that holds a stratum the
+        # optimum leaves out
+        p = table1_problem()
+        for res, negative in ((rna(p), False), (v_allocation(p, [1, 2, 6]), True)):
+            read = kkt_verify(p, res)
+            eager = KktCertificate(*(getattr(read, field.name) for field in dataclasses.fields(KktCertificate)))
+
+            def unread():
+                cert = kkt_verify(p, res)
+                assert "lam" not in vars(cert)
+                return cert
+
+            assert unread() == eager and eager == unread()
+            assert dataclasses.replace(unread()) == eager == unread().__replace__()
+            assert pickle.loads(pickle.dumps(unread())) == eager
+            assert repr(unread()) == repr(eager)
+            assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(unread())
+            assert list(eager.lam) == list(p.labels)
+            assert unread().min_bound_multiplier == eager.min_bound_multiplier == min(eager.lam.values())
+            assert (eager.min_bound_multiplier < 0) == negative
 
     def test_simple_pair(self):
         # x = (1, 2) solves a = (1, 1), b = (1, 100), n = 3; mu = 1/4
