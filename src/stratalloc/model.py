@@ -441,12 +441,12 @@ class AllocationResult(_Record):
     holds per-iteration records for the recursive solvers and is empty for
     the oracle solvers.
 
-    A solver's result (see :func:`_v_result`) and a parsed one (see
-    :func:`~stratalloc.formats.read_allocation_json`) hold the answer as
-    columns: the labels, x as a list in their order, and V as positions
-    among them, with a solver's trace as columns over those positions. The
-    first read of ``x``, ``take_all`` or ``trace`` builds it from them and
-    keeps it. :meth:`_columns` gives the columns of any result.
+    Every result the package builds (the solvers', see :func:`_v_result`, the
+    oracles' and a parsed one) holds the answer as columns: the labels, x as
+    a list in their order, V as positions among them, and a solver's trace
+    as columns over those. The first read of ``x``, ``take_all`` or ``trace``
+    builds it and keeps it; the public constructor, for callers outside the
+    package, takes them built. :meth:`_columns` gives any result's columns.
     """
 
     x: dict[Label, float]
@@ -467,11 +467,12 @@ class AllocationResult(_Record):
         algorithm: str,
         trace: tuple[Sequence[float], Sequence[int]] | None = None,
     ) -> AllocationResult:
-        """The result over columns that are kept, not copied: labels, x over
-        them in that order, and V as distinct positions among them. The
-        trace comes as two columns over v, in visiting order: each
-        iteration's s, and where V's prefix of v ends after it (an end past
-        len(v) slices to it); without them it is empty."""
+        """The one builder of the package's results, over columns that are
+        kept, not copied: labels, x over them in that order, and V as
+        distinct positions among them. The trace comes as two columns over
+        v, in visiting order: each iteration's s, and where V's prefix of v
+        ends after it (an end past len(v) slices to it); without them it is
+        empty."""
         result = cls.__new__(cls)
         attrs = result.__dict__
         attrs.update(_labels=labels, _xs=xs, _v=v, s_final=s_final, iterations=iterations, algorithm=algorithm)
@@ -624,9 +625,7 @@ def _v_result(
     return AllocationResult._from_columns(problem.labels, x, idx, s, len(s_values), algorithm, (s_values, ends))
 
 
-def v_allocation(
-    problem: AllocationProblem, v: Iterable[Label], *, algorithm: str = "v_allocation"
-) -> AllocationResult:
+def v_allocation(problem: AllocationProblem, v: Iterable[Label]) -> AllocationResult:
     """Allocation induced by a take-all subset V: b_w on V, a_w * s(V) off V.
 
     Raises :class:`InfeasibleSubsetError` when s(V) <= 0 (V exhausts the
@@ -635,7 +634,7 @@ def v_allocation(
     holds for V.
     """
     idx = _subset(problem, v)
-    return _v_result(problem, idx, _scale(problem, idx), algorithm)
+    return _v_result(problem, idx, _scale(problem, idx), "v_allocation")
 
 
 def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:

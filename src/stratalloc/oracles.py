@@ -253,20 +253,14 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     probe in range wherever s itself is; a ValueError naming s is raised when
     it is not (n / sum(a) below the normal floats, or the bracket passing the
     largest float). Returns an allocation whose total is within tol * n of n;
-    the trace is empty (the probe sequence has no monotone scale).
+    the trace is empty (the probe sequence has no monotone scale). It keeps
+    x as a list and take_all, the strata with x_w >= b_w, as positions.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = problem.columns.lists
     if problem.is_census:
-        return AllocationResult(
-            x=dict(zip(problem.labels, b)),
-            take_all=frozenset(problem.labels),
-            s_final=0.0,
-            iterations=1,
-            trace=(),
-            algorithm="bisection",
-        )
+        return AllocationResult._from_columns(problem.labels, b, range(problem.size), 0.0, 1, "bisection")
 
     def total(s: float) -> float:
         return math.fsum(map(min, map(mul, a, repeat(s)), b))
@@ -300,14 +294,8 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
         raise RuntimeError(
             f"bisection stalled: |total - n| = {abs(achieved - problem.n):.3e} > tol * n"
         )
-    return AllocationResult(
-        x=dict(zip(problem.labels, xs)),
-        take_all=frozenset(compress(problem.labels, map(ge, xs, b))),
-        s_final=s,
-        iterations=probes,
-        trace=(),
-        algorithm="bisection",
-    )
+    v = list(compress(range(problem.size), map(ge, xs, b)))
+    return AllocationResult._from_columns(problem.labels, xs, v, s, probes, "bisection")
 
 
 def _roots(A: list[float], t: float) -> list[float]:
@@ -450,9 +438,9 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
     can be missing only when lo and hi end as adjacent floats, so that the
     units between them tie at one gain, or when exactly m units lie above
     lo; each stratum then takes all of its units between lo and hi before
-    the next one gets any. take_all holds the strata at their bounds.
-    s_final is reported as 0.0: an integer allocation has no continuous
-    scale.
+    the next one gets any. It keeps x as a list and take_all, the strata
+    at their bounds, as positions. s_final is reported as 0.0: an integer
+    allocation has no continuous scale.
     """
     K = problem.size
     n = problem.n
@@ -525,11 +513,5 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
             counts[w] += take
             rest -= take
     x = list(map(add, counts, repeat(1.0)))
-    return AllocationResult(
-        x=dict(zip(problem.labels, x)),
-        take_all=frozenset(compress(problem.labels, map(eq, x, b))),
-        s_final=0.0,
-        iterations=1,
-        trace=(),
-        algorithm="greedy_integer",
-    )
+    v = list(compress(range(K), map(eq, x, b)))
+    return AllocationResult._from_columns(problem.labels, x, v, 0.0, 1, "greedy_integer")

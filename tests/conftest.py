@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stratalloc import AllocationProblem, Stratum
+from stratalloc import AllocationProblem, StrataColumns, Stratum
 
 # Filled by test_acceptance; echoed after the test summary so the
 # per-criterion verdicts are visible in any pytest run.
@@ -27,6 +27,15 @@ def make_random_problem(rng: np.random.Generator, K: int, frac: float) -> Alloca
         Stratum(label=i, a=float(a[i]), b=float(b[i])) for i in range(K)
     )
     return AllocationProblem(strata=strata, n=float(frac * b.sum()))
+
+
+def solve_mix_problem(seed: int, f: float = 0.9, K: int = 2000) -> AllocationProblem:
+    """The shape of perfbench's largest solve_mix instances: N uniform on
+    [2, 2000), S lognormal with sigma 1.5, a = N * S, b = N, n = round(f * sum(N))."""
+    rng = np.random.default_rng(seed)
+    N = rng.integers(2, 2000, K).astype(float).tolist()
+    S = rng.lognormal(0.0, 1.5, K).tolist()
+    return AllocationProblem(StrataColumns.survey(range(K), N, S), float(round(f * math.fsum(N))))
 
 
 @pytest.fixture

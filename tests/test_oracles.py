@@ -4,13 +4,13 @@ import itertools
 import math
 import pickle
 from itertools import compress
-from operator import mul
+from operator import ge, mul
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import heap_greedy_counts
+from conftest import heap_greedy_counts, solve_mix_problem
 from stratalloc import oracles
 from stratalloc.formats import population_maps_from_rows
 from stratalloc.oracles import _BRUTE_FORCE_MAX
@@ -337,7 +337,7 @@ class TestKktVerify:
 
     def test_invalid_on_wrong_take_all(self):
         p = table1_problem()
-        wrong = v_allocation(p, {6, 17}, algorithm="v_allocation")
+        wrong = v_allocation(p, {6, 17})
         cert = kkt_verify(p, wrong, tol=1e-8)
         assert not cert.valid
         # strata 2 and 15 are scaled past their bounds, a primal violation
@@ -918,3 +918,37 @@ class TestGreedyInteger:
         p = small([1, 1], [2.0**53, 2.0**53], 2.0**53 + 2)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             greedy_integer_optimal(p)
+
+
+@pytest.mark.parametrize(
+    "oracle, census",
+    [(bisection_multiplier, False), (bisection_multiplier, True), (greedy_integer_optimal, False)],
+    ids=["bisection", "bisection_census", "greedy_integer"],
+)
+def test_columnar_oracle_result_equals_eager_result(oracle, census):
+    # an oracle's result holds x and take_all as columns; one whose x and
+    # take_all are not yet read compares, copies, pickles, prints and
+    # converts as one built with them by the public constructor, and is as
+    # unhashable
+    p = solve_mix_problem(7, f=0.6, K=500)
+    if census:
+        p = AllocationProblem(p.columns, p.sum_b)
+    read = oracle(p)
+    eager = AllocationResult(*(getattr(read, field.name) for field in dataclasses.fields(AllocationResult)))
+    assert list(eager.x) == list(p.labels) and eager.trace == ()
+    assert eager.take_all == frozenset(compress(p.labels, map(ge, eager.x.values(), p.columns.lists[1])))
+    assert len(eager.take_all) == p.size if census else 0 < len(eager.take_all) < p.size
+
+    def unread():
+        res = oracle(p)
+        assert not {"x", "take_all"} & vars(res).keys()
+        return res
+
+    assert unread() == eager and eager == unread()
+    assert dataclasses.replace(unread()) == eager
+    assert unread().__replace__() == eager  # what copy.replace calls
+    assert pickle.loads(pickle.dumps(unread())) == eager
+    assert repr(unread()) == repr(eager)
+    assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(unread())
