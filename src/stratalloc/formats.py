@@ -9,10 +9,10 @@ import math
 from collections.abc import Collection, Hashable
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, truediv
+from operator import itemgetter, mul, truediv
 from typing import IO, Iterable, Iterator, Sequence
 
-from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum
+from .model import AllocationProblem, AllocationResult, StrataColumns, Stratum, _all_valid
 
 __all__ = [
     "StrataCsvError",
@@ -51,55 +51,50 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     are read. Header matching is case-insensitive, and one leading U+FEFF
     (a UTF-8 byte-order mark) is ignored.
 
-    The rows are read and checked ``BLOCK_ROWS`` at a time, so the read
-    holds the columns, the set of labels seen and one block of rows, not
-    every row of the file. A block is checked a whole column at a time:
-    field counts, non-empty labels, labels not seen in an earlier block,
-    numbers, then the checks of :class:`StrataColumns` (the values, and
-    distinct labels). When any of these fails, the block's rows are read
-    again one by one, and the first bad row raises
-    :class:`StrataCsvError` naming its line: the first check it fails in the
-    order above, and for a value the record constructors (:class:`Stratum`,
-    :meth:`Stratum.survey`) reject, that constructor's message. A line the
-    csv module cannot read (a field longer than ``csv.field_size_limit()``)
-    raises :class:`StrataCsvError` naming it as soon as it is read, and so
-    does a line the file cannot decode (a byte that is not UTF-8 in a file
-    opened as UTF-8), with that byte.
+    The rows are read and checked ``BLOCK_ROWS`` at a time, and each
+    checked block is appended to one set of columns, so the read holds
+    the columns, the set of labels seen and one block of rows, not every
+    row of the file. A block is checked a whole column at a time: field
+    counts, non-empty labels, numbers, the values as :class:`StrataColumns`
+    checks them, then distinct labels, by one update of the set seen.
+    When any of these fails, the block's rows are read again one by one,
+    and the first bad row raises :class:`StrataCsvError` naming its line
+    and the first check it fails, in the order field count, empty label,
+    a label seen before, numbers, and for a value the record constructors
+    (:class:`Stratum`, :meth:`Stratum.survey`) reject, that constructor's
+    message. A line the csv module cannot read (a field longer than
+    ``csv.field_size_limit()``) raises :class:`StrataCsvError` naming it as
+    soon as it is read, and so does a line the file cannot decode (a byte
+    that is not UTF-8 in a file opened as UTF-8), with that byte.
 
-    The process-wide cyclic garbage collector is paused while the rows are
+    The process-wide cyclic garbage collector is paused while the file is
     read, and then set back to the state it had when the read began. A
     caller in another thread that switches the collector during the read
     has that switch undone.
     """
     reader = csv.reader(fp)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise StrataCsvError(f"{name}: line 1: empty file") from None
-    except csv.Error as exc:  # see the loop below
-        raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _decode_error(name, reader.line_num, exc) from None
-    if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
-        header[0] = header[0].removeprefix("\ufeff")
-    cols = [h.strip().lower() for h in header]
-    if cols == ["label", "a", "b"]:
-        make = Stratum
-    elif cols == ["label", "n", "s"]:
-        make = Stratum.survey
-    else:
-        raise StrataCsvError(
-            f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
-        )
-    parts: list[StrataColumns] = []
     seen: set[str] = set()
-    line = 2
     # K rows are K small lists; cyclic collections while they are built
     # only scan them again (about 30% of the read at K = 1e6), so the
     # collector is paused
     collecting = gc.isenabled()
     gc.disable()
     try:
+        header = next(reader, None)
+        if header is None:
+            raise StrataCsvError(f"{name}: line 1: empty file")
+        if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+            header[0] = header[0].removeprefix("\ufeff")
+        cols = [h.strip().lower() for h in header]
+        if cols not in (["label", "a", "b"], ["label", "n", "s"]):
+            raise StrataCsvError(
+                f"{name}: line 1: header must be 'label,a,b' or 'label,N,S', got {','.join(header)!r}"
+            )
+        survey = cols[1] == "n"
+        make = Stratum.survey if survey else Stratum
+        # labels and the two value columns: each checked block is appended
+        columns: list[list] = [[], [], []]
+        line = 2
         while rows := list(islice(reader, BLOCK_ROWS)):
             lines: Sequence[int] = range(line, line + len(rows))
             line += len(rows)
@@ -109,18 +104,23 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
                 lines, rows = [lines[i] for i in kept], [rows[i] for i in kept]
                 if not rows:
                     continue
-            part = _checked_block(rows, seen, make is Stratum.survey)
-            if part is None:
-                # some column check failed: the row-by-row read finds and names the first bad row
+            block = _checked_block(rows, survey)
+            if block is not None:
+                seen.update(block[0])
+                if len(seen) != len(columns[0]) + len(block[0]):  # a label repeats
+                    seen = set(columns[0])
+                    block = None
+            if block is None:
+                # some check failed: the row-by-row read finds and names the first bad row
                 for ln, raw in zip(lines, rows):
                     reason = _row_error(raw, seen, make)
                     if reason is not None:
                         raise StrataCsvError(f"{name}: line {ln}: {reason}")
                     seen.add(raw[0].strip())
-                raise AssertionError("a column check fails that every row passes")
-            seen.update(part.labels)
-            parts.append(part)
-            del rows  # freed before the next block is read
+                raise AssertionError("a block check fails that every row passes")
+            for column, part in zip(columns, block):
+                column += part
+            del rows, block  # freed before the next block is read
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
         raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -128,35 +128,47 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     finally:
         if collecting:
             gc.enable()
-    if not parts:
+    if not columns[0]:
         raise StrataCsvError(f"{name}: line 2: no data rows")
-    del seen  # the join holds only the parts and the columns
-    return StrataColumns._joined(parts)
+    del seen
+    labels, v1, v2 = columns
+    return StrataColumns._given(tuple(labels), *_values(v1, v2, survey))
+
+
+def _values(v1: list[float], v2: list[float], survey: bool) -> tuple[list[float], list[float], list[float] | None]:
+    """a, b and S from the two value columns: (a, b), or (N, S) giving a = N * S and b = N."""
+    return (list(map(mul, v1, v2)), v1, v2) if survey else (v1, v2, None)
 
 
 def _decode_error(name: str, lines_read: int, exc: UnicodeDecodeError) -> StrataCsvError:
     # the file decodes a chunk ahead of the reader, which has read whole
     # lines up to lines_read: the bad byte lies that many line ends into
-    # the chunk past them
-    line = lines_read + 1 + exc.object.count(b"\n", 0, exc.start)
+    # the chunk past them, counted as the csv module counts them (\r\n, a
+    # lone \r, or \n)
+    before = exc.object[: exc.start]
+    line = lines_read + 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
     byte = exc.object[exc.start]
     return StrataCsvError(f"{name}: line {line}: byte 0x{byte:02x} is not valid {exc.encoding} ({exc.reason})")
 
 
-def _checked_block(rows: list[list[str]], seen: set[str], survey: bool) -> StrataColumns | None:
-    """The columns of one block of rows, or None when a column check fails."""
+def _checked_block(rows: list[list[str]], survey: bool) -> list[list] | None:
+    """The labels and the two value columns of one block of rows, checked
+    as :class:`StrataColumns` checks them apart from distinct labels; None
+    when a check fails."""
     if list(map(len, rows)).count(3) != len(rows):
         return None
-    labels = tuple(map(str.strip, map(itemgetter(0), rows)))
-    if "" in labels or not seen.isdisjoint(labels):
+    labels = list(map(str.strip, map(itemgetter(0), rows)))
+    if "" in labels:
         return None
     try:
         v1 = list(map(float, map(itemgetter(1), rows)))
         v2 = list(map(float, map(itemgetter(2), rows)))
     except ValueError:
         return None
-    part = StrataColumns._given(labels, v1, v2, survey)
-    return part if part._valid() else None
+    # survey a is formed as b * S, so the a == b * S pass is skipped
+    if not _all_valid(*_values(v1, v2, survey), False):
+        return None
+    return [labels, v1, v2]
 
 
 def _row_error(raw: list[str], seen: set[str], make) -> str | None:

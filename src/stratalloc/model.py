@@ -265,7 +265,8 @@ class StrataColumns:
     ) -> None:
         labels = tuple(labels)
         S = None if S is None else _floats(S, labels, "S")
-        self._keep(labels, _floats(a, labels, "a"), _floats(b, labels, "b"), S)
+        self.labels, self.lists, self.S = labels, (_floats(a, labels, "a"), _floats(b, labels, "b")), S
+        self._records: tuple[Stratum, ...] | None = None
         self._check(product=S is not None)
 
     @classmethod
@@ -274,71 +275,45 @@ class StrataColumns:
         a = N * S and b = N, keeping S. The columns counterpart of
         :meth:`Stratum.survey`."""
         labels = tuple(labels)
-        self = cls._given(labels, _floats(N, labels, "N"), _floats(S, labels, "S"), survey=True)
+        N, S = _floats(N, labels, "N"), _floats(S, labels, "S")
+        self = cls._given(labels, list(map(mul, N, S)), N, S)
         self._check(product=False)  # a is b * S as formed here
         return self
 
     @classmethod
-    def _given(cls, labels: tuple, v1: list[float], v2: list[float], survey: bool) -> StrataColumns:
+    def _given(cls, labels: tuple, a: list[float], b: list[float], S: list[float] | None = None) -> StrataColumns:
         """Unchecked columns over lists of floats that the caller hands over
-        and that are kept, not copied: (v1, v2) is (a, b), or with survey
-        (N, S), giving a = N * S and b = N."""
+        and that are kept, not copied."""
         self = cls.__new__(cls)
-        if survey:
-            self._keep(labels, list(map(mul, v1, v2)), v1, v2)
-        else:
-            self._keep(labels, v1, v2, None)
+        self.labels, self.lists, self.S, self._records = labels, (a, b), S, None
         return self
 
-    def _keep(self, labels: tuple, a: list[float], b: list[float], S: list[float] | None) -> None:
-        self.labels = labels
-        self.lists = (a, b)
-        self.S = S
-        self._records: tuple[Stratum, ...] | None = None
-        K = len(labels)
+    def _check(self, product: bool) -> None:
+        K, (a, b), S = len(self.labels), self.lists, self.S
         if not K == len(a) == len(b) == (K if S is None else len(S)):
             raise ValueError("strata columns must have equal lengths")
-
-    def _check(self, product: bool) -> None:
-        if not _all_valid(*self.lists, self.S, product):
+        if not _all_valid(a, b, S, product):
             self.records  # built in order: the first rejected stratum's constructor raises
             raise AssertionError("a column check fails that every record passes")
         _check_distinct(self.labels)
-
-    def _valid(self) -> bool:
-        """Whether columns from :meth:`_given` pass every check, decided
-        over whole columns without building a record. Survey columns skip
-        the a == b * S pass: their a is formed as b * S."""
-        return _all_valid(*self.lists, self.S, False) and len(set(self.labels)) == len(self.labels)
-
-    @classmethod
-    def _joined(cls, parts: list[StrataColumns]) -> StrataColumns:
-        """The columns of checked parts, one after another, whose labels are
-        distinct across parts: nothing is checked again."""
-        if len(parts) == 1:
-            return parts[0]
-        self = cls.__new__(cls)
-        self._keep(
-            tuple(chain.from_iterable(part.labels for part in parts)),
-            list(chain.from_iterable(part.lists[0] for part in parts)),
-            list(chain.from_iterable(part.lists[1] for part in parts)),
-            None if parts[0].S is None else list(chain.from_iterable(part.S for part in parts)),
-        )
-        return self
 
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
         """The columns of records already built; ``records`` is that tuple.
         S is the records' S when every one is a :class:`SurveyStratum`."""
-        self = cls.__new__(cls)
-        self._records = records = tuple(records)
-        self.labels = tuple(map(attrgetter("label"), records))
-        self.lists = (list(map(attrgetter("a"), records)), list(map(attrgetter("b"), records)))
-        self.S = None
+        records = tuple(records)
+        S = None
         # a plain Stratum has S = None, so S is read only after a first SurveyStratum
         if records and isinstance(records[0], SurveyStratum):
             S = list(map(attrgetter("S"), records))
-            self.S = None if None in S else S
+            S = None if None in S else S
+        self = cls._given(
+            tuple(map(attrgetter("label"), records)),
+            list(map(attrgetter("a"), records)),
+            list(map(attrgetter("b"), records)),
+            S,
+        )
+        self._records = records
         _check_distinct(self.labels)
         return self
 

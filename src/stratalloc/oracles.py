@@ -252,9 +252,11 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
     take-all strata carry most of n. Working in s rather than mu keeps every
     probe in range wherever s itself is; a ValueError naming s is raised when
     it is not (n / sum(a) below the normal floats, or the bracket passing the
-    largest float). Returns an allocation whose total is within tol * n of n;
-    the trace is empty (the probe sequence has no monotone scale). It keeps
-    x as a list and take_all, the strata with x_w >= b_w, as positions.
+    largest float). Returns an allocation whose total is within tol * n of
+    n; a ValueError naming tol and the gap reached is raised when the float
+    bisection cannot get that close. The trace is empty (the probe sequence
+    has no monotone scale). It keeps x as a list and take_all, the strata
+    with x_w >= b_w, as positions.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -289,11 +291,9 @@ def bisection_multiplier(problem: AllocationProblem, tol: float = 1e-12) -> Allo
             hi = mid
     s = hi
     xs = list(map(min, map(mul, a, repeat(s)), b))
-    achieved = math.fsum(xs)
-    if abs(achieved - problem.n) > tol * problem.n:
-        raise RuntimeError(
-            f"bisection stalled: |total - n| = {abs(achieved - problem.n):.3e} > tol * n"
-        )
+    gap = abs(math.fsum(xs) - problem.n)
+    if gap > tol * problem.n:
+        raise ValueError(f"tol = {tol!r} cannot be met: the bisection ends at |total - n| = {gap:.3e} > tol * n")
     v = list(compress(range(problem.size), map(ge, xs, b)))
     return AllocationResult._from_columns(problem.labels, xs, v, s, probes, "bisection")
 

@@ -148,6 +148,20 @@ class TestAllocate:
         assert code == 2
         assert capsys.readouterr().err == "error: the scale s exceeds the float range (above 8.988465674761003e+307)\n"
 
+    def test_bisection_unmeetable_tol_exit_2(self, tmp_path, capsys):
+        # the float bisection ends 1.137e-13 from n: an input error, exit 2,
+        # not a traceback and exit 1, the code of a failed verification
+        pop = tmp_path / "pop.csv"
+        pop.write_text("label,a,b\nu,11.503491796281205,638.2004946640785\nv,38.01020015485263,211.01109369659162\n")
+        argv = ["allocate", "--input", str(pop), "--n", "626.2499434014056", "--algorithm", "bisection"]
+        code = main([*argv, "--tol", "1e-16", "--output", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: tol = 1e-16 cannot be met: the bisection ends at |total - n| = 1.137e-13 > tol * n\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+        assert main([*argv, "--tol", "1e-15", "--output", str(tmp_path / "out.json")]) == 0
+
     @pytest.mark.parametrize("algorithm", ["rna", "sga", "coma"])
     def test_nonfinite_allocation_exit_2(self, tmp_path, capsys, algorithm):
         # the optimum is x = (9999999999.5, 1), but s(V) overflows and the

@@ -16,6 +16,7 @@ from stratalloc import (
     SurveyStratum,
     bisection_multiplier,
     coma,
+    formats,
     is_optimal_takeall,
     kkt_verify,
     model,
@@ -157,21 +158,24 @@ class TestStrataColumns:
             StrataColumns(["u", "v"], [1.0, 0.3], [2.0, 3.0], [0.5, 0.1])
 
     @pytest.mark.parametrize("header", ["label,a,b", "label,N,S"])
-    def test_reader_lists_kept_not_copied(self, monkeypatch, header):
-        given = []
-        make = StrataColumns._given.__func__
-
-        def recorded(cls, labels, v1, v2, survey):
-            given.append((v1, v2))
-            return make(cls, labels, v1, v2, survey)
-
-        monkeypatch.setattr(StrataColumns, "_given", classmethod(recorded))
-        columns = read(f"{header}\nu,10,2\nv,7,0.5\n")
-        (v1, v2), = given
+    def test_reader_columns_equal_the_constructors(self, monkeypatch, header):
+        # eleven rows over blocks of four, a blank line among them: the
+        # reader's columns are what the constructors build from the same values
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 4)
+        labels = [f"s{i}" for i in range(11)]
+        v1 = [float(i % 5 + 2) for i in range(11)]
+        v2 = [0.1 * i + 0.3 for i in range(11)]
+        rows = [f"{label},{x!r},{y!r}\n" for label, x, y in zip(labels, v1, v2)]
+        rows.insert(5, "\n")
+        columns = read(header + "\n" + "".join(rows))
         if header == "label,a,b":
-            assert columns.lists[0] is v1 and columns.lists[1] is v2
+            want = StrataColumns(labels, v1, v2)
         else:
-            assert columns.lists[1] is v1 and columns.S is v2
+            want = StrataColumns.survey(labels, v1, v2)
+        assert type(columns.labels) is tuple and columns.labels == want.labels
+        assert [list(map(float.hex, v)) for v in columns.lists] == [list(map(float.hex, v)) for v in want.lists]
+        assert (columns.S is None) is (want.S is None)
+        assert columns.S is None or list(map(float.hex, columns.S)) == list(map(float.hex, want.S))
 
     def test_survey_raises_the_record_message(self):
         with pytest.raises(ValueError, match="^stratum 'v': N must be an integer, got 2.5$"):

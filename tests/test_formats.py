@@ -119,8 +119,15 @@ class TestReadStrataCsv:
             (b"label,N,S\nu,10,2\nv,1\xff,2\nw,3,4\n", 3),
             # past the first chunk the file decodes: the line still counts from the reader's
             (b"label,N,S\n" + b"".join(b"r%d,10,2\n" % i for i in range(3000)) + b"x,\xff,2\n", 3002),
+            # line ends as the csv module counts them: \r\n, a lone \r, or \n
+            (b"label,N,S\r" + b"".join(b"r%d,10,2\r" % i for i in range(5)) + b"bad\xff,1,2\r", 7),
+            (b"label,N,S\r\n" + b"".join(b"r%d,10,2\r\n" % i for i in range(5)) + b"bad\xff,1,2\r\n", 7),
+            (b"label,N,S\n" + b"".join(b"r%d,10,2\n" % i for i in range(5)) + b"bad\xff,1,2\n", 7),
+            (b"label,N,S\r" + b"".join(b"r%d,10,2\r" % i for i in range(3000)) + b"x,\xff,2\r", 3002),
+            (b"label,N,S\r\n" + b"".join(b"r%d,10,2\r\n" % i for i in range(3000)) + b"x,\xff,2\r\n", 3002),
+            (b"label,N,S\r\nu,10,2\rv,3,4\nw,\xff,2\r\n", 4),
         ],
-        ids=["header", "data_row", "later_chunk"],
+        ids=["header", "data_row", "later_chunk", "cr", "crlf", "lf", "later_chunk_cr", "later_chunk_crlf", "mixed"],
     )
     def test_undecodable_byte_names_file_and_line(self, tmp_path, data, line):
         path = tmp_path / "bad.csv"
@@ -530,6 +537,23 @@ class TestBlockedRead:
             assert outcome(read_strata_csv, text) == want, (block, text)
             failed += isinstance(want[0], type)
         assert 1500 < failed < 2400  # most files hold a fault; the others read
+        # blocks of three whose only fault repeats a label of an earlier
+        # block, or has such a label before or after a bad value
+        monkeypatch.setattr(formats, "BLOCK_ROWS", 3)
+        good = ["r0,2,1.5", "r1,3,2.5", "r2,4,0.5", "r3,5,1.5"]
+        zero = "stratum 'r5': a must be positive and finite, got 0.0"
+        for rows, line, reason in [
+            ([*good, "r1,6,1", "r5,7,1"], 6, "duplicate label 'r1'"),
+            ([*good, "r5,7,1", "r0,6,1"], 7, "duplicate label 'r0'"),
+            ([*good, "r1,6,1", "r5,0,1"], 6, "duplicate label 'r1'"),
+            ([*good, "r5,0,1", "r1,6,1"], 6, zero),
+            ([*good, "r4,6,1", "r2,7,1", "r5,oops,1"], 7, "duplicate label 'r2'"),
+        ]:
+            for header in ("label,a,b", "label,N,S"):
+                text = header + "\n" + "\n".join(rows) + "\n"
+                want = (StrataCsvError, f"f.csv: line {line}: {reason}")
+                assert outcome(whole_file_read_strata_csv, text) == want, text
+                assert outcome(read_strata_csv, text) == want, text
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("kind", ["duplicate_label", "non_integer_N", "empty_label", "too_many_fields"])

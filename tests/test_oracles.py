@@ -625,6 +625,14 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisection_multiplier(small([1, 1], [1, 100], 3), tol=-1.0)
 
+    def test_unmeetable_tol_names_tol_and_gap(self):
+        # the float bisection ends 1.137e-13 from n, above tol * n = 6.3e-14
+        p = small([11.503491796281205, 38.01020015485263], [638.2004946640785, 211.01109369659162], 626.2499434014056)
+        message = r"^tol = 1e-16 cannot be met: the bisection ends at \|total - n\| = 1\.137e-13 > tol \* n$"
+        with pytest.raises(ValueError, match=message):
+            bisection_multiplier(p, tol=1e-16)
+        assert bisection_multiplier(p, tol=1e-15).s_final == 36.09676583931242
+
     @pytest.mark.parametrize(
         "a,b,n",
         [
