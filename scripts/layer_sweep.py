@@ -19,7 +19,8 @@ stratum taken, and at each share the first read of ``trace`` on a fresh sga
 result (``sga_trace@0.6``, ``sga_trace@0.95``), which builds its iteration
 records; see ``worker`` for how often each is called) and records
 each solver's iteration count r* at every n (and bisection_multiplier's
-probe count), then four
+probe count) and the cyclic garbage collector's seconds and collection count
+inside each layer's timed calls (from ``gc.callbacks``), then four
 child processes, each timed from spawn to exit, with its peak RSS read by
 ``os.wait4`` in a small helper process that starts it:
 ``python -c "import stratalloc.cli"`` (``cli_import``, the start-up every
@@ -27,8 +28,10 @@ command pays), the CLI ``allocate`` and ``verify`` commands, and
 ``roundcmp`` at fractions 0.1 to 0.5 (``cli_roundcmp``). Sources run in
 turn within a repeat, in reverse order on every other repeat, so a drift of
 the host's speed reaches all of them alike. The output holds the median of
-every layer and child time (``median_s``) and of every child's peak RSS
-(``peak_rss_mb``) per source and K, r* per solver, the
+every layer and child time (``median_s``), of each layer's collector seconds
+and collections (``gc_s``, ``gc_collections``, summed over the worker's timed
+calls) and of every child's peak RSS (``peak_rss_mb``) per source and K, r* per
+solver, the
 sha256 of each source's allocation JSON and roundcmp CSV, and the median
 time of perfbench's reference loop (``ops.reference_loop``) measured
 before each worker, which tells how fast the host ran. Under ``bytecode``
@@ -41,6 +44,7 @@ from source, which ``cli_import`` and the other children then include.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -101,13 +105,38 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     )
 
     out: dict[str, float] = {}
+    # the collector inside the timed calls: the layer running, its seconds and collections
+    collector = {"layer": None, "start": 0.0}
+    gc_s: dict[str, float] = {}
+    gc_collections: dict[str, int] = {}
+
+    def on_collect(phase, info):
+        layer = collector["layer"]
+        if layer is None:
+            return
+        if phase == "start":
+            collector["start"] = time.perf_counter()
+        else:
+            gc_s[layer] += time.perf_counter() - collector["start"]
+            gc_collections[layer] += 1
+
+    gc.callbacks.append(on_collect)
+
+    def timed_call(name, fn, *args):
+        gc_s.setdefault(name, 0.0)
+        gc_collections.setdefault(name, 0)
+        collector["layer"] = name
+        start = time.perf_counter()
+        value = fn(*args)
+        elapsed = time.perf_counter() - start
+        collector["layer"] = None
+        return elapsed, value
 
     def timed(name, fn, *args, calls=1):
         times = []
         for _ in range(calls):
-            start = time.perf_counter()
-            value = fn(*args)
-            times.append(time.perf_counter() - start)
+            elapsed, value = timed_call(name, fn, *args)
+            times.append(elapsed)
         out[name] = statistics.median(times)
         return value
 
@@ -147,11 +176,16 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         reads = []
         for _ in range(calls):  # each read on a fresh result, the solve untimed
             fresh = sga(at_share)
-            start = time.perf_counter()
-            fresh.trace
-            reads.append(time.perf_counter() - start)
+            reads.append(timed_call(f"sga_trace@{share}", getattr, fresh, "trace")[0])
         out[f"sga_trace@{share}"] = statistics.median(reads)
-    return {"s": out, "iterations": {name: res.iterations for name, res in results.items()}, "n_shares": n_shares}
+    gc.callbacks.remove(on_collect)
+    return {
+        "s": out,
+        "gc_s": gc_s,
+        "gc_collections": gc_collections,
+        "iterations": {name: res.iterations for name, res in results.items()},
+        "n_shares": n_shares,
+    }
 
 
 # Children are started by this small helper process, not by the sweep:
@@ -207,6 +241,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         gen.write_survey_csv(str(path), 0, K)
         n = gen.sample_size(str(path))
         samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
+        gc_samples = {name: {"gc_s": {}, "gc_collections": {}} for name in sources}
         rss = {name: {command: [] for command in CHILDREN} for name in sources}
         digests, round_digests, iterations = {}, {}, {}
         fractions = [arg for f in FRACTIONS for arg in ("--fraction", f)]
@@ -221,6 +256,9 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 report = json.loads(proc.stdout)
                 for layer, t in report["s"].items():
                     samples[name][layer].append(t)
+                for key, per_layer in gc_samples[name].items():
+                    for layer, value in report[key].items():
+                        per_layer.setdefault(layer, []).append(value)
                 iterations[name] = report["iterations"]
                 n_shares = report["n_shares"]
                 out = work / f"{name}_{K}.json"
@@ -245,6 +283,8 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                 "n": n,
                 "n_shares": n_shares,
                 "median_s": {layer: statistics.median(v) for layer, v in samples[name].items()},
+                **{key: {layer: statistics.median(v) for layer, v in per_layer.items()}
+                   for key, per_layer in gc_samples[name].items()},
                 "peak_rss_mb": {command: statistics.median(v) for command, v in rss[name].items()},
                 "iterations": iterations[name],
                 "allocate_sha256": digests[name],
@@ -286,7 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         f"coma at n and at n_shares = round(share * sum(N)) for share in {SHARES}, and the first read of "
         "result.trace on a fresh sga result at each share (sga_trace@share), as the median of "
         f"max({SOLVE_CALLS_MIN}, {SOLVE_CALL_UNITS} // K) calls), then the "
-        "import, allocate, verify and roundcmp children. Unscaled medians in seconds; peak_rss_mb is the median "
+        "import, allocate, verify and roundcmp children. Unscaled medians in seconds; gc_s and gc_collections "
+        "are the medians over the repeats of the cyclic garbage collector's seconds and collection count inside "
+        "a layer's timed calls in one worker, summed over those calls (gc.callbacks); peak_rss_mb is the median "
         "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @share "
         "names at that share's n, and bisection_multiplier's probe count at n."
     )

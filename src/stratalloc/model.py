@@ -76,7 +76,11 @@ class _Record:
     FrozenInstanceError; ``dataclasses`` is imported only when one of its
     functions reads a record, or on that error. The generic constructor
     takes fields by position, then by name; a class whose records validate
-    or are built many at a time writes its own, into ``__dict__``.
+    or are built many at a time writes its own. A class that declares
+    ``__slots__`` for its fields (the records built many at a time) holds
+    them there, with no per-instance ``__dict__``, so a record is one
+    allocation of the cyclic garbage collector, not two; such a record is
+    copied and pickled through its constructor.
 
     A record may hold a field as columns in place of its value: ``_views``
     maps such a field to the function that builds the value from them. The
@@ -84,6 +88,7 @@ class _Record:
     ``__dict__`` and returns it; so equality, repr, pickling and the
     dataclasses functions read it like any field."""
 
+    __slots__ = ()
     __match_args__ = ()
     _types = _defaults = _views = {}
     __dataclass_fields__ = _DataclassFields()
@@ -92,11 +97,14 @@ class _Record:
         super().__init_subclass__()
         body = vars(cls)
         own = {name: kind for name, kind in body.get("__annotations__", {}).items() if name not in cls._types}
+        slots = body.get("__slots__", ())  # a slot's member descriptor in the body is no default
         cls._types = {**cls._types, **own}
-        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body and name not in slots}}
         cls.__match_args__ = tuple(cls._types)
         # the field values as a tuple: every record has two fields or more
         cls._field_values = attrgetter(*cls.__match_args__)
+        if slots:  # the default restore of slot state assigns by setattr, which a record refuses
+            cls.__reduce__ = _Record._by_constructor
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names, attrs = self.__match_args__, self.__dict__
@@ -122,6 +130,9 @@ class _Record:
 
     def __replace__(self, /, **changes: object) -> _Record:
         return type(self)(**dict(zip(self.__match_args__, self._field_values(self)), **changes))
+
+    def _by_constructor(self) -> tuple[type, tuple]:
+        return type(self), self._field_values(self)
 
     def __getattr__(self, name: str) -> object:
         # only a name found neither in __dict__ nor on the class reaches here
@@ -149,13 +160,14 @@ class Stratum(_Record):
     in one chained compare. Values that fail it go through the three
     checks one at a time, and the first that fails raises the ValueError
     naming the stratum and the value. The fields are then written
-    straight into the instance's ``__dict__``: a record costs one Python
-    frame.
+    straight into the record's slots: a record costs one Python frame and
+    one allocation, and has no ``__dict__``.
 
     SRSWOR strata are built with :meth:`survey` and also carry N and S; on a
     plain stratum both read None.
     """
 
+    __slots__ = ("label", "a", "b")
     label: Label
     a: float
     b: float
@@ -169,10 +181,9 @@ class Stratum(_Record):
             if not 0 < b <= _FLOAT_MAX:
                 raise ValueError(f"stratum {label!r}: b must be positive and finite, got {_shown(b)}")
             raise ValueError(f"stratum {label!r}: a/b overflows")
-        attrs = self.__dict__
-        attrs["label"] = label
-        attrs["a"] = a
-        attrs["b"] = b
+        _set_label(self, label)
+        _set_a(self, a)
+        _set_b(self, b)
 
     @staticmethod
     def survey(label: Label, N: float, S: float) -> SurveyStratum:
@@ -197,6 +208,7 @@ class SurveyStratum(Stratum):
     whose a is not b * S is rejected, after the :class:`Stratum` checks.
     """
 
+    __slots__ = ("S",)
     S: float
 
     def __init__(self, label: Label, a: float, b: float, S: float) -> None:
@@ -205,12 +217,17 @@ class SurveyStratum(Stratum):
             raise ValueError(f"stratum {label!r}: N must be an integer, got {b!r}")
         if a != b * S:
             raise ValueError(f"stratum {label!r}: a = {a!r} is not N * S for S = {S!r}")
-        self.__dict__["S"] = S
+        _set_S(self, S)
 
     @property
     def N(self) -> int:
         """The population size, b as an integer."""
         return int(self.b)
+
+
+# the slots' own setters, bound once: a record's __setattr__ refuses every assignment
+_set_label, _set_a, _set_b = (getattr(Stratum, name).__set__ for name in Stratum.__slots__)
+_set_S = SurveyStratum.S.__set__
 
 
 def _all_valid(a: list[float], b: list[float], S: list[float] | None, product: bool) -> bool:
@@ -387,19 +404,22 @@ class AllocationProblem:
 class IterationRecord(_Record):
     """One solver iteration: 1-based index r, the scale s(V_r), labels added.
 
-    Like :class:`Stratum`, built in one Python frame: the first read of a
-    trace builds many.
+    Like :class:`Stratum`, built in one Python frame into its slots: the
+    first read of a trace builds many.
     """
 
+    __slots__ = ("r", "s_value", "added")
     r: int
     s_value: float
     added: tuple[Label, ...]
 
     def __init__(self, r: int, s_value: float, added: tuple[Label, ...]) -> None:
-        attrs = self.__dict__
-        attrs["r"] = r
-        attrs["s_value"] = s_value
-        attrs["added"] = added
+        _set_r(self, r)
+        _set_s_value(self, s_value)
+        _set_added(self, added)
+
+
+_set_r, _set_s_value, _set_added = (getattr(IterationRecord, name).__set__ for name in IterationRecord.__slots__)
 
 
 class AllocationResult(_Record):

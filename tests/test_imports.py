@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import stratalloc
-from stratalloc import Stratum, SurveyStratum
+from stratalloc import IterationRecord, Stratum, SurveyStratum
 from stratalloc.cli import main
 
 SRC = str(Path(stratalloc.__file__).resolve().parents[1])
@@ -126,7 +126,12 @@ def test_unknown_name():
         exec("from stratalloc import nope", {})
 
 
-@pytest.mark.parametrize("record", [Stratum("u", 1.5, 2.0), SurveyStratum("v", 6.0, 3.0, 2.0)])
+@pytest.mark.parametrize(
+    "record", [Stratum("u", 1.5, 2.0), SurveyStratum("v", 6.0, 3.0, 2.0), IterationRecord(2, 0.5, ("u", "v"))]
+)
 def test_records_pickle(record):
-    back = pickle.loads(pickle.dumps(record))
-    assert type(back) is type(record) and back == record and repr(back) == repr(record)
+    # records built many at a time hold their fields in slots, which pickle rebuilds through the constructor
+    assert not hasattr(record, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record) and back == record and repr(back) == repr(record)

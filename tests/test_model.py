@@ -192,6 +192,12 @@ def test_records_are_frozen_dataclasses(cls, values, names, text):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.extra = 1
     assert tuple(getattr(rec, name) for name in names) == values
+    if cls in (Stratum, SurveyStratum, IterationRecord):  # built many at a time: the fields are slots
+        assert not hasattr(rec, "__dict__")
+        # dataclasses skips a slot's member descriptor as a default; the generic constructor reads _defaults
+        assert [f.default for f in dataclasses.fields(rec)] == [dataclasses.MISSING] * len(names) and not cls._defaults
+        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)), rec.__replace__()):
+            assert type(twin) is type(rec) and twin == rec
 
 
 RECORD_DOCS = {
@@ -218,6 +224,29 @@ def test_record_fields_are_built_per_class():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[3, 4, 3]\n"
     assert [f.name for f in dataclasses.fields(SurveyStratum)] == ["label", "a", "b", "S"]
+
+
+def test_one_collector_allocation_per_record():
+    # a record with a __dict__ is two allocations of the cyclic garbage
+    # collector, so K records would start about 2 * K // threshold collections
+    code = (
+        "import gc\n"
+        "from stratalloc.model import Stratum\n"
+        "threshold = gc.get_threshold()[0]\n"
+        "K = 20 * threshold\n"
+        "labels, a, b = [f's{i}' for i in range(K)], [1.5] * K, [2.0] * K\n"
+        "started = []\n"
+        "gc.collect()\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info['generation']))\n"
+        "records = tuple(map(Stratum, labels, a, b))\n"
+        "gc.callbacks.clear()\n"
+        "print(K // threshold, len(started))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stratalloc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_threshold, collections = map(int, proc.stdout.split())
+    assert collections <= per_threshold + 2, proc.stdout
 
 
 def test_records_behave_as_frozen_dataclasses():
