@@ -124,7 +124,7 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
         raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _decode_error(name, reader.line_num, exc) from None
+        raise _decode_error(fp, name, reader.line_num, exc) from None
     finally:
         if collecting:
             gc.enable()
@@ -140,13 +140,25 @@ def _values(v1: list[float], v2: list[float], survey: bool) -> tuple[list[float]
     return (list(map(mul, v1, v2)), v1, v2) if survey else (v1, v2, None)
 
 
-def _decode_error(name: str, lines_read: int, exc: UnicodeDecodeError) -> StrataCsvError:
-    # the file decodes a chunk ahead of the reader, which has read whole
-    # lines up to lines_read: the bad byte lies that many line ends into
-    # the chunk past them, counted as the csv module counts them (\r\n, a
-    # lone \r, or \n)
-    before = exc.object[: exc.start]
-    line = lines_read + 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+def _decode_error(fp: IO[str], name: str, lines_read: int, exc: UnicodeDecodeError) -> StrataCsvError:
+    # the bad byte's line is one past the line ends before it, counted as
+    # the csv module counts them (\r\n, a lone \r, or \n)
+    buffer = getattr(fp, "buffer", None)
+    if buffer is not None and buffer.seekable():
+        # the decoder was given exc.object, which ends where the file has been read to
+        at = buffer.tell()
+        buffer.seek(0)
+        before = buffer.read(at - len(exc.object) + exc.start)
+        buffer.seek(at)
+        line = 1
+    else:
+        # the file decodes a chunk ahead of the reader, which has read whole
+        # lines up to lines_read: the bad byte lies that many line ends into
+        # the chunk past them, unless a lone \r that ended the chunk before
+        # was held back, which this count misses
+        before = exc.object[: exc.start]
+        line = lines_read + 1
+    line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
     byte = exc.object[exc.start]
     return StrataCsvError(f"{name}: line {line}: byte 0x{byte:02x} is not valid {exc.encoding} ({exc.reason})")
 

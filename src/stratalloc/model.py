@@ -23,7 +23,7 @@ import sys
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import and_, attrgetter, ge, gt, le, lt, mul, neg, truediv
+from operator import and_, attrgetter, ge, gt, itemgetter, le, lt, mul, neg, truediv
 
 Label = Hashable
 
@@ -75,12 +75,9 @@ class _Record:
     copied by ``__replace__``, and immutable, raising dataclasses'
     FrozenInstanceError; ``dataclasses`` is imported only when one of its
     functions reads a record, or on that error. The generic constructor
-    takes fields by position, then by name; a class whose records validate
-    or are built many at a time writes its own. A class that declares
-    ``__slots__`` for its fields (the records built many at a time) holds
-    them there, with no per-instance ``__dict__``, so a record is one
-    allocation of the cyclic garbage collector, not two; such a record is
-    copied and pickled through its constructor.
+    takes fields by position, then by name, into the record's ``__dict__``;
+    a class whose records validate writes its own. The records built many
+    at a time are tuples of their fields instead (:class:`_TupleRecord`).
 
     A record may hold a field as columns in place of its value: ``_views``
     maps such a field to the function that builds the value from them. The
@@ -97,14 +94,14 @@ class _Record:
         super().__init_subclass__()
         body = vars(cls)
         own = {name: kind for name, kind in body.get("__annotations__", {}).items() if name not in cls._types}
-        slots = body.get("__slots__", ())  # a slot's member descriptor in the body is no default
         cls._types = {**cls._types, **own}
-        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body and name not in slots}}
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
         cls.__match_args__ = tuple(cls._types)
-        # the field values as a tuple: every record has two fields or more
-        cls._field_values = attrgetter(*cls.__match_args__)
-        if slots:  # the default restore of slot state assigns by setattr, which a record refuses
-            cls.__reduce__ = _Record._by_constructor
+        if issubclass(cls, tuple):  # each field is read by its index
+            for i, name in enumerate(cls.__match_args__):
+                setattr(cls, name, property(itemgetter(i)))
+        else:  # the field values as a tuple: every record has two fields or more
+            cls._field_values = attrgetter(*cls.__match_args__)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names, attrs = self.__match_args__, self.__dict__
@@ -131,9 +128,6 @@ class _Record:
     def __replace__(self, /, **changes: object) -> _Record:
         return type(self)(**dict(zip(self.__match_args__, self._field_values(self)), **changes))
 
-    def _by_constructor(self) -> tuple[type, tuple]:
-        return type(self), self._field_values(self)
-
     def __getattr__(self, name: str) -> object:
         # only a name found neither in __dict__ nor on the class reaches here
         view = self._views.get(name)
@@ -153,37 +147,71 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class Stratum(_Record):
+_tuple_new = tuple.__new__
+
+
+class _TupleRecord(_Record, tuple):
+    """The base of the records built many at a time: a record is a tuple of
+    its fields, in field order, with no ``__dict__``. It is one allocation
+    of the cyclic garbage collector, its fields are read by index, and a
+    column of a field over many records is one C-level ``itemgetter`` pass.
+    Each class builds its records in its own ``__new__``; copies and pickles
+    go through it. A record equals only a record of its own class, and
+    records are not ordered: tuple's equality and order, which read the
+    items alone, do not apply."""
+
+    __slots__ = ()
+    __init__ = object.__init__  # __new__ builds the record
+    _field_values = tuple
+    __hash__ = tuple.__hash__  # the hash of the fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _unordered(self, other: object) -> bool:
+        raise TypeError(f"{type(self).__name__} records are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(self)
+
+
+class Stratum(_TupleRecord):
     """One stratum: a label, a variability weight a, and an upper bound b.
 
     The one constructor checks that a, b and a/b are positive and finite
     in one chained compare. Values that fail it go through the three
     checks one at a time, and the first that fails raises the ValueError
-    naming the stratum and the value. The fields are then written
-    straight into the record's slots: a record costs one Python frame and
-    one allocation, and has no ``__dict__``.
+    naming the stratum and the value. The record is then the tuple
+    ``(label, a, b)``: it costs one Python frame and one allocation.
 
     SRSWOR strata are built with :meth:`survey` and also carry N and S; on a
     plain stratum both read None.
     """
 
-    __slots__ = ("label", "a", "b")
+    __slots__ = ()
     label: Label
     a: float
     b: float
     N = S = None
 
-    def __init__(self, label: Label, a: float, b: float) -> None:
-        if not (0 < a <= _FLOAT_MAX and 0 < b <= _FLOAT_MAX and a / b <= _FLOAT_MAX):
+    def __new__(cls, label: Label, a: float, b: float) -> Stratum:
+        # 0.0, not 0: a compare of two floats takes the interpreter's specialized path
+        if not (0.0 < a <= _FLOAT_MAX and 0.0 < b <= _FLOAT_MAX and a / b <= _FLOAT_MAX):
             # one condition at a time, for the message; an int too large for a float fails as inf
             if not 0 < a <= _FLOAT_MAX:
                 raise ValueError(f"stratum {label!r}: a must be positive and finite, got {_shown(a)}")
             if not 0 < b <= _FLOAT_MAX:
                 raise ValueError(f"stratum {label!r}: b must be positive and finite, got {_shown(b)}")
             raise ValueError(f"stratum {label!r}: a/b overflows")
-        _set_label(self, label)
-        _set_a(self, a)
-        _set_b(self, b)
+        return _tuple_new(cls, (label, a, b))
 
     @staticmethod
     def survey(label: Label, N: float, S: float) -> SurveyStratum:
@@ -206,18 +234,19 @@ class SurveyStratum(Stratum):
 
     Built by :meth:`Stratum.survey`; a record whose b is not an integer or
     whose a is not b * S is rejected, after the :class:`Stratum` checks.
+    The record is the tuple ``(label, a, b, S)``.
     """
 
-    __slots__ = ("S",)
+    __slots__ = ()
     S: float
 
-    def __init__(self, label: Label, a: float, b: float, S: float) -> None:
-        Stratum.__init__(self, label, a, b)
+    def __new__(cls, label: Label, a: float, b: float, S: float) -> SurveyStratum:
+        Stratum.__new__(Stratum, label, a, b)  # the Stratum checks, on a record then dropped
         if b != int(b):
             raise ValueError(f"stratum {label!r}: N must be an integer, got {b!r}")
         if a != b * S:
             raise ValueError(f"stratum {label!r}: a = {a!r} is not N * S for S = {S!r}")
-        _set_S(self, S)
+        return _tuple_new(cls, (label, a, b, S))
 
     @property
     def N(self) -> int:
@@ -225,9 +254,8 @@ class SurveyStratum(Stratum):
         return int(self.b)
 
 
-# the slots' own setters, bound once: a record's __setattr__ refuses every assignment
-_set_label, _set_a, _set_b = (getattr(Stratum, name).__set__ for name in Stratum.__slots__)
-_set_S = SurveyStratum.S.__set__
+# the record columns, each read by one C-level pass over the records
+_label_of, _a_of, _b_of, _S_of = map(itemgetter, range(4))
 
 
 def _all_valid(a: list[float], b: list[float], S: list[float] | None, product: bool) -> bool:
@@ -317,18 +345,21 @@ class StrataColumns:
     @classmethod
     def from_records(cls, records: Iterable[Stratum]) -> StrataColumns:
         """The columns of records already built; ``records`` is that tuple.
-        S is the records' S when every one is a :class:`SurveyStratum`."""
+        The records are tuples of their fields, so each column is one
+        C-level ``itemgetter`` pass over them; S is read only when every
+        record is a :class:`SurveyStratum`. An item that is not a
+        :class:`Stratum` raises TypeError: nothing else was checked."""
         records = tuple(records)
-        S = None
-        # a plain Stratum has S = None, so S is read only after a first SurveyStratum
-        if records and isinstance(records[0], SurveyStratum):
-            S = list(map(attrgetter("S"), records))
-            S = None if None in S else S
+        kinds = set(map(type, records))
+        for kind in kinds:
+            if not issubclass(kind, Stratum):
+                raise TypeError(f"strata must be Stratum records, got {kind.__name__!r}")
+        survey = kinds and all(issubclass(kind, SurveyStratum) for kind in kinds)
         self = cls._given(
-            tuple(map(attrgetter("label"), records)),
-            list(map(attrgetter("a"), records)),
-            list(map(attrgetter("b"), records)),
-            S,
+            tuple(map(_label_of, records)),
+            list(map(_a_of, records)),
+            list(map(_b_of, records)),
+            list(map(_S_of, records)) if survey else None,
         )
         self._records = records
         _check_distinct(self.labels)
@@ -401,25 +432,20 @@ class AllocationProblem:
         return self.n == self.sum_b
 
 
-class IterationRecord(_Record):
+class IterationRecord(_TupleRecord):
     """One solver iteration: 1-based index r, the scale s(V_r), labels added.
 
-    Like :class:`Stratum`, built in one Python frame into its slots: the
-    first read of a trace builds many.
+    Like :class:`Stratum`, the tuple of its fields, built in one Python
+    frame: the first read of a trace builds many.
     """
 
-    __slots__ = ("r", "s_value", "added")
+    __slots__ = ()
     r: int
     s_value: float
     added: tuple[Label, ...]
 
-    def __init__(self, r: int, s_value: float, added: tuple[Label, ...]) -> None:
-        _set_r(self, r)
-        _set_s_value(self, s_value)
-        _set_added(self, added)
-
-
-_set_r, _set_s_value, _set_added = (getattr(IterationRecord, name).__set__ for name in IterationRecord.__slots__)
+    def __new__(cls, r: int, s_value: float, added: tuple[Label, ...]) -> IterationRecord:
+        return _tuple_new(cls, (r, s_value, added))
 
 
 class AllocationResult(_Record):

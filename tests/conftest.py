@@ -46,15 +46,15 @@ def problem_factory():
 @pytest.fixture
 def built_records(monkeypatch):
     """The labels of the Stratum and SurveyStratum records built while the
-    test runs: every record constructor runs Stratum.__init__."""
+    test runs: every record constructor runs Stratum.__new__."""
     built = []
-    init = Stratum.__init__
+    new = Stratum.__new__
 
-    def counted(st, label, a, b):
+    def counted(cls, label, a, b):
         built.append(label)
-        init(st, label, a, b)
+        return new(cls, label, a, b)
 
-    monkeypatch.setattr(Stratum, "__init__", counted)
+    monkeypatch.setattr(Stratum, "__new__", counted)
     return built
 
 

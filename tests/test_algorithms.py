@@ -670,13 +670,13 @@ def test_trace_built_on_first_read(solver, monkeypatch):
     # a solve builds no IterationRecord; the first read of trace builds
     # one per iteration and keeps them, and reading it again builds none
     built = []
-    init = model.IterationRecord.__init__
+    new = model.IterationRecord.__new__
 
-    def counted(self, *args):
+    def counted(cls, *args):
         built.append(args[0])
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(model.IterationRecord, "__init__", counted)
+    monkeypatch.setattr(model.IterationRecord, "__new__", counted)
     for seed in range(3):
         res = solver(solve_mix_problem(seed))
         assert built == [] and "trace" not in vars(res)

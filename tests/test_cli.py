@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -399,6 +400,39 @@ def test_one_solver_registry(table1_csv):
     assert bench.SOLVERS is algorithms.SOLVERS
     for name in [*algorithms.SOLVERS, "bisection"]:
         assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--algorithm", name]) == 0
+
+
+# strata 2 and 1 share the float c = a/b, while 1/s({0}) lies between their
+# exact a/b, so the optimum is {0, 1}
+EQUAL_C_ROWS = [
+    "0,56.71821220562006,2.6948674738744653",
+    "2,3.2956212316547955,5.561591732572603",
+    "1,9.751665804253943,16.45661928464921",
+    "3,5.458915783827469,72.47455323943691",
+]
+# the allocation JSON's lines that name the solver and its iteration count
+SOLVER_LINES = (b'  "algorithm": ', b'  "iterations": ')
+
+
+def test_equal_float_c_through_the_cli(tmp_path, capsys):
+    # in each of the 24 row orders of the label,a,b file, rna, sga and coma
+    # must each write a JSON that verify accepts with "take-all fixed point:
+    # ok", and sga and coma must write the same JSON as rna apart from the
+    # algorithm and iterations lines
+    def same(path):
+        return [line for line in path.read_bytes().splitlines(True) if not line.startswith(SOLVER_LINES)]
+
+    for k, order in enumerate(itertools.permutations(EQUAL_C_ROWS)):
+        csv_path = tmp_path / f"order{k}.csv"
+        csv_path.write_text("label,a,b\n" + "\n".join(order) + "\n")
+        for algorithm in ("rna", "sga", "coma"):
+            out = tmp_path / f"{algorithm}.json"
+            problem = ["--input", str(csv_path), "--n", "33.92538134936512"]
+            assert main(["allocate", *problem, "--algorithm", algorithm, "--output", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["verify", *problem, "--allocation", str(out)]) == 0
+            assert "take-all fixed point: ok" in capsys.readouterr().out.splitlines()
+            assert same(tmp_path / "rna.json") == same(out), (k, algorithm)
 
 
 # sha256 of the allocate JSON, computed before the problem became columnar;

@@ -119,12 +119,23 @@ class TestStrataColumns:
         columns = StrataColumns.from_records(survey)
         assert columns.S == [0.1, 2.5]
         assert population_maps_from_rows(columns) == ({"s0": 3, "s1": 7}, {"s0": 0.1, "s1": 2.5})
-        assert StrataColumns.from_records([*survey, Stratum("w", 1.0, 2.0)]).S is None
-        assert StrataColumns.from_records([Stratum("w", 1.0, 2.0), *survey]).S is None
+        assert StrataColumns.from_records(iter(survey)).S == [0.1, 2.5]
+        # S only when every record is a SurveyStratum: a plain Stratum has no S
+        for mixed in ([*survey, Stratum("w", 1.0, 2.0)], [Stratum("w", 1.0, 2.0), *survey]):
+            assert StrataColumns.from_records(mixed).S is None
+            assert StrataColumns.from_records(record for record in mixed).S is None
+        assert StrataColumns.from_records(rec for rec in [Stratum("w", 1.0, 2.0)]).S is None
+
+    def test_from_records_takes_only_records(self):
+        # the columns are read by index, so a plain tuple would pass unchecked
+        for strata in ([("u", -1.0, 2.0)], [Stratum("u", 1.0, 2.0), ("v", 1.0, 2.0)]):
+            with pytest.raises(TypeError, match="^strata must be Stratum records, got 'tuple'$"):
+                StrataColumns.from_records(strata)
+            with pytest.raises(TypeError, match="^strata must be Stratum records"):
+                AllocationProblem(strata, 1.0)
 
     def test_no_records_no_problem(self):
-        # from_records reads S only after a first SurveyStratum, so empty
-        # records reach the problem's own check, not an IndexError
+        # empty records give no S and reach the problem's own check
         assert StrataColumns.from_records(()).S is None
         for strata in ((), []):
             with pytest.raises(ValueError, match="^problem needs at least one stratum$"):

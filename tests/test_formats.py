@@ -30,6 +30,21 @@ def parse(text, name="test.csv"):
     return read_strata_csv(io.StringIO(text), name=name)
 
 
+def chunk_boundary_file(end, shift):
+    """A survey CSV whose lines end in ``end``, one of them at byte 8192 +
+    shift (a text file decodes 8192 bytes at a time), followed by a row
+    with an undecodable byte; and that row's line number."""
+    head = b"label,N,S" + end
+    rows, pad = divmod(8192 + shift - len(head), len(b"r00000,10,2" + end))
+    body = b"x" * pad + b"".join(b"r%05d,10,2%s" % (i, end) for i in range(rows))
+    return head + body + b"bad,\xff,2" + end, rows + 2
+
+
+class Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
 class TestReadStrataCsv:
     def test_weight_bound_form(self):
         rows = parse("label,a,b\nu,2.5,10\nv,1.0,4\n").records
@@ -126,14 +141,26 @@ class TestReadStrataCsv:
             (b"label,N,S\r" + b"".join(b"r%d,10,2\r" % i for i in range(3000)) + b"x,\xff,2\r", 3002),
             (b"label,N,S\r\n" + b"".join(b"r%d,10,2\r\n" % i for i in range(3000)) + b"x,\xff,2\r\n", 3002),
             (b"label,N,S\r\nu,10,2\rv,3,4\nw,\xff,2\r\n", 4),
+            # a line end at the end of the first 8 KiB decode chunk, moved by -3 to +3 bytes:
+            # a lone \r there is held back by the newline decoder, out of the reader's count
+            *(chunk_boundary_file(end, shift) for end in (b"\r", b"\r\n", b"\n") for shift in range(-3, 4)),
         ],
-        ids=["header", "data_row", "later_chunk", "cr", "crlf", "lf", "later_chunk_cr", "later_chunk_crlf", "mixed"],
+        ids=["header", "data_row", "later_chunk", "cr", "crlf", "lf", "later_chunk_cr", "later_chunk_crlf", "mixed",
+             *(f"boundary_{name}{shift:+d}" for name in ("cr", "crlf", "lf") for shift in range(-3, 4))],
     )
     def test_undecodable_byte_names_file_and_line(self, tmp_path, data, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         message = f"^bad.csv: line {line}: byte 0xff is not valid utf-8 \\(invalid start byte\\)$"
         with open(path, encoding="utf-8", newline="") as fp, pytest.raises(StrataCsvError, match=message):
+            read_strata_csv(fp, name="bad.csv")
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"], ids=["cr", "crlf", "lf"])
+    def test_undecodable_byte_in_a_stream_that_cannot_seek(self, end):
+        # counted from the reader's lines and the failing chunk's bytes
+        data = b"label,N,S" + end + b"".join(b"r%d,10,2%s" % (i, end) for i in range(3000)) + b"x,\xff,2" + end
+        fp = io.TextIOWrapper(Unseekable(data), encoding="utf-8", newline="")
+        with pytest.raises(StrataCsvError, match="^bad.csv: line 3002: byte 0xff is not valid utf-8"):
             read_strata_csv(fp, name="bad.csv")
 
 

@@ -130,7 +130,7 @@ def test_unknown_name():
     "record", [Stratum("u", 1.5, 2.0), SurveyStratum("v", 6.0, 3.0, 2.0), IterationRecord(2, 0.5, ("u", "v"))]
 )
 def test_records_pickle(record):
-    # records built many at a time hold their fields in slots, which pickle rebuilds through the constructor
+    # records built many at a time are tuples of their fields, which pickle rebuilds through the constructor
     assert not hasattr(record, "__dict__")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))

@@ -177,7 +177,8 @@ def test_records_are_frozen_dataclasses(cls, values, names, text):
     assert repr(rec) == text
     # equal by fields and class only
     assert rec == cls(**dict(zip(names, values))) == dataclasses.replace(rec) == pickle.loads(pickle.dumps(rec))
-    assert rec != values
+    # never equal to the plain tuple of the fields, in either order
+    assert rec != values and values != rec and not rec == values and not values == rec
     assert rec != dataclasses.replace(rec, **{names[0]: "other"})
     if cls in (AllocationResult, KktCertificate):
         with pytest.raises(TypeError, match="unhashable"):
@@ -192,12 +193,16 @@ def test_records_are_frozen_dataclasses(cls, values, names, text):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.extra = 1
     assert tuple(getattr(rec, name) for name in names) == values
-    if cls in (Stratum, SurveyStratum, IterationRecord):  # built many at a time: the fields are slots
-        assert not hasattr(rec, "__dict__")
-        # dataclasses skips a slot's member descriptor as a default; the generic constructor reads _defaults
+    if cls in (Stratum, SurveyStratum, IterationRecord):  # built many at a time: tuples of their fields
+        assert not hasattr(rec, "__dict__") and isinstance(rec, tuple) and tuple(rec) == values
+        # the fields' index descriptors are no defaults
         assert [f.default for f in dataclasses.fields(rec)] == [dataclasses.MISSING] * len(names) and not cls._defaults
-        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)), rec.__replace__()):
+        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)), rec.__replace__(), dataclasses.replace(rec)):
             assert type(twin) is type(rec) and twin == rec
+        # not ordered, as a dataclass without order=True, and not as the tuple of the fields
+        for smaller in (lambda: rec < cls(*values), lambda: rec <= values, lambda: values < rec):
+            with pytest.raises(TypeError, match="records are not ordered"):
+                smaller()
 
 
 RECORD_DOCS = {
@@ -228,25 +233,40 @@ def test_record_fields_are_built_per_class():
 
 def test_one_collector_allocation_per_record():
     # a record with a __dict__ is two allocations of the cyclic garbage
-    # collector, so K records would start about 2 * K // threshold collections
+    # collector, so K records would start about 2 * K // threshold
+    # collections. A problem built from strata records reads their columns
+    # without an allocation per record, so it starts none: a zip(*records)
+    # transposition would start K // threshold.
     code = (
         "import gc\n"
-        "from stratalloc.model import Stratum\n"
+        "from itertools import repeat\n"
+        "from stratalloc.model import AllocationProblem, IterationRecord, Stratum, SurveyStratum\n"
         "threshold = gc.get_threshold()[0]\n"
         "K = 20 * threshold\n"
-        "labels, a, b = [f's{i}' for i in range(K)], [1.5] * K, [2.0] * K\n"
+        "labels, a, b, S = [f's{i}' for i in range(K)], [3.0] * K, [2.0] * K, [1.5] * K\n"
         "started = []\n"
-        "gc.collect()\n"
         "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info['generation']))\n"
-        "records = tuple(map(Stratum, labels, a, b))\n"
-        "gc.callbacks.clear()\n"
-        "print(K // threshold, len(started))"
+        "def collections(build):\n"
+        "    gc.collect()\n"
+        "    started.clear()\n"
+        "    built = build()\n"
+        "    return len(started), built\n"
+        "for build in (\n"
+        "    lambda: tuple(map(Stratum, labels, a, b)),\n"
+        "    lambda: tuple(map(SurveyStratum, labels, a, b, S)),\n"
+        "    lambda: tuple(map(IterationRecord, range(K), a, repeat(('u',)))),\n"
+        "):\n"
+        "    built, records = collections(build)\n"
+        "    problem = 0 if isinstance(records[0], IterationRecord) else collections(lambda: AllocationProblem(records, 1.0))[0]\n"
+        "    print(type(records[0]).__name__, K // threshold, built, problem)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(stratalloc.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    per_threshold, collections = map(int, proc.stdout.split())
-    assert collections <= per_threshold + 2, proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["Stratum", "SurveyStratum", "IterationRecord"], proc.stdout
+    for _, per_threshold, built, problem in rows:
+        assert int(built) <= int(per_threshold) + 2 and int(problem) == 0, proc.stdout
 
 
 def test_records_behave_as_frozen_dataclasses():
@@ -268,6 +288,9 @@ def test_records_behave_as_frozen_dataclasses():
         assert type(twin) is type(rec) and twin == rec and repr(twin) == repr(rec)
     assert st.__replace__(a=3.0) == Stratum("u", 3.0, 4.0)
     assert survey.__replace__() == survey and type(survey.__replace__()) is SurveyStratum
+    # equal only within a class, whatever the fields
+    same = Stratum("v", 6.0, 3.0)
+    assert same != survey and survey != same and not same == survey and not survey == same
     if sys.version_info >= (3, 13):
         assert copy.replace(st, b=5.0) == Stratum("u", 2.0, 5.0)
     match st:
