@@ -76,6 +76,7 @@ from .model import (
     _exact_parts,
     _s_terms,
     _scale,
+    _thresholds,
     take_all_members,
 )
 from .model import _v_result as v_allocation  # the name perfbench's traced replay wraps
@@ -111,8 +112,7 @@ def _batch_walk(
     while True:
         B, A = math.fsum(budget), math.fsum(a_off[p:])
         s = B / A if A else 0.0  # _scale's terms and quotient
-        ratio = min(A / B, _FLOAT_MAX)  # the thresholds of is_optimal_takeall
-        lo, hi = TAKE_LO * ratio - TINY, TAKE_HI * ratio + TINY
+        lo, hi = _thresholds(B, A)
         q = bisect_right(order, -hi, p, key=minus_c)
         band_end = bisect_left(order, -lo, q, key=minus_c)
         if q < band_end:  # in exact order the band's hits are a prefix of it
@@ -153,7 +153,7 @@ def _sorted_walk(
         s, ratio = B / A, A / B
         if ratio > float_max:  # min(A / B, _FLOAT_MAX): a call per step costs more
             ratio = float_max
-        # the float filter, as in is_optimal_takeall, for one candidate
+        # the float filter for one candidate: model._thresholds, inline for speed
         ci = c[i]
         if not take_lo * ratio - tiny < ci < take_hi * ratio + tiny:
             take = ci > ratio

@@ -232,8 +232,10 @@ class Stratum(_TupleRecord):
 class SurveyStratum(Stratum):
     """A stratum of an SRSWOR design: b = N units with standard deviation S.
 
-    Built by :meth:`Stratum.survey`; a record whose b is not an integer or
-    whose a is not b * S is rejected, after the :class:`Stratum` checks.
+    Built by :meth:`Stratum.survey`. N and S are checked first, so an error
+    names the value as given: each must be positive and finite, and so must
+    N * S. Then come the :class:`Stratum` checks, and a record whose b is
+    not an integer or whose a is not b * S is rejected.
     The record is the tuple ``(label, a, b, S)``.
     """
 
@@ -241,6 +243,11 @@ class SurveyStratum(Stratum):
     S: float
 
     def __new__(cls, label: Label, a: float, b: float, S: float) -> SurveyStratum:
+        if not (0.0 < b <= _FLOAT_MAX and 0.0 < S <= _FLOAT_MAX and b * S <= _FLOAT_MAX):
+            for name, value in (("N", b), ("S", S)):
+                if not 0 < value <= _FLOAT_MAX:
+                    raise ValueError(f"stratum {label!r}: {name} must be positive and finite, got {_shown(value)}")
+            raise ValueError(f"stratum {label!r}: N * S overflows")
         Stratum.__new__(Stratum, label, a, b)  # the Stratum checks, on a record then dropped
         if b != int(b):
             raise ValueError(f"stratum {label!r}: N must be an integer, got {b!r}")
@@ -606,6 +613,12 @@ TAKE_HI = 1.0 + 2.0**-40
 TINY = 2.0**-1070
 
 
+def _thresholds(B: float, A: float) -> tuple[float, float]:
+    """The float filter's thresholds (lo, hi) for s(V) = B / A."""
+    ratio = min(A / B, _FLOAT_MAX)
+    return TAKE_LO * ratio - TINY, TAKE_HI * ratio + TINY
+
+
 def take_all_members(problem: AllocationProblem, v_idx: Sequence[int], candidates: Sequence[int]) -> list[bool]:
     """Which candidate strata w have c_w * s(V) >= 1, decided exactly.
 
@@ -674,8 +687,7 @@ def is_optimal_takeall(problem: AllocationProblem, v: Iterable[Label]) -> bool:
         return False
     K = problem.size
     c = list(map(truediv, *problem.columns.lists))
-    ratio = min(A / B, _FLOAT_MAX)
-    lo, hi = TAKE_LO * ratio - TINY, TAKE_HI * ratio + TINY
+    lo, hi = _thresholds(B, A)
     flags = list(map(lt, repeat(lo), c))  # c_w > lo: in V unless the band's test says no
     if min(compress(c, flags), default=math.inf) < hi:  # the band is not empty
         band = list(compress(range(K), map(and_, flags, map(gt, repeat(hi), c))))

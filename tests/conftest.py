@@ -1,11 +1,68 @@
+import hashlib
 import heapq
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from operator import truediv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stratalloc
 from stratalloc import AllocationProblem, StrataColumns, Stratum
+
+SRC = str(Path(stratalloc.__file__).resolve().parents[1])
+
+# Runs CLI commands in process and prints {name: [exit code, stdout]}; with
+# "blocked" first, `import numpy` raises ImportError in that process.
+RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import stratalloc
+from stratalloc import cli
+out = {}
+for name, argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out[name] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+# roundcmp's sampling fractions 0.1 to 0.5, as CLI arguments
+FRACTION_ARGS = [arg for f in ("0.1", "0.2", "0.3", "0.4", "0.5") for arg in ("--fraction", f)]
+
+# the allocation JSON's lines that name the solver and its iteration count
+SOLVER_LINES = (b'  "algorithm": ', b'  "iterations": ')
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_cli(mode: str, commands: list) -> dict:
+    """{name: [exit code, stdout]} of the (name, argv) CLI commands, run one
+    after another in one child through RUNNER; mode "blocked" blocks numpy."""
+    proc = python("-c", RUNNER, mode, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def solver_free(path: Path) -> list[bytes]:
+    """The lines of an allocation JSON file apart from SOLVER_LINES: equal
+    for two solvers that reach the same allocation."""
+    return [line for line in path.read_bytes().splitlines(True) if not line.startswith(SOLVER_LINES)]
+
 
 # Filled by test_acceptance; echoed after the test summary so the
 # per-criterion verdicts are visible in any pytest run.
@@ -176,6 +233,14 @@ def split_run_problems(seed: int, count: int):
         if n < hi and n < math.fsum(st.b for st in strata):
             out.append((AllocationProblem(strata, n), frozenset(i for i, (_, inside) in enumerate(rows) if inside)))
     return out
+
+
+def threshold_n(a: list[float], b: list[float], p: int) -> float:
+    """The n that puts the p-th stratum w of the descending c = a/b order at
+    its threshold: c_w * s(V) rounds to 1 for V = order[:p]."""
+    c = list(map(truediv, a, b))
+    order = sorted(range(len(c)), key=c.__getitem__, reverse=True)
+    return math.fsum(b[i] for i in order[:p]) + math.fsum(a[i] for i in order[p:]) / c[order[p - 1]]
 
 
 def heap_greedy_counts(problem: AllocationProblem) -> list[int]:

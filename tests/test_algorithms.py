@@ -11,7 +11,7 @@ from operator import truediv
 import numpy as np
 import pytest
 
-from conftest import exact_fixed_point, exact_takeall, make_random_problem, solve_mix_problem
+from conftest import exact_fixed_point, exact_takeall, make_random_problem, sha256, solve_mix_problem, solver_free, threshold_n
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
@@ -34,6 +34,7 @@ from stratalloc import (
     table1_problem,
 )
 from stratalloc import model
+from stratalloc.cli import main
 from stratalloc.model import TAKE_HI, TAKE_LO, TINY
 
 ALL_SOLVERS = [rna, sga, coma]
@@ -448,15 +449,22 @@ class TestExactTakeAll:
 
 def near_tie_survey(K=2000, p=1200):
     # a seeded survey problem whose n puts the p-th stratum of the descending
-    # c order at its threshold: n = sum of b over order[:p] + sum of a over
-    # order[p:] / c_w, so c_w * s(V) rounds to 1
+    # c order at its threshold
     rng = np.random.default_rng(22)
     columns = StrataColumns.survey(range(K), rng.integers(10, 2000, K).tolist(), rng.lognormal(0, 1, K).tolist())
-    a, b = columns.lists
-    c = list(map(truediv, a, b))
-    order = sorted(range(K), key=c.__getitem__, reverse=True)
-    n = math.fsum(b[i] for i in order[:p]) + math.fsum(a[i] for i in order[p:]) / c[order[p - 1]]
-    return AllocationProblem(columns, n), c
+    return AllocationProblem(columns, threshold_n(*columns.lists, p)), list(map(truediv, *columns.lists))
+
+
+def cliff_columns():
+    # ROADMAP item 2's rational cliff: K = 2,000 strata with a = U(1, 100) *
+    # 1e290 and b = U(10, 1000) * 1e-14; at n = sum(b) / 2, s is about 6e-304
+    rng = np.random.default_rng(2)
+    a = (rng.uniform(1, 100, 2000) * 1e290).tolist()
+    b = (rng.uniform(10, 1000, 2000) * 1e-14).tolist()
+    return a, b
+
+
+CLIFF_SHA256 = "6f112684984cf13a88843aa61e84010d894e6c1b65ce41104b98a0044d4a6e1c"  # rna's JSON on the cliff
 
 
 class TestTakeAllBand:
@@ -503,10 +511,8 @@ class TestTakeAllBand:
         # sends only near-ties to rationals: each solve takes at most 4 times
         # as long as on its twin with every b times 1e3, where s is above
         # 2**-1000 (the best of 3 runs each)
-        rng = np.random.default_rng(2)
-        K = 2000
-        a = (rng.uniform(1, 100, K) * 1e290).tolist()
-        b = (rng.uniform(10, 1000, K) * 1e-14).tolist()
+        a, b = cliff_columns()
+        K = len(a)
         p = AllocationProblem(tuple(map(Stratum, range(K), a, b)), math.fsum(b) / 2)
         b_twin = [v * 1e3 for v in b]
         twin = AllocationProblem(tuple(map(Stratum, range(K), a, b_twin)), math.fsum(b_twin) / 2)
@@ -531,6 +537,24 @@ class TestTakeAllBand:
         for res in results:
             assert result_key(res) == result_key(results[0]), res.algorithm
         assert is_optimal_takeall(p, results[0].take_all)
+
+    def test_rational_cliff_through_the_cli(self, tmp_path, capsys):
+        # the cliff as a label,a,b file: rna's JSON has its pinned sha256 and
+        # verify accepts it, and sga and coma write the same JSON as rna
+        # apart from the algorithm and iterations lines
+        a, b = cliff_columns()
+        csv_path = tmp_path / "cliff.csv"
+        csv_path.write_text("label,a,b\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(zip(a, b))))
+        problem = ["--input", str(csv_path), "--n", repr(math.fsum(b) / 2)]
+        rna_json = tmp_path / "rna.json"
+        for algorithm in ("rna", "sga", "coma"):
+            out = tmp_path / f"{algorithm}.json"
+            assert main(["allocate", *problem, "--algorithm", algorithm, "--output", str(out)]) == 0
+            assert solver_free(out) == solver_free(rna_json), algorithm
+        assert sha256(rna_json) == CLIFF_SHA256
+        capsys.readouterr()
+        assert main(["verify", *problem, "--allocation", str(rna_json)]) == 0
+        assert "certificate: valid (tol = 1e-08)" in capsys.readouterr().out.splitlines()
 
 
 def record_problem(columns, n):

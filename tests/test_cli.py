@@ -1,13 +1,11 @@
 import csv
-import hashlib
 import itertools
 import json
 import math
-import subprocess
-import sys
 
 import pytest
 
+from conftest import FRACTION_ARGS, python, run_cli, sha256, solver_free
 from stratalloc import Stratum, algorithms, bench, formats, power_problem
 from stratalloc.cli import main
 
@@ -410,8 +408,6 @@ EQUAL_C_ROWS = [
     "1,9.751665804253943,16.45661928464921",
     "3,5.458915783827469,72.47455323943691",
 ]
-# the allocation JSON's lines that name the solver and its iteration count
-SOLVER_LINES = (b'  "algorithm": ', b'  "iterations": ')
 
 
 def test_equal_float_c_through_the_cli(tmp_path, capsys):
@@ -419,9 +415,6 @@ def test_equal_float_c_through_the_cli(tmp_path, capsys):
     # must each write a JSON that verify accepts with "take-all fixed point:
     # ok", and sga and coma must write the same JSON as rna apart from the
     # algorithm and iterations lines
-    def same(path):
-        return [line for line in path.read_bytes().splitlines(True) if not line.startswith(SOLVER_LINES)]
-
     for k, order in enumerate(itertools.permutations(EQUAL_C_ROWS)):
         csv_path = tmp_path / f"order{k}.csv"
         csv_path.write_text("label,a,b\n" + "\n".join(order) + "\n")
@@ -432,7 +425,7 @@ def test_equal_float_c_through_the_cli(tmp_path, capsys):
             capsys.readouterr()
             assert main(["verify", *problem, "--allocation", str(out)]) == 0
             assert "take-all fixed point: ok" in capsys.readouterr().out.splitlines()
-            assert same(tmp_path / "rna.json") == same(out), (k, algorithm)
+            assert solver_free(tmp_path / "rna.json") == solver_free(out), (k, algorithm)
 
 
 # sha256 of the allocate JSON, computed before the problem became columnar;
@@ -486,19 +479,21 @@ class TestAllocationBytes:
         out = tmp_path / "alloc.json"
         args = ["--input", str(populations[kind]), "--n", n]
         assert main(["allocate", *args, "--algorithm", algorithm, "--output", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == ALLOCATION_SHA256[(kind, n, algorithm)]
+        assert sha256(out) == ALLOCATION_SHA256[(kind, n, algorithm)]
         assert main(["verify", *args, "--allocation", str(out)]) == 0
 
     @pytest.mark.parametrize("kind", sorted(GENPOP_SHA256))
     def test_pinned_genpop_sha256(self, populations, kind):
-        assert hashlib.sha256(populations[kind].read_bytes()).hexdigest() == GENPOP_SHA256[kind]
+        assert sha256(populations[kind]) == GENPOP_SHA256[kind]
 
     @pytest.mark.parametrize("kind", sorted(ROUNDCMP_SHA256))
     def test_pinned_roundcmp_sha256(self, populations, tmp_path, kind):
-        out = tmp_path / "round.csv"
-        fractions = [arg for f in ("0.1", "0.2", "0.3", "0.4", "0.5") for arg in ("--fraction", f)]
-        assert main(["roundcmp", "--input", str(populations[kind]), *fractions, "--output", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == ROUNDCMP_SHA256[kind]
+        # the same bytes with numpy blocked: roundcmp must not need it
+        for mode in ("normal", "blocked"):
+            out = tmp_path / f"{mode}.csv"
+            command = ["roundcmp", "--input", str(populations[kind]), *FRACTION_ARGS, "--output", str(out)]
+            assert run_cli(mode, [(kind, command)]) == {kind: [0, ""]}, mode
+            assert sha256(out) == ROUNDCMP_SHA256[kind], mode
 
     def test_no_records_on_allocate_or_verify(self, populations, tmp_path, built_records):
         out = tmp_path / "alloc.json"
@@ -701,22 +696,10 @@ class TestConsoleEntry:
     def test_subprocess_round_trip(self, tmp_path):
         pop = tmp_path / "pop.csv"
         alloc = tmp_path / "alloc.json"
-        r1 = subprocess.run(
-            [sys.executable, "-m", "stratalloc.cli", "genpop", "--kind", "table1",
-             "--output", str(pop)],
-            capture_output=True, text=True,
-        )
+        r1 = python("-m", "stratalloc.cli", "genpop", "--kind", "table1", "--output", str(pop))
         assert r1.returncode == 0, r1.stderr
-        r2 = subprocess.run(
-            [sys.executable, "-m", "stratalloc.cli", "allocate", "--input", str(pop),
-             "--n", "8000", "--output", str(alloc)],
-            capture_output=True, text=True,
-        )
+        r2 = python("-m", "stratalloc.cli", "allocate", "--input", str(pop), "--n", "8000", "--output", str(alloc))
         assert r2.returncode == 0, r2.stderr
-        r3 = subprocess.run(
-            [sys.executable, "-m", "stratalloc.cli", "verify", "--input", str(pop),
-             "--n", "8000", "--allocation", str(alloc)],
-            capture_output=True, text=True,
-        )
+        r3 = python("-m", "stratalloc.cli", "verify", "--input", str(pop), "--n", "8000", "--allocation", str(alloc))
         assert r3.returncode == 0, r3.stdout + r3.stderr
         assert "valid" in r3.stdout

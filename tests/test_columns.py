@@ -228,6 +228,8 @@ class TestStrataColumns:
             ([1.0, 1e300], [2.0, 1e-300], None, "stratum 'v': a/b overflows"),
             ([1.0, 2.0], [2.0, 2.5], [0.5, 0.8], "stratum 'v': N must be an integer"),
             ([1.0, 2.0], [2.0, 2.0], [0.5, 0.9], r"stratum 'v': a = 2.0 is not N \* S"),
+            ([1.0, 0.0], [2.0, 0.0], [0.5, 2.0], r"^stratum 'v': N must be positive and finite, got 0.0$"),
+            ([1.0, 0.0], [2.0, 5.0], [0.5, 0.0], r"^stratum 'v': S must be positive and finite, got 0.0$"),
         ],
     )
     def test_constructor_raises_the_record_message(self, a, b, S, match):
@@ -338,6 +340,12 @@ class TestReadErrorParity:
             ("label,a,b\nu,1,2\n ,1\n", "line 3: expected 3 fields, got 2"),
             # a label is compared after its padding is stripped
             ("label,a,b\nu,1,2\n u ,3,4\n", "line 3: duplicate label 'u'"),
+            # a label,N,S file has no a or b column: its errors name N or S
+            ("label,N,S\nu,10,2\nx,0,2\n", "line 3: stratum 'x': N must be positive and finite, got 0.0$"),
+            ("label,N,S\nu,10,2\nx,5,0\n", "line 3: stratum 'x': S must be positive and finite, got 0.0$"),
+            ("label,N,S\nu,10,2\nx,5,-1\n", "line 3: stratum 'x': S must be positive and finite, got -1.0$"),
+            ("label,N,S\nu,10,2\nx,5,nan\n", "line 3: stratum 'x': S must be positive and finite, got nan$"),
+            ("label,N,S\nu,10,2\nx,1e300,1e300\n", "line 3: stratum 'x': N * S overflows$"),
         ],
     )
     def test_pinned_first_errors(self, text, message):

@@ -568,7 +568,7 @@ class TestBlockedRead:
         # block, or has such a label before or after a bad value
         monkeypatch.setattr(formats, "BLOCK_ROWS", 3)
         good = ["r0,2,1.5", "r1,3,2.5", "r2,4,0.5", "r3,5,1.5"]
-        zero = "stratum 'r5': a must be positive and finite, got 0.0"
+        zero = "stratum 'r5': {} must be positive and finite, got 0.0"  # a, or N in a label,N,S file
         for rows, line, reason in [
             ([*good, "r1,6,1", "r5,7,1"], 6, "duplicate label 'r1'"),
             ([*good, "r5,7,1", "r0,6,1"], 7, "duplicate label 'r0'"),
@@ -576,9 +576,9 @@ class TestBlockedRead:
             ([*good, "r5,0,1", "r1,6,1"], 6, zero),
             ([*good, "r4,6,1", "r2,7,1", "r5,oops,1"], 7, "duplicate label 'r2'"),
         ]:
-            for header in ("label,a,b", "label,N,S"):
+            for header, first in (("label,a,b", "a"), ("label,N,S", "N")):
                 text = header + "\n" + "\n".join(rows) + "\n"
-                want = (StrataCsvError, f"f.csv: line {line}: {reason}")
+                want = (StrataCsvError, f"f.csv: line {line}: {reason.format(first)}")
                 assert outcome(whole_file_read_strata_csv, text) == want, text
                 assert outcome(read_strata_csv, text) == want, text
 
@@ -615,7 +615,7 @@ class TestBlockedRead:
             ("r0,10,2", "duplicate label 'r0'"),
             ("r99998,10,2", "duplicate label 'r99998'"),
             ("x,oops,2", "non-numeric value in 'oops', '2'"),
-            ("x,0,2", "stratum 'x': a must be positive and finite, got 0.0"),
+            ("x,0,2", "stratum 'x': N must be positive and finite, got 0.0"),
         ],
         ids=["fractional_N", "duplicate_first_row", "duplicate_previous_row", "non_numeric", "zero_N"],
     )

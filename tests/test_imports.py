@@ -8,19 +8,15 @@ frozen dataclass without importing dataclasses, so no command (import,
 allocate, verify, roundcmp) loads dataclasses or inspect."""
 
 import json
-import os
 import pickle
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import stratalloc
+from conftest import python
 from stratalloc import IterationRecord, Stratum, SurveyStratum
 from stratalloc.cli import main
-
-SRC = str(Path(stratalloc.__file__).resolve().parents[1])
 
 PUBLIC = [
     "AllocationProblem", "AllocationResult", "BenchResult", "InfeasibleProblemError", "InfeasibleSubsetError",
@@ -52,9 +48,7 @@ NEVER = {"stratalloc.popgen", "stratalloc.bench", "numpy", "statistics", "fracti
 
 
 def loaded(argv: list[str]) -> set[str]:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv)], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = python("-c", LOADED, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code in (None, 0), (argv, code)
@@ -91,9 +85,7 @@ def test_each_command_loads_only_its_modules(commands):
 
 
 def test_import_loads_no_submodule():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    code = "import sys, stratalloc; print(sorted(m for m in sys.modules if m.startswith('stratalloc')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc = python("-c", "import sys, stratalloc; print(sorted(m for m in sys.modules if m.startswith('stratalloc')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['stratalloc']\n"
 

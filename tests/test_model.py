@@ -1,18 +1,15 @@
 import copy
 import dataclasses
 import math
-import os
 import pickle
 import re
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stratalloc
+from conftest import python
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
@@ -47,32 +44,33 @@ class TestStratum:
         assert st.c == 0.5
 
     @pytest.mark.parametrize(
-        "a,b,message",
+        "a,b,message,survey",
         [
-            # ids "a-b", as pytest names the (a, b) cases
-            pytest.param(a, b, message, id=f"{a}-{b}")
-            for a, b, message in [
+            # ids "a-b", as pytest names the (a, b) cases; survey is
+            # SurveyStratum's message for N = b and S = 1.0 where it differs
+            pytest.param(a, b, message, *(survey or [message]), id=f"{a}-{b}")
+            for a, b, message, *survey in [
                 (0.0, 1.0, "a must be positive and finite, got 0.0"),
                 (-1.0, 1.0, "a must be positive and finite, got -1.0"),
                 (math.nan, 1.0, "a must be positive and finite, got nan"),
                 (math.inf, 1.0, "a must be positive and finite, got inf"),
                 (-math.inf, 1.0, "a must be positive and finite, got -inf"),
-                (1.0, 0.0, "b must be positive and finite, got 0.0"),
-                (1.0, -2.0, "b must be positive and finite, got -2.0"),
-                (1.0, math.nan, "b must be positive and finite, got nan"),
-                (1.0, math.inf, "b must be positive and finite, got inf"),
-                (1.0, -math.inf, "b must be positive and finite, got -inf"),
-                (math.nan, math.nan, "a must be positive and finite, got nan"),
+                (1.0, 0.0, "b must be positive and finite, got 0.0", "N must be positive and finite, got 0.0"),
+                (1.0, -2.0, "b must be positive and finite, got -2.0", "N must be positive and finite, got -2.0"),
+                (1.0, math.nan, "b must be positive and finite, got nan", "N must be positive and finite, got nan"),
+                (1.0, math.inf, "b must be positive and finite, got inf", "N must be positive and finite, got inf"),
+                (1.0, -math.inf, "b must be positive and finite, got -inf", "N must be positive and finite, got -inf"),
+                (math.nan, math.nan, "a must be positive and finite, got nan", "N must be positive and finite, got nan"),
                 (1e308, 1e-10, "a/b overflows"),
                 (0, 1, "a must be positive and finite, got 0"),
-                (1, -3, "b must be positive and finite, got -3"),
+                (1, -3, "b must be positive and finite, got -3", "N must be positive and finite, got -3"),
             ]
         ],
     )
-    def test_rejects_nonpositive_or_nonfinite(self, a, b, message):
+    def test_rejects_nonpositive_or_nonfinite(self, a, b, message, survey):
         with pytest.raises(ValueError, match=re.escape(f"stratum 'u': {message}") + "$"):
             Stratum(label="u", a=a, b=b)
-        with pytest.raises(ValueError, match=re.escape(f"stratum 'u': {message}") + "$"):
+        with pytest.raises(ValueError, match=re.escape(f"stratum 'u': {survey}") + "$"):
             SurveyStratum("u", a, b, 1.0)
 
     def test_int_inputs(self):
@@ -93,8 +91,8 @@ class TestStratum:
             (-(10**400), 1.0, "N is too large for a float"),
             (10.0, 10**400, "S is too large for a float"),
             (math.nan, 10**400, "N is too large for a float"),
-            # an int N times an int S is an int a, which the record rejects
-            (10, 10**400, "a must be positive and finite, got an int too large for a float"),
+            # an int N times an int S is an int a; the record checks S first
+            (10, 10**400, "S must be positive and finite, got an int too large for a float"),
         ],
         ids=["N", "-N", "S", "nan-S", "int-a"],
     )
@@ -224,8 +222,7 @@ def test_record_fields_are_built_per_class():
         "from stratalloc.model import Stratum, SurveyStratum\n"
         "print([len(dataclasses.fields(cls)) for cls in (Stratum, SurveyStratum, Stratum)])"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(stratalloc.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[3, 4, 3]\n"
     assert [f.name for f in dataclasses.fields(SurveyStratum)] == ["label", "a", "b", "S"]
@@ -260,8 +257,7 @@ def test_one_collector_allocation_per_record():
         "    problem = 0 if isinstance(records[0], IterationRecord) else collections(lambda: AllocationProblem(records, 1.0))[0]\n"
         "    print(type(records[0]).__name__, K // threshold, built, problem)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(stratalloc.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [row[0] for row in rows] == ["Stratum", "SurveyStratum", "IterationRecord"], proc.stdout

@@ -1,43 +1,15 @@
 """The CLI starts without numpy: importing the package loads none, and
-allocate, verify and roundcmp run end to end with numpy blocked, writing the
-same bytes as with it. So does the brute-force oracle; only popgen, which
-draws populations, imports numpy, and genpop still runs with it."""
+allocate and verify run end to end with numpy blocked, writing the same bytes
+as with it (test_cli.py and test_pins.py pin roundcmp's). So does the brute-force
+oracle; only popgen, which draws populations, imports numpy."""
 
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import stratalloc
+from conftest import RUNNER, SRC, python, run_cli
 from stratalloc.cli import main
-
-SRC = str(Path(stratalloc.__file__).resolve().parents[1])
-
-# Runs CLI commands in process and prints {name: [exit code, stdout]}; with
-# "blocked" first, `import numpy` raises ImportError in that process.
-RUNNER = """
-import contextlib, io, json, sys
-if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
-import stratalloc
-from stratalloc import cli
-out = {}
-for name, argv in json.loads(sys.argv[2]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    out[name] = [code, buf.getvalue()]
-print(json.dumps(out))
-"""
-
-
-def python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +30,7 @@ def run_commands(mode: str, files: dict, out_dir: Path) -> dict:
             args = ["--input", str(path), "--n", n]
             commands.append((f"allocate {kind} {algorithm}", ["allocate", *args, "--algorithm", algorithm, "--output", str(out)]))
             commands.append((f"verify {kind} {algorithm}", ["verify", *args, "--allocation", str(out)]))
-    proc = python("-c", RUNNER, mode, json.dumps(commands))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return run_cli(mode, commands)
 
 
 def test_import_loads_no_numpy():
@@ -82,24 +52,6 @@ def test_allocate_and_verify_without_numpy(strata_files, tmp_path):
         for algorithm in ("rna", "sga", "coma", "bisection"):
             data = (tmp_path / f"blocked_{kind}_{algorithm}.json").read_bytes()
             assert data == (tmp_path / f"normal_{kind}_{algorithm}.json").read_bytes(), (kind, algorithm)
-
-
-def test_roundcmp_without_numpy(strata_files, tmp_path):
-    fractions = [arg for f in ("0.1", "0.2", "0.3", "0.4", "0.5") for arg in ("--fraction", f)]
-    outcome = {}
-    for mode in ("blocked", "normal"):
-        commands = [
-            (kind, ["roundcmp", "--input", str(path), *fractions, "--output", str(tmp_path / f"{mode}_{kind}.csv")])
-            for kind, (path, _) in strata_files.items()
-        ]
-        proc = python("-c", RUNNER, mode, json.dumps(commands))
-        assert proc.returncode == 0, proc.stderr
-        outcome[mode] = json.loads(proc.stdout)
-    assert outcome["blocked"] == outcome["normal"] == {"survey": [0, ""], "weights": [0, ""]}
-    for kind in strata_files:
-        data = (tmp_path / f"blocked_{kind}.csv").read_bytes()
-        assert data == (tmp_path / f"normal_{kind}.csv").read_bytes(), kind
-        assert len(data.splitlines()) == 6, kind
 
 
 BRUTE_FORCE = """
@@ -136,7 +88,7 @@ def test_numpy_imported_only_by_popgen():
 
 def test_blocked_numpy_is_really_blocked(tmp_path):
     # the runner's block makes any use of numpy fail, so the test above proves something
-    proc = python("-c", RUNNER, "blocked", json.dumps([["genpop", ["genpop", "--kind", "lognormal", "--blocks", "1"]]]))
+    proc = python("-c", RUNNER, "blocked", '[["genpop", ["genpop", "--kind", "lognormal", "--blocks", "1"]]]')
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 
