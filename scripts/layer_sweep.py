@@ -19,7 +19,8 @@ stratum taken, and at each share the first read of ``trace`` on a fresh sga
 result (``sga_trace@0.6``, ``sga_trace@0.95``), which builds its iteration
 records; see ``worker`` for how often each is called) and records
 each solver's iteration count r* at every n (and bisection_multiplier's
-probe count) and the cyclic garbage collector's seconds and collection count
+probe count, and greedy_integer_optimal's relaxation passes, on one more
+untimed call) and the cyclic garbage collector's seconds and collection count
 inside each layer's timed calls (from ``gc.callbacks``), then four
 child processes, each timed from spawn to exit, with its peak RSS read by
 ``os.wait4`` in a small helper process that starts it:
@@ -97,6 +98,7 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         greedy_integer_optimal,
         is_optimal_takeall,
         kkt_verify,
+        oracles,
         rna,
         round_allocation,
         sga,
@@ -160,6 +162,16 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     if not (cert.valid and fixed):
         raise RuntimeError("the allocation did not verify")
     timed("greedy_integer_optimal", greedy_integer_optimal, problem)
+    # the integer oracle's passes over the strata that evaluate its
+    # relaxation's roots (Newton's steps and any bisection probes), counted
+    # on one more call, untimed; None for a source without _roots
+    roots, passes = getattr(oracles, "_roots", None), []
+    if roots is not None:
+        oracles._roots = lambda A, t: (passes.append(t), roots(A, t))[1]
+        try:
+            greedy_integer_optimal(problem)
+        finally:
+            oracles._roots = roots
     # variance_table's passes over rna's answer: the rounding, and the
     # variance of the answer clipped to N
     bounds = dict(zip(rows.labels, rows.lists[1]))
@@ -184,6 +196,7 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         "gc_s": gc_s,
         "gc_collections": gc_collections,
         "iterations": {name: res.iterations for name, res in results.items()},
+        "greedy_integer_passes": len(passes) if roots is not None else None,
         "n_shares": n_shares,
     }
 
@@ -243,7 +256,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
         samples = {name: {layer: [] for layer in (*LAYERS, *CHILDREN)} for name in sources}
         gc_samples = {name: {"gc_s": {}, "gc_collections": {}} for name in sources}
         rss = {name: {command: [] for command in CHILDREN} for name in sources}
-        digests, round_digests, iterations = {}, {}, {}
+        digests, round_digests, iterations, passes = {}, {}, {}, {}
         fractions = [arg for f in FRACTIONS for arg in ("--fraction", f)]
         for repeat in range(repeats):
             # the sources run in turn, in reverse order on every other repeat
@@ -260,6 +273,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                     for layer, value in report[key].items():
                         per_layer.setdefault(layer, []).append(value)
                 iterations[name] = report["iterations"]
+                passes[name] = report["greedy_integer_passes"]
                 n_shares = report["n_shares"]
                 out = work / f"{name}_{K}.json"
                 report_csv = work / f"{name}_{K}_roundcmp.csv"
@@ -287,6 +301,7 @@ def sweep(sources: dict[str, str], sizes: list[int], repeats: int, work: Path) -
                    for key, per_layer in gc_samples[name].items()},
                 "peak_rss_mb": {command: statistics.median(v) for command, v in rss[name].items()},
                 "iterations": iterations[name],
+                "greedy_integer_passes": passes[name],
                 "allocate_sha256": digests[name],
                 "roundcmp_sha256": round_digests[name],
             }
@@ -330,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         "are the medians over the repeats of the cyclic garbage collector's seconds and collection count inside "
         "a layer's timed calls in one worker, summed over those calls (gc.callbacks); peak_rss_mb is the median "
         "of each child's ru_maxrss from os.wait4; iterations is r* of each solver at n, and under the @share "
-        "names at that share's n, and bisection_multiplier's probe count at n."
+        "names at that share's n, and bisection_multiplier's probe count at n; greedy_integer_passes is the number "
+        "of passes over the strata that evaluate the integer oracle's relaxation roots, on one more untimed call at n."
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

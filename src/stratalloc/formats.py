@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import csv
 import gc
-import json
 import math
 from collections.abc import Collection, Hashable
 from itertools import chain, compress, islice, repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul, truediv
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -65,13 +63,16 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     message. A line the csv module cannot read (a field longer than
     ``csv.field_size_limit()``) raises :class:`StrataCsvError` naming it as
     soon as it is read, and so does a line the file cannot decode (a byte
-    that is not UTF-8 in a file opened as UTF-8), with that byte.
+    that is not UTF-8 in a file opened as UTF-8), with that byte. Lines
+    count from the header, where the read begins, also in a file handed
+    over past a preamble.
 
     The process-wide cyclic garbage collector is paused while the file is
     read, and then set back to the state it had when the read began. A
     caller in another thread that switches the collector during the read
     has that switch undone.
     """
+    start = _tell(fp)
     reader = csv.reader(fp)
     seen: set[str] = set()
     # K rows are K small lists; cyclic collections while they are built
@@ -124,7 +125,7 @@ def read_strata_csv(fp: IO[str], name: str = "strata csv") -> StrataColumns:
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
         raise StrataCsvError(f"{name}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _decode_error(fp, name, reader.line_num, exc) from None
+        raise _decode_error(fp, start, name, reader.line_num, exc) from None
     finally:
         if collecting:
             gc.enable()
@@ -140,15 +141,29 @@ def _values(v1: list[float], v2: list[float], survey: bool) -> tuple[list[float]
     return (list(map(mul, v1, v2)), v1, v2) if survey else (v1, v2, None)
 
 
-def _decode_error(fp: IO[str], name: str, lines_read: int, exc: UnicodeDecodeError) -> StrataCsvError:
+def _tell(fp: IO[str]) -> int | None:
+    """The byte offset where a read of fp begins, or None where fp cannot tell it."""
+    try:
+        at = fp.tell()
+    except (AttributeError, OSError):  # not seekable, or disabled by next()
+        return None
+    # a text file's position, where its decoder holds no state, is its byte
+    # offset; the state is packed into the bits from 64 up
+    return at if at < 2**64 else None
+
+
+def _decode_error(
+    fp: IO[str], start: int | None, name: str, lines_read: int, exc: UnicodeDecodeError
+) -> StrataCsvError:
     # the bad byte's line is one past the line ends before it, counted as
-    # the csv module counts them (\r\n, a lone \r, or \n)
+    # the csv module counts them (\r\n, a lone \r, or \n) from start, the
+    # offset where the reader began
     buffer = getattr(fp, "buffer", None)
-    if buffer is not None and buffer.seekable():
+    if start is not None and buffer is not None and buffer.seekable():
         # the decoder was given exc.object, which ends where the file has been read to
         at = buffer.tell()
-        buffer.seek(0)
-        before = buffer.read(at - len(exc.object) + exc.start)
+        buffer.seek(start)
+        before = buffer.read(at - len(exc.object) + exc.start - start)
         buffer.seek(at)
         line = 1
     else:
@@ -247,6 +262,11 @@ def _fmt(v: float) -> str:
 
 
 def _json_labels(labels: Sequence) -> list[str]:
+    # json is imported where it is used, so the commands that read and
+    # write no JSON (roundcmp, genpop, a bare import) do not load it
+    import json
+    from json.encoder import encode_basestring_ascii
+
     try:
         return list(map(encode_basestring_ascii, labels))  # what json.dumps writes for a str
     except TypeError:  # some label is not a str
@@ -286,6 +306,8 @@ def write_allocation_json(result: AllocationResult, n: float, fp: IO[str]) -> No
     label that x does not hold a ValueError, also before anything is
     written.
     """
+    import json
+
     labels, xs, on = result._columns()
     if not all(map(math.isfinite, xs)):
         label, bad = next((label, v) for label, v in zip(labels, xs) if not math.isfinite(v))
@@ -341,6 +363,8 @@ def read_allocation_json(fp: IO[str], name: str = "allocation json") -> Allocati
     algorithm a string and take_all a list of labels from allocation;
     anything else raises a ValueError naming the file and the field.
     """
+    import json
+
     try:
         doc = json.load(fp)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to parse

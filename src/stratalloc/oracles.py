@@ -14,8 +14,12 @@ continuous relaxation, solved by Newton's method, puts the first probe a
 little below the (n - K)-th largest gain, and a heap grants the few units
 still missing in the greedy's order; where the relaxation leaves the float
 range, bisection over the bit patterns of the non-negative floats narrows
-the probes instead. Every pass over the strata is a C-level map over the
-column lists, so no oracle needs numpy.
+the probes instead. The relaxation is a box-constrained Neyman problem
+(weights a_w, bounds u_w + 1/2), whose capped strata are a prefix of the
+strata in capping order, as in the paper's V-allocation: a linear model of
+it, solved exactly over that order, starts Newton within a pass or two of
+its answer. Every pass over the strata is a C-level map over the column
+lists, so no oracle needs numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import struct
 import sys
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
-from itertools import combinations, compress, repeat
+from itertools import accumulate, combinations, compress, repeat
 from math import floor, sqrt
 from operator import add, and_, eq, ge, getitem, gt, le, lt, mul, neg, not_, or_, sub, truediv
 
@@ -348,7 +352,7 @@ def _units_above(A: list[float], u: list[float], t: float, est: list[int]) -> li
 
 
 def _relaxed_threshold(
-    A: list[float], u: list[float], m: int, a: list[float], sum_a: float, limit: int
+    A: list[float], u: list[float], m: int, a: list[float], limit: int
 ) -> tuple[float, list[int]] | None:
     """A threshold t with a little fewer than m units of gain above it, with
     the estimated count of each stratum there; None when no such t is met
@@ -358,9 +362,12 @@ def _relaxed_threshold(
     root of k * (k + 1) = A_w / t; its floor is the exact count but where
     rounding decides. In y = t**-0.5 the root grows by less than a_w per unit
     of y, and nearly by a_w, until it meets u_w. Newton's method on the sum
-    of the floors, stepping as if each stratum below u_w grew by a_w, starts
-    from the unbounded Neyman guess y = m / sum(a), where the sum is under m,
-    aims K / 16 below m and stops once the sum is within K / 8 below it.
+    of the floors, stepping as if each stratum below u_w grew by a_w, aims
+    K / 16 below m and stops once the sum is within K / 8 below it. It
+    starts where a linear model of that sum meets its aim
+    (:func:`_linear_start`), not at the unbounded Neyman guess m / sum(a),
+    which ignores the bounds and is 5 to 8 steps away on a survey
+    population; from the model's y, one or two steps are left.
     Where a step would leave the values of y known to lie on either side, it
     stops at the last y below m if at most limit units are short there (the
     sum jumps past the window at one y: ties), and bisects them otherwise. It
@@ -368,7 +375,7 @@ def _relaxed_threshold(
     when t leaves the normal floats, or after 50 steps.
     """
     margin = len(A) // 16 + 1
-    y = m / sum_a
+    y = _linear_start(u, a, m - margin)
     below, above = 0.0, math.inf  # values of y whose sums fall short of m, reach it
     best = None  # the relaxation at below
     for _ in range(50):
@@ -401,6 +408,40 @@ def _relaxed_threshold(
     return t, _floor_capped(root, u, free)
 
 
+def _linear_start(u: list[float], a: list[float], target: float) -> float:
+    """The y at which a linear model of the relaxation's floored sum meets
+    target; over a strided sample of at most _START_SAMPLE strata, scaled to
+    the whole, when there are more.
+
+    A stratum's root sqrt(a_w**2 y**2 + 1/4) - 1/2 is nearly a_w * y - 1/2,
+    and its floor about half a unit less, until the root meets u_w at its
+    capping point y = (u_w + 1/2) / a_w: the model takes a_w * y - 1 below
+    that point and u_w from it on. Sorted by capping point, the strata
+    capped at any y are a prefix, so the model is linear between capping
+    points, with the prefix sums of u and the suffix sums of a as its terms,
+    and rises by half a unit at each one. One bisection over its values at
+    the capping points finds the segment, and one division y.
+    """
+    K = len(a)
+    stride = -(-K // _START_SAMPLE)
+    if stride > 1:
+        u, a = u[::stride], a[::stride]
+    k = len(a)
+    target *= k / K
+    caps = list(map(truediv, map(add, u, repeat(0.5)), a))
+    order = sorted(range(k), key=caps.__getitem__)
+    # with the first j strata of the order capped: the sum of their u, and of the others' a
+    capped = list(accumulate(map(u.__getitem__, order), initial=0.0))
+    slope = list(accumulate(map(a.__getitem__, reversed(order)), initial=0.0))[::-1]
+    # the strata capped where the model meets target, by its values just below
+    # each capping point, which do not decrease
+    j = bisect_right(range(k), target, key=lambda i: capped[i] + caps[order[i]] * slope[i] - (k - i))
+    if j == k:
+        return caps[order[-1]]
+    y = (target + (k - j) - capped[j]) / slope[j]
+    return max(y, caps[order[j - 1]]) if j else y
+
+
 def _bits(t: float) -> int:
     return _INT64.unpack(_DOUBLE.pack(t))[0]
 
@@ -412,6 +453,9 @@ def _float(bits: int) -> float:
 _INF_BITS = 0x7FF0000000000000  # bit pattern of +inf; non-negative floats order as their bits
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 _YY_MIN, _YY_MAX = 1.0 / sys.float_info.max, 1.0 / sys.float_info.min  # t = 1 / y**2 is normal
+# the most strata sorted for Newton's start: the start only has to be close,
+# and at K = 1e6 a full sort costs more than the steps it saves
+_START_SAMPLE = 4096
 
 
 def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
@@ -482,7 +526,7 @@ def greedy_integer_optimal(problem: AllocationProblem) -> AllocationResult:
 
     limit = 4 * (K + 1)
     if total_lo > m and sys.float_info.min <= min(A) and max(A) < math.inf:
-        seed = _relaxed_threshold(A, u, m, a, problem.sum_a, limit)
+        seed = _relaxed_threshold(A, u, m, a, limit)
         if seed is not None:
             probe(*seed)
     while total_lo > m and hi - lo > 1 and m - total_hi > limit:

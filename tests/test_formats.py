@@ -163,6 +163,23 @@ class TestReadStrataCsv:
         with pytest.raises(StrataCsvError, match="^bad.csv: line 3002: byte 0xff is not valid utf-8"):
             read_strata_csv(fp, name="bad.csv")
 
+    @pytest.mark.parametrize("skip", ["readline", "next"])
+    @pytest.mark.parametrize("encoding", ["utf-8", "iso2022_jp"])
+    @pytest.mark.parametrize(
+        "row, reason", [(b"x,\xff,2", "byte 0xff is not valid"), (b"x,nope,2", "non-numeric")], ids=["byte", "value"]
+    )
+    def test_line_counts_from_where_the_reader_begins(self, tmp_path, skip, encoding, row, reason):
+        # a file handed over past a preamble line: both errors on one row
+        # name the same line, counted from the header the reader starts at.
+        # The reader's own count is used where the file cannot tell its byte
+        # offset: after next(), or with iso2022_jp's decoder state in tell()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# preamble\nlabel,N,S\n" + b"".join(b"r%d,10,2\n" % i for i in range(2000)) + row + b"\n")
+        with open(path, encoding=encoding, newline="") as fp:
+            fp.readline() if skip == "readline" else next(fp)
+            with pytest.raises(StrataCsvError, match=f"^bad.csv: line 2002: {reason}"):
+                read_strata_csv(fp, name="bad.csv")
+
 
 class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False])

@@ -5,7 +5,8 @@ loads no submodule, and each command imports only the modules it runs:
 allocate needs no oracle, rounding, population or bench code, and none of
 fractions, decimal, statistics, heapq or numpy. Every record behaves as a
 frozen dataclass without importing dataclasses, so no command (import,
-allocate, verify, roundcmp) loads dataclasses or inspect."""
+allocate, verify, roundcmp) loads dataclasses or inspect; json is loaded
+only by the commands that write or read an allocation JSON."""
 
 import json
 import pickle
@@ -29,17 +30,24 @@ PUBLIC = [
 ]
 
 # Prints, as JSON, the exit code of the CLI command given in argv (None for
-# a bare import) and the modules loaded from `import stratalloc.cli` on.
+# a bare import) and the modules loaded from `import stratalloc.cli` on. The
+# snapshot is taken before anything but sys is imported, and the command's
+# output goes to an io.StringIO (io is loaded at start-up), so a module the
+# command loads is never hidden by the snippet's own imports.
 LOADED = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
 from stratalloc.cli import main
-argv = json.loads(sys.argv[1])
+argv = sys.argv[1:]
 code = None
 if argv:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+    import io
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = main(argv)
+    sys.stdout = stdout
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, loaded]))
 """
 
 # the modules every command loads, and those no allocate, verify or roundcmp run may load
@@ -48,7 +56,7 @@ NEVER = {"stratalloc.popgen", "stratalloc.bench", "numpy", "statistics", "fracti
 
 
 def loaded(argv: list[str]) -> set[str]:
-    proc = python("-c", LOADED, json.dumps(argv))
+    proc = python("-c", LOADED, *argv)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code in (None, 0), (argv, code)
@@ -77,6 +85,8 @@ def test_each_command_loads_only_its_modules(commands):
         assert not mods[name] & {*NEVER, "stratalloc.oracles", "stratalloc.rounding", "decimal", "heapq"}, name
     for name in ("import", "allocate", "verify", "roundcmp"):
         assert not mods[name] & {"dataclasses", "inspect"}, name
+        # only the commands that write or read an allocation JSON load json
+        assert ("json" in mods[name]) == (name in ("allocate", "verify")), name
     assert {m for m in mods["verify"] if m.startswith("stratalloc")} == COMMON | {"stratalloc.oracles"}
     assert not mods["verify"] & {*NEVER, "stratalloc.rounding"}
     assert {m for m in mods["roundcmp"] if m.startswith("stratalloc")} == COMMON | {

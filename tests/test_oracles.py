@@ -690,6 +690,16 @@ def numpy_units_above(A: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
 INF_BITS = 0x7FF0000000000000  # bit pattern of +inf; non-negative floats order as their bits
 
 
+def lognormal_problems(seed, blocks):
+    """The integer problems of roundcmp on genpop's lognormal population:
+    a = N * S, b = N and n = round(f * sum(N)) at f = 0.1 to 0.5."""
+    N_map, S_map = population_maps_from_rows(lognormal_population(seed=seed, block_count=blocks))
+    N = [float(v) for v in N_map.values()]
+    S = list(S_map.values())
+    strata = StrataColumns(list(N_map), map(mul, N, S), N, S)
+    return [AllocationProblem(strata, float(round(f * sum(N)))) for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
+
+
 def numpy_greedy(problem: AllocationProblem) -> AllocationResult:
     """Exact integer-valued optimum by threshold selection on marginal gains.
 
@@ -900,13 +910,29 @@ class TestGreedyInteger:
             small([1e-160, 1e-160, 3e-160], [1e15, 1e15, 1e15], 10**14),
         ]
         for blocks in (10, 100):
-            N_map, S_map = population_maps_from_rows(lognormal_population(seed=0, block_count=blocks))
-            N = [float(v) for v in N_map.values()]
-            S = list(S_map.values())
-            strata = StrataColumns(list(N_map), map(mul, N, S), N, S)
-            problems += [AllocationProblem(strata, float(round(f * sum(N)))) for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
+            problems += lognormal_problems(0, blocks)
         for p in problems:
             assert greedy_integer_optimal(p) == numpy_greedy(p), p
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_relaxation_passes(self, monkeypatch, seed):
+        # Newton starts where the relaxation's linear model meets its target,
+        # so at most two passes over the strata evaluate the roots
+        steps = []
+        roots = oracles._roots
+        monkeypatch.setattr(oracles, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
+        for p in lognormal_problems(seed, 100):
+            steps.clear()
+            result = greedy_integer_optimal(p)
+            assert len(steps) <= 2, p.n
+            assert result == numpy_greedy(p), p.n
+
+    def test_sampled_start(self):
+        # above 4096 strata Newton's start is solved on a strided sample
+        problems = lognormal_problems(0, 500)
+        assert problems[0].size > oracles._START_SAMPLE
+        for p in problems:
+            assert greedy_integer_optimal(p) == numpy_greedy(p), p.n
 
     @pytest.mark.parametrize("K", [1000, 10000])
     def test_identical_strata(self, monkeypatch, K):

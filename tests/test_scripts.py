@@ -32,6 +32,7 @@ def test_layer_sweep_reports_every_layer(tmp_path):
     for K, row in rows.items():
         assert timed - row["median_s"].keys() == set(), K
         assert {*sweep["SOLVERS"], *sweep["SHARE_SOLVERS"]} - row["iterations"].keys() == set(), K
+        assert row["greedy_integer_passes"] >= 1, K
         for key in ("gc_s", "gc_collections"):
             assert all(row[key][layer] >= 0 for layer in ("build_records", "sga_trace@0.6", "sga_trace@0.95")), (K, key)
         assert all(row["peak_rss_mb"][child] > 0 for child in sweep["CHILDREN"]), K
