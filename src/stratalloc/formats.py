@@ -147,8 +147,10 @@ def _tell(fp: IO[str]) -> int | None:
         at = fp.tell()
     except (AttributeError, OSError):  # not seekable, or disabled by next()
         return None
-    # a text file's position, where its decoder holds no state, is its byte
-    # offset; the state is packed into the bits from 64 up
+    # TextIOWrapper.tell() returns an opaque cookie. CPython packs it as the
+    # byte offset plus the decoder's state in the bits from 64 up
+    # (_pyio.TextIOWrapper._pack_cookie), so a cookie below 2**64 is the
+    # byte offset; this rests on that layout, which the io docs leave open
     return at if at < 2**64 else None
 
 
