@@ -98,7 +98,6 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
         greedy_integer_optimal,
         is_optimal_takeall,
         kkt_verify,
-        oracles,
         rna,
         round_allocation,
         sga,
@@ -164,14 +163,16 @@ def worker(csv_path: str, n: float) -> dict[str, dict]:
     timed("greedy_integer_optimal", greedy_integer_optimal, problem)
     # the integer oracle's passes over the strata that evaluate its
     # relaxation's roots (Newton's steps and any bisection probes), counted
-    # on one more call, untimed; None for a source without _roots
-    roots, passes = getattr(oracles, "_roots", None), []
+    # on one more call, untimed; None for a source without _roots (the
+    # module that defines greedy_integer_optimal holds it)
+    home = sys.modules[greedy_integer_optimal.__module__]
+    roots, passes = getattr(home, "_roots", None), []
     if roots is not None:
-        oracles._roots = lambda A, t: (passes.append(t), roots(A, t))[1]
+        home._roots = lambda A, t: (passes.append(t), roots(A, t))[1]
         try:
             greedy_integer_optimal(problem)
         finally:
-            oracles._roots = roots
+            home._roots = roots
     # variance_table's passes over rna's answer: the rounding, and the
     # variance of the answer clipped to N
     bounds = dict(zip(rows.labels, rows.lists[1]))

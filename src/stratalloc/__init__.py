@@ -7,7 +7,10 @@ rounding with variance reports, and deterministic synthetic populations.
 
 Importing the package loads no submodule. A public name, or a submodule
 such as ``stratalloc.formats``, is imported on first use, so a CLI command
-compiles only the modules it runs.
+compiles only the modules it runs: ``verify`` compiles the oracles
+(``oracles``) but neither the solvers (``algorithms``) nor the exact
+integer optimum (``integer``), which only ``roundcmp`` runs, with
+``rounding`` and its ``srswor_variance``.
 """
 
 from importlib import import_module
@@ -20,6 +23,7 @@ _EXPORTS = {
     "bench": ("BenchResult", "run_bench", "time_solver", "write_bench_csv"),
     "cli": (),
     "formats": (),
+    "integer": ("greedy_integer_optimal",),
     "model": (
         "AllocationProblem",
         "AllocationResult",
@@ -32,7 +36,6 @@ _EXPORTS = {
         "is_optimal_takeall",
         "objective",
         "s_of",
-        "srswor_variance",
         "v_allocation",
     ),
     "oracles": (
@@ -40,7 +43,6 @@ _EXPORTS = {
         "LabelMismatchError",
         "bisection_multiplier",
         "brute_force_subset",
-        "greedy_integer_optimal",
         "kkt_verify",
     ),
     "popgen": (
@@ -51,7 +53,7 @@ _EXPORTS = {
         "stratum_sd",
         "table1_problem",
     ),
-    "rounding": ("VarianceReport", "round_allocation", "variance_table", "write_variance_csv"),
+    "rounding": ("VarianceReport", "round_allocation", "srswor_variance", "variance_table", "write_variance_csv"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -67,6 +67,7 @@ from bisect import bisect_left, bisect_right
 from operator import neg, truediv
 
 from .model import (
+    SOLVER_NAMES,
     TAKE_HI,
     TAKE_LO,
     TINY,
@@ -227,4 +228,4 @@ def coma(problem: AllocationProblem) -> AllocationResult:
     return _solve(problem, "coma", batch=False)
 
 
-SOLVERS = {"rna": rna, "sga": sga, "coma": coma}
+SOLVERS = dict(zip(SOLVER_NAMES, (rna, sga, coma)))

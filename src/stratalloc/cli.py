@@ -15,11 +15,11 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from . import formats
-from .algorithms import SOLVERS
-from .model import AllocationProblem, InfeasibleProblemError, StrataColumns, is_optimal_takeall
+from .model import SOLVER_NAMES, AllocationProblem, InfeasibleProblemError, StrataColumns, is_optimal_takeall
 
-# oracles, rounding, popgen and bench are imported by the commands that run
-# them, so that a command compiles and loads only the modules it needs
+# algorithms, oracles, rounding, popgen and bench are imported by the
+# commands that run them, so that a command compiles and loads only the
+# modules it needs
 
 
 @contextmanager
@@ -53,6 +53,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
         result = bisection_multiplier(problem, tol=args.tol)
     else:
+        from .algorithms import SOLVERS
+
         result = SOLVERS[args.algorithm](problem)
     with _open_out(args.output) as fp:
         formats.write_allocation_json(result, problem.n, fp)
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--n", required=True, type=float, help="total sample size")
     p_alloc.add_argument(
         "--algorithm",
-        choices=[*SOLVERS, "bisection"],
+        choices=[*SOLVER_NAMES, "bisection"],
         default="rna",
     )
     p_alloc.add_argument("--tol", type=float, default=1e-12, help="bisection sum tolerance")

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import and_, attrgetter, ge, gt, itemgetter, le, lt, mul, neg, truediv
+from operator import and_, attrgetter, gt, itemgetter, lt, mul, neg, truediv
 
 Label = Hashable
 
@@ -455,6 +455,12 @@ class IterationRecord(_TupleRecord):
         return _tuple_new(cls, (r, s_value, added))
 
 
+# the recursive solvers, as their results' algorithm names them: one list
+# for algorithms.SOLVERS and the CLI's --algorithm choices, which the CLI
+# builds without compiling the solvers
+SOLVER_NAMES = ("rna", "sga", "coma")
+
+
 class AllocationResult(_Record):
     """A solved allocation.
 
@@ -707,46 +713,3 @@ def objective(problem: AllocationProblem, x: Mapping[Label, float]) -> float:
             raise ValueError(f"stratum {label!r}: allocation must be positive, got {xv!r}")
         terms.append(a * a / xv)
     return math.fsum(terms)
-
-
-def srswor_variance(
-    N: Mapping[Label, float],
-    S: Mapping[Label, float],
-    x: Mapping[Label, float],
-) -> float:
-    """Design variance of the stratified SRSWOR total under allocation x.
-
-    Computes sum_w (N_w S_w)**2 / x_w - sum_w (N_w S_w)**2 / N_w, each sum
-    correctly rounded. Requires 0 < x_w <= N_w, S_w >= 0 and a finite
-    (N_w S_w)**2 for every stratum; equals 0 exactly at the census x = N.
-    """
-    if not (N.keys() == S.keys() == x.keys()):
-        raise ValueError("N, S and x must cover the same labels")
-    Nv = list(N.values())
-    Sv = list(map(S.__getitem__, N))
-    xv = list(map(x.__getitem__, N))
-    # each check is False on nan
-    if not (
-        all(map(lt, repeat(0), Nv))
-        and all(map(ge, Sv, repeat(0.0)))
-        and all(map(lt, repeat(0), xv))
-        and all(map(le, xv, Nv))
-    ):
-        # the first stratum that fails, for the message
-        for w, Nw, Sw, xw in zip(N, Nv, Sv, xv):
-            if not (Nw > 0):
-                raise ValueError(f"stratum {w!r}: N must be positive")
-            if not (Sw >= 0):
-                raise ValueError(f"stratum {w!r}: S must be nonnegative")
-            if not (0 < xw <= Nw):
-                raise ValueError(f"stratum {w!r}: need 0 < x <= N, got x={xw!r}, N={Nw!r}")
-    try:
-        d2 = list(map(pow, map(mul, Nv, Sv), repeat(2)))
-        variance = math.fsum(map(truediv, d2, xv)) - math.fsum(map(truediv, d2, Nv))
-    except OverflowError:  # a square, or a sum, past the floats
-        variance = math.inf
-    if not math.isfinite(variance):  # sought only here: the checks above pass an infinite N or S
-        for w, Nw, Sw in zip(N, Nv, Sv):
-            if not math.isfinite(Nw * Sw * (Nw * Sw)):
-                raise ValueError(f"stratum {w!r}: (N*S)**2 must be a finite float, got N={Nw!r}, S={Sw!r}")
-    return variance

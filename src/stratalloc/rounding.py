@@ -1,20 +1,22 @@
-"""Integer rounding of continuous allocations and variance-ratio reports."""
+"""Integer rounding of continuous allocations and variance-ratio reports,
+scored by the stratified SRSWOR design variance."""
 
 from __future__ import annotations
 
 import csv
 import math
 from itertools import compress, repeat
-from operator import add, le, sub
+from operator import add, ge, le, lt, mul, sub, truediv
 from typing import IO, Iterable, Mapping, Sequence
 
 from .algorithms import rna
-from .model import AllocationProblem, Label, StrataColumns, _Record, srswor_variance
-from .oracles import greedy_integer_optimal
+from .integer import greedy_integer_optimal
+from .model import AllocationProblem, Label, StrataColumns, _Record
 
 __all__ = [
     "VarianceReport",
     "round_allocation",
+    "srswor_variance",
     "variance_table",
     "write_variance_csv",
 ]
@@ -89,6 +91,49 @@ def round_allocation(
     if len(granted) < leftover:
         raise ValueError("not enough capacity under the bounds to place all units")
     return dict(zip(x, map(add, floors, map(set(granted).__contains__, range(len(xs))))))
+
+
+def srswor_variance(
+    N: Mapping[Label, float],
+    S: Mapping[Label, float],
+    x: Mapping[Label, float],
+) -> float:
+    """Design variance of the stratified SRSWOR total under allocation x.
+
+    Computes sum_w (N_w S_w)**2 / x_w - sum_w (N_w S_w)**2 / N_w, each sum
+    correctly rounded. Requires 0 < x_w <= N_w, S_w >= 0 and a finite
+    (N_w S_w)**2 for every stratum; equals 0 exactly at the census x = N.
+    """
+    if not (N.keys() == S.keys() == x.keys()):
+        raise ValueError("N, S and x must cover the same labels")
+    Nv = list(N.values())
+    Sv = list(map(S.__getitem__, N))
+    xv = list(map(x.__getitem__, N))
+    # each check is False on nan
+    if not (
+        all(map(lt, repeat(0), Nv))
+        and all(map(ge, Sv, repeat(0.0)))
+        and all(map(lt, repeat(0), xv))
+        and all(map(le, xv, Nv))
+    ):
+        # the first stratum that fails, for the message
+        for w, Nw, Sw, xw in zip(N, Nv, Sv, xv):
+            if not (Nw > 0):
+                raise ValueError(f"stratum {w!r}: N must be positive")
+            if not (Sw >= 0):
+                raise ValueError(f"stratum {w!r}: S must be nonnegative")
+            if not (0 < xw <= Nw):
+                raise ValueError(f"stratum {w!r}: need 0 < x <= N, got x={xw!r}, N={Nw!r}")
+    try:
+        d2 = list(map(pow, map(mul, Nv, Sv), repeat(2)))
+        variance = math.fsum(map(truediv, d2, xv)) - math.fsum(map(truediv, d2, Nv))
+    except OverflowError:  # a square, or a sum, past the floats
+        variance = math.inf
+    if not math.isfinite(variance):  # sought only here: the checks above pass an infinite N or S
+        for w, Nw, Sw in zip(N, Nv, Sv):
+            if not math.isfinite(Nw * Sw * (Nw * Sw)):
+                raise ValueError(f"stratum {w!r}: (N*S)**2 must be a finite float, got N={Nw!r}, S={Sw!r}")
+    return variance
 
 
 def variance_table(

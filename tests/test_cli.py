@@ -8,6 +8,7 @@ import pytest
 from conftest import FRACTION_ARGS, python, run_cli, sha256, solver_free
 from stratalloc import Stratum, algorithms, bench, formats, power_problem
 from stratalloc.cli import main
+from stratalloc.model import SOLVER_NAMES
 
 TABLE1_CSV = "\n".join(
     ["label,a,b"]
@@ -396,6 +397,8 @@ def test_duplicate_allocation_labels_exit_2(table1_csv, tmp_path, capsys):
 
 def test_one_solver_registry(table1_csv):
     assert bench.SOLVERS is algorithms.SOLVERS
+    # the CLI offers the solvers by the names their results carry
+    assert [solver.__name__ for solver in algorithms.SOLVERS.values()] == list(SOLVER_NAMES)
     for name in [*algorithms.SOLVERS, "bisection"]:
         assert main(["allocate", "--input", str(table1_csv), "--n", "8000", "--algorithm", name]) == 0
 

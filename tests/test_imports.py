@@ -2,11 +2,14 @@
 
 The package resolves its public names on first use, so ``import stratalloc``
 loads no submodule, and each command imports only the modules it runs:
-allocate needs no oracle, rounding, population or bench code, and none of
-fractions, decimal, statistics, heapq or numpy. Every record behaves as a
-frozen dataclass without importing dataclasses, so no command (import,
-allocate, verify, roundcmp) loads dataclasses or inspect; json is loaded
-only by the commands that write or read an allocation JSON."""
+``import stratalloc.cli`` compiles no solver, allocate adds the solvers
+alone, verify the oracles alone (not the integer oracle, nor heapq), and
+roundcmp the solvers, rounding and the integer oracle (not the other
+oracles). No command loads fractions, decimal, statistics or numpy. Every
+record behaves as a frozen dataclass without importing dataclasses, so no
+command (import, allocate, verify, roundcmp) loads dataclasses or inspect;
+json is loaded only by the commands that write or read an allocation
+JSON."""
 
 import json
 import pickle
@@ -51,8 +54,15 @@ print(json.dumps([code, loaded]))
 """
 
 # the modules every command loads, and those no allocate, verify or roundcmp run may load
-COMMON = {"stratalloc", "stratalloc.cli", "stratalloc.model", "stratalloc.algorithms", "stratalloc.formats"}
+COMMON = {"stratalloc", "stratalloc.cli", "stratalloc.model", "stratalloc.formats"}
 NEVER = {"stratalloc.popgen", "stratalloc.bench", "numpy", "statistics", "fractions"}
+# the package modules each command loads beyond COMMON
+OWN = {
+    "import": set(),
+    "allocate": {"stratalloc.algorithms"},
+    "verify": {"stratalloc.oracles"},
+    "roundcmp": {"stratalloc.algorithms", "stratalloc.rounding", "stratalloc.integer"},
+}
 
 
 def loaded(argv: list[str]) -> set[str]:
@@ -80,18 +90,16 @@ def commands(tmp_path_factory):
 
 def test_each_command_loads_only_its_modules(commands):
     mods = {name: loaded(argv) for name, argv in commands.items()}  # in order: verify reads allocate's file
-    for name in ("import", "allocate"):
-        assert {m for m in mods[name] if m.startswith("stratalloc")} == COMMON, name
-        assert not mods[name] & {*NEVER, "stratalloc.oracles", "stratalloc.rounding", "decimal", "heapq"}, name
-    for name in ("import", "allocate", "verify", "roundcmp"):
-        assert not mods[name] & {"dataclasses", "inspect"}, name
+    for name, own in OWN.items():
+        assert {m for m in mods[name] if m.startswith("stratalloc")} == COMMON | own, name
+        assert not mods[name] & {*NEVER, "decimal", "dataclasses", "inspect"}, name
         # only the commands that write or read an allocation JSON load json
         assert ("json" in mods[name]) == (name in ("allocate", "verify")), name
-    assert {m for m in mods["verify"] if m.startswith("stratalloc")} == COMMON | {"stratalloc.oracles"}
-    assert not mods["verify"] & {*NEVER, "stratalloc.rounding"}
-    assert {m for m in mods["roundcmp"] if m.startswith("stratalloc")} == COMMON | {
-        "stratalloc.oracles", "stratalloc.rounding"}
-    assert not mods["roundcmp"] & NEVER
+    # the solvers are compiled only by the commands that solve
+    assert not (mods["import"] | mods["verify"]) & {"stratalloc.algorithms"}
+    # heapq only with the integer oracle, which only roundcmp runs
+    assert not (mods["import"] | mods["allocate"] | mods["verify"]) & {"stratalloc.integer", "heapq"}
+    assert not mods["roundcmp"] & {"stratalloc.oracles"}
 
 
 def test_import_loads_no_submodule():
@@ -117,7 +125,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_submodules_are_attributes():
-    for name in ("algorithms", "bench", "cli", "formats", "model", "oracles", "popgen", "rounding"):
+    for name in ("algorithms", "bench", "cli", "formats", "integer", "model", "oracles", "popgen", "rounding"):
         assert getattr(stratalloc, name) is sys.modules[f"stratalloc.{name}"], name
 
 

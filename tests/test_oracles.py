@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import heap_greedy_counts, solve_mix_problem
-from stratalloc import oracles
+from stratalloc import integer, oracles
 from stratalloc.formats import population_maps_from_rows
 from stratalloc.oracles import _BRUTE_FORCE_MAX
 from stratalloc import (
@@ -413,22 +413,25 @@ class TestKktVerify:
             kkt_verify(p, wrong)
 
     def test_shares_no_code_with_the_kernel(self):
-        # the oracles take only the problem and result types, and the record
-        # base, which holds no solver or filter code, from model
-        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-        taken = {
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
-            for alias in node.names
-        }
-        assert taken == {"AllocationProblem", "AllocationResult", "Label", "_Record"}
-        imported = {
-            node.module
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-        }
-        assert imported == {"model"}
+        # the oracles, and the integer one in its own module, take only the
+        # problem and result types, and the record base, which holds no
+        # solver or filter code, from model
+        allowed = {"AllocationProblem", "AllocationResult", "Label", "_Record"}
+        for module, names in ((oracles, allowed), (integer, {"AllocationProblem", "AllocationResult"})):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            taken = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
+                for alias in node.names
+            }
+            assert taken == names <= allowed, module.__name__
+            imported = {
+                node.module
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+            }
+            assert imported == {"model"}, module.__name__
 
     @pytest.mark.parametrize(
         "a,b,n",
@@ -912,7 +915,7 @@ class TestGreedyInteger:
         for blocks in (10, 100, 500):
             problems += lognormal_problems(0, blocks)
         # 500 blocks: Newton's start is solved on a strided sample of the strata
-        assert problems[-1].size > oracles._START_SAMPLE
+        assert problems[-1].size > integer._START_SAMPLE
         for p in problems:
             assert greedy_integer_optimal(p) == numpy_greedy(p), p
 
@@ -923,8 +926,8 @@ class TestGreedyInteger:
         # so at most two passes over the strata evaluate the roots; with the
         # model solved on a strided sample (500 blocks), at most three
         steps = []
-        roots = oracles._roots
-        monkeypatch.setattr(oracles, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
+        roots = integer._roots
+        monkeypatch.setattr(integer, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
         for p in lognormal_problems(seed, blocks):
             steps.clear()
             greedy_integer_optimal(p)
@@ -936,8 +939,8 @@ class TestGreedyInteger:
         # relaxation stops there and the heap grants the units still short,
         # instead of bisecting y about 20 times
         steps = []
-        roots = oracles._roots
-        monkeypatch.setattr(oracles, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
+        roots = integer._roots
+        monkeypatch.setattr(integer, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
         p = small([3.0] * K, [50] * K, 20 * K + 357)
         result = greedy_integer_optimal(p)
         assert len(steps) <= 6
