@@ -87,20 +87,16 @@ def geometric_strata(values: Sequence[float], num_strata: int) -> list[float]:
     hi = float(arr[-1])
     if lo <= 0:
         raise ValueError("values must be positive")
-    if lo > hi:
+    # searchsorted over unsorted values would cut at arbitrary places
+    if lo > hi or (arr[1:] < arr[:-1]).any():
         raise ValueError("values must be sorted ascending")
     if lo == hi:
         return []
     ratio = hi / lo
-    kept: list[float] = []
-    closed = 0
-    for h in range(1, num_strata):
-        bnd = lo * ratio ** (h / num_strata)
-        idx = int(np.searchsorted(arr, bnd, side="left"))
-        if idx > closed:  # at least one value falls below bnd and above the last kept boundary
-            kept.append(bnd)
-            closed = idx
-    return kept
+    bounds = [lo * ratio ** (h / num_strata) for h in range(1, num_strata)]
+    cuts = np.searchsorted(arr, bounds, side="left").tolist()
+    # the cuts never decrease: a boundary closes a nonempty stratum when its cut exceeds the one before
+    return [bnd for bnd, cut, before in zip(bounds, cuts, [0] + cuts) if cut > before]
 
 
 def stratum_sd(values: Sequence[float]) -> float:
@@ -114,34 +110,25 @@ def stratum_sd(values: Sequence[float]) -> float:
 
 
 def _split_block(values: np.ndarray, num_strata: int) -> list[np.ndarray]:
-    """Split sorted values at geometric boundaries, merging thin strata.
+    """Split sorted values into contiguous spans at geometric boundaries.
 
-    Strata with fewer than 2 members, or with zero spread, cannot enter an
-    allocation problem (their SD is undefined or their weight a would be 0);
-    they merge into the right neighbor, the rightmost one into the left.
+    A span with fewer than 2 values, or with zero spread, cannot enter an
+    allocation problem (its SD is undefined or its weight a would be 0): it is
+    thin and extends into the next span. Thin values left at the end join the
+    last wide span, which is checked again and, if it has turned thin (an SD
+    that underflows to 0), joins the wide span before it.
     """
     import numpy as np
 
-    bounds = geometric_strata(values, num_strata)
-    cuts = [0] + [int(np.searchsorted(values, b, side="left")) for b in bounds] + [len(values)]
-    parts = [values[cuts[j]:cuts[j + 1]] for j in range(len(cuts) - 1)]
-    j = 0
-    while j < len(parts):
-        part = parts[j]
-        degenerate = len(part) < 2 or float(part.std(ddof=1)) == 0.0
-        if not degenerate:
-            j += 1
-            continue
-        if j + 1 < len(parts):
-            parts[j + 1] = np.concatenate([part, parts[j + 1]])
-            del parts[j]
-        elif j > 0:
-            parts[j - 1] = np.concatenate([parts[j - 1], part])
-            del parts[j]
-            j -= 1
-        else:
-            raise ValueError("block is constant; cannot form a stratum with positive spread")
-    return parts
+    cuts = np.searchsorted(values, geometric_strata(values, num_strata), side="left").tolist()
+    starts = [0]  # the wide spans' starts, then the last one's end
+    for end in cuts + [len(values)]:
+        if end - starts[-1] >= 2 and stratum_sd(values[starts[-1]:end]) != 0.0:
+            starts.append(end)
+    for k in range(len(starts) - 2, -1, -1):
+        if stratum_sd(values[starts[k]:]) != 0.0:
+            return [values[s:e] for s, e in zip(starts[:k], starts[1:])] + [values[starts[k]:]]
+    raise ValueError("block is constant; cannot form a stratum with positive spread")
 
 
 def lognormal_population(seed: int = 0, block_count: int = 100) -> StrataColumns:
@@ -163,7 +150,7 @@ def lognormal_population(seed: int = 0, block_count: int = 100) -> StrataColumns
         rng = np.random.default_rng(children[i - 1])
         values = np.sort(rng.lognormal(mean=0.0, sigma=math.log(1 + i), size=_BLOCK_SIZE))
         for k, part in enumerate(_split_block(values, _STRATA_PER_BLOCK)):
-            summaries.append((f"b{i:03d}s{k}", len(part), float(part.std(ddof=1))))
+            summaries.append((f"b{i:03d}s{k}", len(part), stratum_sd(part)))
     perm_rng = np.random.default_rng(children[-1])
     order = perm_rng.permutation(len(summaries))
     labels, N, S = zip(*(summaries[k] for k in order))

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import heapq
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -74,6 +76,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def small(a, b, n):
+    strata = tuple(Stratum(label=i, a=float(ai), b=float(bi)) for i, (ai, bi) in enumerate(zip(a, b)))
+    return AllocationProblem(strata=strata, n=float(n))
+
+
+def assert_equals_eager(unread, eager) -> None:
+    """A result or certificate not yet read, a fresh one from each unread()
+    call, compares, copies, pickles, prints and converts as its eager twin,
+    one built by the public constructor, and is as unhashable."""
+    assert unread() == eager and eager == unread()
+    assert dataclasses.replace(unread()) == eager == unread().__replace__()  # what copy.replace calls
+    assert pickle.loads(pickle.dumps(unread())) == eager
+    assert repr(unread()) == repr(eager)
+    assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(unread())
 
 
 def make_random_problem(rng: np.random.Generator, K: int, frac: float) -> AllocationProblem:

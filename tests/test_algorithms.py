@@ -3,7 +3,6 @@ import hashlib
 import io
 import itertools
 import math
-import pickle
 import time
 from fractions import Fraction
 from operator import truediv
@@ -11,7 +10,17 @@ from operator import truediv
 import numpy as np
 import pytest
 
-from conftest import exact_fixed_point, exact_takeall, make_random_problem, sha256, solve_mix_problem, solver_free, threshold_n
+from conftest import (
+    assert_equals_eager,
+    exact_fixed_point,
+    exact_takeall,
+    make_random_problem,
+    sha256,
+    small,
+    solve_mix_problem,
+    solver_free,
+    threshold_n,
+)
 from stratalloc import (
     AllocationProblem,
     AllocationResult,
@@ -50,11 +59,6 @@ REF_S_SEQUENCE = (
     0.3913894324853229,
 )
 REF_TAKE_ALL = frozenset({2, 6, 15, 17})
-
-
-def small(a, b, n):
-    strata = tuple(Stratum(label=i, a=float(ai), b=float(bi)) for i, (ai, bi) in enumerate(zip(a, b)))
-    return AllocationProblem(strata=strata, n=float(n))
 
 
 class TestReferenceProblem:
@@ -730,14 +734,7 @@ def test_lazy_trace_equals_eager_result(solver):
         assert not VIEWS & vars(res).keys()
         return res
 
-    assert unread() == eager and eager == unread()
-    assert dataclasses.replace(unread()) == eager
-    assert unread().__replace__() == eager  # what copy.replace calls
-    assert pickle.loads(pickle.dumps(unread())) == eager
-    assert repr(unread()) == repr(eager)
-    assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(unread())
+    assert_equals_eager(unread, eager)
     assert eager.trace[-1].added == () and all(len(rec.added) for rec in eager.trace[:-1])
     for res in (unread(), read):
         with pytest.raises(AttributeError, match="nope"):

@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import itertools
 import math
-import pickle
 from itertools import compress
 from operator import ge, mul
 from pathlib import Path
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import heap_greedy_counts, solve_mix_problem
+from conftest import assert_equals_eager, heap_greedy_counts, small, solve_mix_problem
 from stratalloc import integer, oracles
 from stratalloc.formats import population_maps_from_rows
 from stratalloc.oracles import _BRUTE_FORCE_MAX
@@ -34,11 +33,6 @@ from stratalloc import (
     table1_problem,
     v_allocation,
 )
-
-
-def small(a, b, n):
-    strata = tuple(Stratum(label=i, a=float(ai), b=float(bi)) for i, (ai, bi) in enumerate(zip(a, b)))
-    return AllocationProblem(strata=strata, n=float(n))
 
 
 def assert_one_rule(cert):
@@ -294,13 +288,7 @@ class TestKktVerify:
                 assert "lam" not in vars(cert)
                 return cert
 
-            assert unread() == eager and eager == unread()
-            assert dataclasses.replace(unread()) == eager == unread().__replace__()
-            assert pickle.loads(pickle.dumps(unread())) == eager
-            assert repr(unread()) == repr(eager)
-            assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(unread())
+            assert_equals_eager(unread, eager)
             assert list(eager.lam) == list(p.labels)
             assert unread().min_bound_multiplier == eager.min_bound_multiplier == min(eager.lam.values())
             assert (eager.min_bound_multiplier < 0) == negative
@@ -947,6 +935,35 @@ class TestGreedyInteger:
         assert result == heap_greedy_result(p)
         assert result == numpy_greedy(p)
 
+    def test_relaxation_stops_where_t_leaves_the_normal_floats(self):
+        # a**2 = 1e-300 under bounds of 1e15: Newton's y**2 overflows before
+        # the relaxed sum reaches m, so t = 1 / y**2 would be 0; the
+        # relaxation stops and the probes bisect the bit patterns instead
+        p = small([1e-150, 2e-150, 3e-150], [1e15] * 3, 1.5e15)
+        assert greedy_integer_optimal(p) == numpy_greedy(p)
+
+    def test_relaxation_stops_where_its_bracket_closes(self, monkeypatch):
+        # after two passes the values of y known to fall short of m and to
+        # reach it lie within 2**-20 of each other, and the relaxation stops
+        # there instead of making a third
+        steps = []
+        roots = integer._roots
+        monkeypatch.setattr(integer, "_roots", lambda A, t: (steps.append(t), roots(A, t))[1])
+        p = small([5, 5, 1, 5, 1], [28072644] * 5, 14341937)
+        result = greedy_integer_optimal(p)
+        assert len(steps) == 2
+        assert result == numpy_greedy(p)
+
+    def test_linear_start_past_the_last_capping_point(self):
+        # the stride-2 sample of Newton's start holds only the b = 2 strata,
+        # and its linear model meets its target only once every one of them
+        # is capped: the start is the last capping point
+        K = 5000
+        assert K > integer._START_SAMPLE
+        b = [2 if i % 2 == 0 else 50 for i in range(K)]
+        p = small([1 + i % 7 for i in range(K)], b, sum(b) - 3)
+        assert greedy_integer_optimal(p) == numpy_greedy(p)
+
     def test_count_limit(self):
         p = small([1, 1], [2.0**53, 2.0**53], 2.0**53 + 2)
         with pytest.raises(ValueError, match="2\\*\\*53"):
@@ -977,11 +994,4 @@ def test_columnar_oracle_result_equals_eager_result(oracle, census):
         assert not {"x", "take_all"} & vars(res).keys()
         return res
 
-    assert unread() == eager and eager == unread()
-    assert dataclasses.replace(unread()) == eager
-    assert unread().__replace__() == eager  # what copy.replace calls
-    assert pickle.loads(pickle.dumps(unread())) == eager
-    assert repr(unread()) == repr(eager)
-    assert dataclasses.asdict(unread()) == dataclasses.asdict(eager)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(unread())
+    assert_equals_eager(unread, eager)

@@ -14,6 +14,7 @@ from stratalloc import (
     table1_problem,
 )
 from stratalloc.formats import population_maps_from_rows
+from stratalloc.popgen import _split_block
 
 REF_C = (
     0.33, 2.56, 0.15, 0.66, 0.15, 15.45, 1.49, 1.74, 0.30, 0.93,
@@ -87,8 +88,42 @@ class TestGeometricStrata:
             geometric_strata([0.0, 1.0], 2)
         with pytest.raises(ValueError):
             geometric_strata([3.0, 1.0], 2)
+        with pytest.raises(ValueError, match="^values must be sorted ascending$"):
+            geometric_strata([1.0, 3.0, 2.0, 4.0], 2)
         with pytest.raises(ValueError):
             geometric_strata([1.0, 2.0], 0)
+
+
+# 1e-160 * (1, 1.1, 1.2, 1.3) and 1000 values of 1.5e-160, in three geometric
+# strata: the last is constant, and with it the middle one's SD underflows to 0
+TINY = [1e-160, 1.1e-160, 1.2e-160, 1.3e-160] + [1.5e-160] * 1000
+
+
+@pytest.mark.parametrize(
+    "values, num_strata, spans",
+    [
+        # one value below 10**(1/3) joins the span after it
+        ([1.0, 3.0, 4.0, 6.0, 10.0], 3, [[1.0, 3.0, 4.0], [6.0, 10.0]]),
+        # a zero-spread middle stratum joins the span after it
+        ([1.0, 2.0, 3.0, 3.0, 6.0, 10.0], 3, [[1.0, 2.0], [3.0, 3.0, 6.0, 10.0]]),
+        # one value, or zero spread, at the end joins the span before it
+        ([1.0, 2.0, 3.0, 4.0, 10.0], 3, [[1.0, 2.0], [3.0, 4.0, 10.0]]),
+        ([1.0, 2.0, 3.0, 4.0, 10.0, 10.0], 3, [[1.0, 2.0], [3.0, 4.0, 10.0, 10.0]]),
+        # the middle span turns thin with the last one, so both join the first
+        (TINY, 3, [TINY]),
+        # each value alone in its stratum: thin spans pair up
+        ([1.0, 1.5, 2.0, 3.0, 5.0, 8.0], 10, [[1.0, 1.5], [2.0, 3.0], [5.0, 8.0]]),
+    ],
+    ids=["thin-first", "flat-middle", "thin-last", "flat-last", "underflow", "singles"],
+)
+def test_split_block(values, num_strata, spans):
+    assert [span.tolist() for span in _split_block(np.array(values), num_strata)] == spans
+
+
+@pytest.mark.parametrize("values", [[5.0] * 7, [5.0]], ids=["seven", "one"])
+def test_split_block_rejects_a_constant_block(values):
+    with pytest.raises(ValueError, match="^block is constant; cannot form a stratum with positive spread$"):
+        _split_block(np.array(values), 10)
 
 
 class TestStratumSd:
